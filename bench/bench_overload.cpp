@@ -122,7 +122,7 @@ ArmResult run_arm(bool shedding, int clients, milliseconds duration) {
       std::vector<double> latencies;
       while (running.load(std::memory_order_relaxed)) {
         const WallClock::time_point sent = WallClock::now();
-        Result<Bytes> reply = [&] {
+        Result<Buffer> reply = [&] {
           if (shedding) {
             // The §14 path: the budget rides the frame; the server
             // rejects work it cannot finish in time.

@@ -9,6 +9,7 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <variant>
 
@@ -96,6 +97,14 @@ class [[nodiscard]] Result {
   Result(Status status)                                                // NOLINT
       : rep_(std::in_place_index<1>, std::move(status)) {
     assert(!std::get<1>(rep_).is_ok() && "Result error must not be OK");
+  }
+  /// Converts a result whose value T can be built from, e.g. a handler's
+  /// Result<Bytes> where a Result<Buffer> is expected.
+  template <typename U>
+    requires(!std::is_same_v<U, T> && std::is_constructible_v<T, U &&>)
+  Result(Result<U>&& other)  // NOLINT
+      : rep_(std::in_place_index<1>, other.status()) {
+    if (other.is_ok()) rep_.template emplace<0>(std::move(other).value());
   }
 
   bool is_ok() const noexcept { return rep_.index() == 0; }

@@ -259,7 +259,7 @@ Result<FileMultiplexer::BuiltClient> FileMultiplexer::build_remote_auto(
       xdr::Encoder enc;
       enc.put_string(mapping.remote_path);
       GL_ASSIGN_OR_RETURN(
-          const Bytes reply,
+          const Buffer reply,
           stat_rpc.call(remote::method_id(remote::Method::kStat),
                         enc.buffer()));
       xdr::Decoder dec(reply);

@@ -50,7 +50,7 @@ Result<std::uint64_t> PeerClient::put(const MappingRule& rule,
   encode_rule(enc, rule);
   enc.put_bool(tombstone);
   enc.put_bool(allow_forward);
-  GL_ASSIGN_OR_RETURN(const Bytes reply,
+  GL_ASSIGN_OR_RETURN(const Buffer reply,
                       rpc_.call(method_id(PeerMethod::kPut), enc.buffer()));
   xdr::Decoder dec(reply);
   return dec.u64();
@@ -58,7 +58,7 @@ Result<std::uint64_t> PeerClient::put(const MappingRule& rule,
 
 Result<std::vector<std::pair<std::uint32_t, std::uint64_t>>>
 PeerClient::digests() {
-  GL_ASSIGN_OR_RETURN(const Bytes reply,
+  GL_ASSIGN_OR_RETURN(const Buffer reply,
                       rpc_.call(method_id(PeerMethod::kDigests), {}));
   xdr::Decoder dec(reply);
   using Row = std::pair<std::uint32_t, std::uint64_t>;
@@ -78,7 +78,7 @@ Result<std::vector<VersionedRule>> PeerClient::exchange(
     encode_versioned(e, entry);
   });
   GL_ASSIGN_OR_RETURN(
-      const Bytes reply,
+      const Buffer reply,
       rpc_.call(method_id(PeerMethod::kExchange), enc.buffer()));
   xdr::Decoder dec(reply);
   return dec.vector<VersionedRule>(
@@ -91,7 +91,7 @@ Status PeerClient::replicate(std::uint32_t shard,
   enc.put_u32(shard);
   encode_versioned(enc, entry);
   GL_ASSIGN_OR_RETURN(
-      const Bytes reply,
+      const Buffer reply,
       rpc_.call(method_id(PeerMethod::kReplicate), enc.buffer()));
   (void)reply;
   return Status::ok();
@@ -101,7 +101,7 @@ Status PeerClient::install_map(const ShardMap& map) {
   xdr::Encoder enc;
   map.encode(enc);
   GL_ASSIGN_OR_RETURN(
-      const Bytes reply,
+      const Buffer reply,
       rpc_.call(method_id(PeerMethod::kInstallMap), enc.buffer()));
   (void)reply;
   return Status::ok();
@@ -109,7 +109,7 @@ Status PeerClient::install_map(const ShardMap& map) {
 
 Result<std::pair<ShardMap, std::vector<ReplicaAddress>>>
 PeerClient::get_map() {
-  GL_ASSIGN_OR_RETURN(const Bytes reply,
+  GL_ASSIGN_OR_RETURN(const Buffer reply,
                       rpc_.call(method_id(PeerMethod::kGetMap), {}));
   xdr::Decoder dec(reply);
   std::pair<ShardMap, std::vector<ReplicaAddress>> result;
@@ -361,7 +361,7 @@ void ReplicaNode::register_handlers() {
   // Same frame as gns::Method::kLookup so GnsClient works unchanged.
   rpc_.register_method(
       method_id(PeerMethod::kLookup),
-      [this](ByteSpan request, const net::RpcContext&) -> Result<Bytes> {
+      [this](const Buffer& request, const net::RpcContext&) -> Result<Buffer> {
         xdr::Decoder dec(request);
         GL_ASSIGN_OR_RETURN(const std::string host, dec.string());
         GL_ASSIGN_OR_RETURN(const std::string path, dec.string());
@@ -372,11 +372,11 @@ void ReplicaNode::register_handlers() {
         enc.put_u64(version());
         enc.put_bool(mapping.has_value());
         if (mapping) encode_mapping(enc, *mapping);
-        return std::move(enc).take();
+        return std::move(enc).finish();
       });
   rpc_.register_method(
       method_id(PeerMethod::kPut),
-      [this](ByteSpan request, const net::RpcContext&) -> Result<Bytes> {
+      [this](const Buffer& request, const net::RpcContext&) -> Result<Buffer> {
         xdr::Decoder dec(request);
         GL_ASSIGN_OR_RETURN(MappingRule rule, decode_rule(dec));
         GL_ASSIGN_OR_RETURN(const bool tombstone, dec.boolean());
@@ -386,11 +386,11 @@ void ReplicaNode::register_handlers() {
             put(std::move(rule), tombstone, allow_forward));
         xdr::Encoder enc;
         enc.put_u64(epoch);
-        return std::move(enc).take();
+        return std::move(enc).finish();
       });
   rpc_.register_method(
       method_id(PeerMethod::kReplicate),
-      [this](ByteSpan request, const net::RpcContext&) -> Result<Bytes> {
+      [this](const Buffer& request, const net::RpcContext&) -> Result<Buffer> {
         xdr::Decoder dec(request);
         GL_ASSIGN_OR_RETURN(const std::uint32_t shard, dec.u32());
         GL_ASSIGN_OR_RETURN(const VersionedRule entry,
@@ -399,11 +399,11 @@ void ReplicaNode::register_handlers() {
             merge_entry(shard, entry, /*count_repair=*/false);
         xdr::Encoder enc;
         enc.put_u8(static_cast<std::uint8_t>(applied));
-        return std::move(enc).take();
+        return std::move(enc).finish();
       });
   rpc_.register_method(
       method_id(PeerMethod::kDigests),
-      [this](ByteSpan, const net::RpcContext&) -> Result<Bytes> {
+      [this](const Buffer&, const net::RpcContext&) -> Result<Buffer> {
         const ShardMap map = this->map();
         const std::vector<std::uint32_t> shards = map.shards_of(name_);
         xdr::Encoder enc;
@@ -412,11 +412,11 @@ void ReplicaNode::register_handlers() {
           enc.put_u32(shard);
           enc.put_u64(store_.digest(shard));
         }
-        return std::move(enc).take();
+        return std::move(enc).finish();
       });
   rpc_.register_method(
       method_id(PeerMethod::kExchange),
-      [this](ByteSpan request, const net::RpcContext&) -> Result<Bytes> {
+      [this](const Buffer& request, const net::RpcContext&) -> Result<Buffer> {
         xdr::Decoder dec(request);
         GL_ASSIGN_OR_RETURN(const std::uint32_t shard, dec.u32());
         GL_ASSIGN_OR_RETURN(
@@ -435,19 +435,19 @@ void ReplicaNode::register_handlers() {
                        [](xdr::Encoder& e, const VersionedRule& entry) {
                          encode_versioned(e, entry);
                        });
-        return std::move(enc).take();
+        return std::move(enc).finish();
       });
   rpc_.register_method(
       method_id(PeerMethod::kInstallMap),
-      [this](ByteSpan request, const net::RpcContext&) -> Result<Bytes> {
+      [this](const Buffer& request, const net::RpcContext&) -> Result<Buffer> {
         xdr::Decoder dec(request);
         GL_ASSIGN_OR_RETURN(ShardMap map, ShardMap::decode(dec));
         set_map(std::move(map));
-        return Bytes{};
+        return Buffer{};
       });
   rpc_.register_method(
       method_id(PeerMethod::kGetMap),
-      [this](ByteSpan, const net::RpcContext&) -> Result<Bytes> {
+      [this](const Buffer&, const net::RpcContext&) -> Result<Buffer> {
         xdr::Encoder enc;
         map().encode(enc);
         enc.put_vector(roster(),
@@ -455,7 +455,7 @@ void ReplicaNode::register_handlers() {
                          e.put_string(address.name);
                          e.put_string(address.endpoint.to_string());
                        });
-        return std::move(enc).take();
+        return std::move(enc).finish();
       });
 }
 

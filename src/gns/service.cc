@@ -15,7 +15,7 @@ GnsServer::GnsServer(Database& db, net::Transport& transport,
     : db_(db), rpc_(transport, std::move(bind), format) {
   rpc_.register_method(
       method_id(Method::kLookup),
-      [this](ByteSpan request, const net::RpcContext&) -> Result<Bytes> {
+      [this](const Buffer& request, const net::RpcContext&) -> Result<Buffer> {
         xdr::Decoder dec(request);
         GL_ASSIGN_OR_RETURN(const std::string host, dec.string());
         GL_ASSIGN_OR_RETURN(const std::string path, dec.string());
@@ -24,19 +24,19 @@ GnsServer::GnsServer(Database& db, net::Transport& transport,
         enc.put_u64(db_.version());
         enc.put_bool(mapping.has_value());
         if (mapping) encode_mapping(enc, *mapping);
-        return std::move(enc).take();
+        return std::move(enc).finish();
       });
   rpc_.register_method(
       method_id(Method::kAddRule),
-      [this](ByteSpan request, const net::RpcContext&) -> Result<Bytes> {
+      [this](const Buffer& request, const net::RpcContext&) -> Result<Buffer> {
         xdr::Decoder dec(request);
         GL_ASSIGN_OR_RETURN(MappingRule rule, decode_rule(dec));
         db_.add_rule(std::move(rule));
-        return Bytes{};
+        return Buffer{};
       });
   rpc_.register_method(
       method_id(Method::kRemoveRules),
-      [this](ByteSpan request, const net::RpcContext&) -> Result<Bytes> {
+      [this](const Buffer& request, const net::RpcContext&) -> Result<Buffer> {
         xdr::Decoder dec(request);
         GL_ASSIGN_OR_RETURN(const std::string host_pattern, dec.string());
         GL_ASSIGN_OR_RETURN(const std::string path_pattern, dec.string());
@@ -44,24 +44,24 @@ GnsServer::GnsServer(Database& db, net::Transport& transport,
             db_.remove_rules(host_pattern, path_pattern);
         xdr::Encoder enc;
         enc.put_u64(removed);
-        return std::move(enc).take();
+        return std::move(enc).finish();
       });
   rpc_.register_method(
       method_id(Method::kListRules),
-      [this](ByteSpan, const net::RpcContext&) -> Result<Bytes> {
+      [this](const Buffer&, const net::RpcContext&) -> Result<Buffer> {
         xdr::Encoder enc;
         enc.put_vector(db_.rules(),
                        [](xdr::Encoder& e, const MappingRule& rule) {
                          encode_rule(e, rule);
                        });
-        return std::move(enc).take();
+        return std::move(enc).finish();
       });
   rpc_.register_method(
       method_id(Method::kVersion),
-      [this](ByteSpan, const net::RpcContext&) -> Result<Bytes> {
+      [this](const Buffer&, const net::RpcContext&) -> Result<Buffer> {
         xdr::Encoder enc;
         enc.put_u64(db_.version());
-        return std::move(enc).take();
+        return std::move(enc).finish();
       });
 }
 
@@ -88,7 +88,7 @@ Result<std::optional<FileMapping>> GnsClient::lookup(const std::string& host,
   xdr::Encoder enc;
   enc.put_string(host);
   enc.put_string(path);
-  GL_ASSIGN_OR_RETURN(const Bytes reply,
+  GL_ASSIGN_OR_RETURN(const Buffer reply,
                       rpc_.call(method_id(Method::kLookup), enc.buffer()));
   xdr::Decoder dec(reply);
   GL_ASSIGN_OR_RETURN(const std::uint64_t version, dec.u64());
@@ -112,7 +112,7 @@ Result<std::optional<FileMapping>> GnsClient::lookup(const std::string& host,
 Status GnsClient::add_rule(const MappingRule& rule) {
   xdr::Encoder enc;
   encode_rule(enc, rule);
-  GL_ASSIGN_OR_RETURN(const Bytes reply,
+  GL_ASSIGN_OR_RETURN(const Buffer reply,
                       rpc_.call(method_id(Method::kAddRule), enc.buffer()));
   (void)reply;
   invalidate_cache();
@@ -125,7 +125,7 @@ Result<std::size_t> GnsClient::remove_rules(const std::string& host_pattern,
   enc.put_string(host_pattern);
   enc.put_string(path_pattern);
   GL_ASSIGN_OR_RETURN(
-      const Bytes reply,
+      const Buffer reply,
       rpc_.call(method_id(Method::kRemoveRules), enc.buffer()));
   xdr::Decoder dec(reply);
   GL_ASSIGN_OR_RETURN(const std::uint64_t removed, dec.u64());
@@ -134,7 +134,7 @@ Result<std::size_t> GnsClient::remove_rules(const std::string& host_pattern,
 }
 
 Result<std::vector<MappingRule>> GnsClient::list_rules() {
-  GL_ASSIGN_OR_RETURN(const Bytes reply,
+  GL_ASSIGN_OR_RETURN(const Buffer reply,
                       rpc_.call(method_id(Method::kListRules), {}));
   xdr::Decoder dec(reply);
   return dec.vector<MappingRule>(
@@ -142,7 +142,7 @@ Result<std::vector<MappingRule>> GnsClient::list_rules() {
 }
 
 Result<std::uint64_t> GnsClient::version() {
-  GL_ASSIGN_OR_RETURN(const Bytes reply,
+  GL_ASSIGN_OR_RETURN(const Buffer reply,
                       rpc_.call(method_id(Method::kVersion), {}));
   xdr::Decoder dec(reply);
   return dec.u64();

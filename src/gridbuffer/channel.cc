@@ -132,16 +132,15 @@ Status Channel::cache_write_locked(std::uint64_t offset, ByteSpan data) {
   return Status::ok();
 }
 
-Result<Bytes> Channel::cache_read_locked(std::uint64_t offset,
-                                         std::uint32_t length) const {
+Result<std::size_t> Channel::cache_read_locked(std::uint64_t offset,
+                                               MutableByteSpan out) const {
   if (cache_fd_ < 0) {
     return out_of_range(
         strings::cat("channel ", name_, ": block evicted and no cache file"));
   }
-  Bytes out(length);
   std::size_t got = 0;
-  while (got < length) {
-    const ssize_t n = ::pread(cache_fd_, out.data() + got, length - got,
+  while (got < out.size()) {
+    const ssize_t n = ::pread(cache_fd_, out.data() + got, out.size() - got,
                               static_cast<off_t>(offset + got));
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -151,11 +150,10 @@ Result<Bytes> Channel::cache_read_locked(std::uint64_t offset,
     if (n == 0) break;
     got += static_cast<std::size_t>(n);
   }
-  out.resize(got);
-  return out;
+  return got;
 }
 
-Status Channel::write(std::uint64_t offset, ByteSpan data) {
+Status Channel::write(std::uint64_t offset, const Buffer& data) {
   // Lazily opened on the first backpressure stall (see read()).
   std::optional<obs::Span> wait_span;
   MutexLock lock(mu_);
@@ -293,7 +291,9 @@ Status Channel::write(std::uint64_t offset, ByteSpan data) {
   } else {
     block_sizes_[offset] = static_cast<std::uint32_t>(data.size());
   }
-  blocks_[offset] = Bytes(data.begin(), data.end());
+  // The table shares the block with the request that carried it, unless
+  // the block is a small part of that message (Buffer::compact).
+  blocks_[offset] = data.compact();
   table_bytes_ += data.size();
   GbMetrics::get().bytes_buffered.add(
       static_cast<std::int64_t>(data.size()));
@@ -363,10 +363,15 @@ Result<ReadResult> Channel::read(std::uint64_t reader_id,
       // Serve as much contiguous data as is already available, crossing
       // block boundaries, up to `length` — one RPC can drain a whole
       // run of blocks instead of one block per round trip.
-      ReadResult result;
-      result.frontier = frontier_;
+      // Copied once, straight into the buffer the reply is framed in.
+      MutableByteSpan out;
+      Buffer data = Buffer::uninitialized(
+          static_cast<std::size_t>(
+              std::min<std::uint64_t>(length, frontier_ - offset)),
+          out);
+      std::size_t filled = 0;
       std::uint64_t position = offset;
-      while (result.data.size() < length) {
+      while (filled < out.size()) {
         const std::uint64_t block_start = position / bs * bs;
         const auto run_it = block_sizes_.find(block_start);
         if (run_it == block_sizes_.end() ||
@@ -374,32 +379,33 @@ Result<ReadResult> Channel::read(std::uint64_t reader_id,
           break;  // next block not (fully enough) written yet
         }
         const std::uint64_t in_block = position - block_start;
-        const std::uint32_t take = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(length - result.data.size(),
+        const std::size_t take = static_cast<std::size_t>(
+            std::min<std::uint64_t>(out.size() - filled,
                                     run_it->second - in_block));
         const auto block = blocks_.find(block_start);
         if (block != blocks_.end()) {
-          result.data.insert(
-              result.data.end(),
-              block->second.begin() + static_cast<std::ptrdiff_t>(in_block),
-              block->second.begin() +
-                  static_cast<std::ptrdiff_t>(in_block + take));
+          std::memcpy(out.data() + filled, block->second.data() + in_block,
+                      take);
         } else if (config_.cache_enabled) {
-          GL_ASSIGN_OR_RETURN(const Bytes cached,
-                              cache_read_locked(position, take));
+          GL_ASSIGN_OR_RETURN(
+              const std::size_t cached,
+              cache_read_locked(position, out.subspan(filled, take)));
           GbMetrics::get().cache_hits.add();
-          result.data.insert(result.data.end(), cached.begin(),
-                             cached.end());
-          if (cached.size() < take) break;  // short cache read: stop here
+          if (cached < take) {  // short cache read: stop here
+            filled += cached;
+            break;
+          }
         } else {
-          if (!result.data.empty()) break;  // serve what we have
+          if (filled != 0) break;  // serve what we have
           return out_of_range(strings::cat(
               "channel ", name_,
               ": block consumed and re-read needs a cache file (offset ",
               position, ")"));
         }
+        filled += take;
         position += take;
       }
+      ReadResult result{data.slice(0, filled), false, frontier_};
       // Re-find: remove_reader may have erased this reader while the loop
       // waited on cv_ (operator[] here would silently resurrect it and
       // stall eviction forever).

@@ -46,7 +46,7 @@ struct ChannelConfig {
 
 /// Result of a read: data (possibly shorter than asked), or EOF.
 struct ReadResult {
-  Bytes data;
+  Buffer data;  // a fresh buffer with headroom for the reply's head
   bool eof = false;
   std::uint64_t frontier = 0;  // bytes written so far (high-water mark)
 };
@@ -67,7 +67,9 @@ class Channel {
   /// Stores one block. `offset` must be block-aligned and `data` no
   /// longer than block_size. Blocks (backpressure) when the table is full
   /// and nothing can spill. Rewriting a block with more data extends it.
-  Status write(std::uint64_t offset, ByteSpan data);
+  /// The table keeps data.compact(), so a block received in a request
+  /// message is shared rather than copied.
+  Status write(std::uint64_t offset, const Buffer& data);
 
   /// Declares end-of-stream; wakes blocked readers.
   void close_writer();
@@ -114,9 +116,11 @@ class Channel {
   /// Appends `data` at `offset` in the cache file.
   Status cache_write_locked(std::uint64_t offset, ByteSpan data)
       REQUIRES(mu_);
-  /// Reads `length` bytes at `offset` from the cache file.
-  Result<Bytes> cache_read_locked(std::uint64_t offset,
-                                  std::uint32_t length) const REQUIRES(mu_);
+  /// Reads up to out.size() bytes at `offset` from the cache file into
+  /// `out`; returns how many (short at the file's end).
+  Result<std::size_t> cache_read_locked(std::uint64_t offset,
+                                        MutableByteSpan out) const
+      REQUIRES(mu_);
 
   const std::string name_;
   const ChannelConfig config_;
@@ -128,7 +132,7 @@ class Channel {
   CondVar cv_;
 
   // block start -> data
-  std::unordered_map<std::uint64_t, Bytes> blocks_ GUARDED_BY(mu_);
+  std::unordered_map<std::uint64_t, Buffer> blocks_ GUARDED_BY(mu_);
   // every write, ordered
   std::map<std::uint64_t, std::uint32_t> block_sizes_ GUARDED_BY(mu_);
   std::uint64_t table_bytes_ GUARDED_BY(mu_) = 0;

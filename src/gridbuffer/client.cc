@@ -9,11 +9,11 @@
 namespace griddles::gridbuffer {
 
 namespace {
-Bytes encode_open(const std::string& channel, const ChannelConfig& config) {
+Buffer encode_open(const std::string& channel, const ChannelConfig& config) {
   xdr::Encoder enc;
   enc.put_string(channel);
   encode_channel_config(enc, config);
-  return std::move(enc).take();
+  return std::move(enc).finish();
 }
 }  // namespace
 
@@ -23,7 +23,7 @@ Result<std::unique_ptr<GridBufferWriter>> GridBufferWriter::open(
   auto writer = std::unique_ptr<GridBufferWriter>(
       new GridBufferWriter(transport, server, channel, options));
   GL_ASSIGN_OR_RETURN(
-      const Bytes reply,
+      const Buffer reply,
       writer->control_.call(method_id(Method::kOpenWrite),
                             encode_open(channel, options.channel)));
   (void)reply;
@@ -66,17 +66,19 @@ GridBufferWriter::~GridBufferWriter() {
 }
 
 Status GridBufferWriter::pipeline_error() const {
-  MutexLock lock(error_mu_);
+  MutexLock lock(mu_);
   return flusher_status_;
 }
 
-Status GridBufferWriter::send_block(std::uint64_t offset, Bytes data) {
+Status GridBufferWriter::send_block(net::RpcClient& rpc, std::uint64_t offset,
+                                    Buffer data) {
   xdr::Encoder enc;
   enc.put_string(channel_);
   enc.put_u64(offset);
-  enc.put_bytes(data);
-  auto reply = control_.call(method_id(Method::kWrite), enc.buffer());
-  return reply.status();
+  return rpc
+      .call(method_id(Method::kWrite),
+            std::move(enc).finish_with_bytes(std::move(data)))
+      .status();
 }
 
 void GridBufferWriter::flusher_main() {
@@ -84,17 +86,14 @@ void GridBufferWriter::flusher_main() {
   while (true) {
     auto item = queue_.pop();
     if (!item) return;  // queue closed and drained
-    xdr::Encoder enc;
-    enc.put_string(channel_);
-    enc.put_u64(item->offset);
-    enc.put_bytes(item->data);
-    auto reply = rpc.call(method_id(Method::kWrite), enc.buffer());
-    if (!reply.is_ok()) {
-      MutexLock lock(error_mu_);
-      if (flusher_status_.is_ok()) flusher_status_ = reply.status();
+    const Status sent = send_block(rpc, item->offset, std::move(item->data));
+    {
+      MutexLock lock(mu_);
       // Keep draining so close() does not hang, but drop the data.
+      if (!sent.is_ok() && flusher_status_.is_ok()) flusher_status_ = sent;
+      ++acked_blocks_;
     }
-    acked_blocks_.fetch_add(1);
+    acked_.notify_all();
   }
 }
 
@@ -103,28 +102,37 @@ Status GridBufferWriter::write(ByteSpan data) {
   GL_RETURN_IF_ERROR(pipeline_error());
   const std::uint32_t bs = options_.channel.block_size;
   while (!data.empty()) {
-    const std::size_t room = bs - pending_.size();
-    const std::size_t take = std::min(room, data.size());
-    pending_.insert(pending_.end(), data.begin(),
-                    data.begin() + static_cast<std::ptrdiff_t>(take));
-    data = data.subspan(take);
-    cursor_ += take;
-    if (pending_.size() == bs) {
-      Bytes block = std::move(pending_);
+    Buffer block;
+    if (pending_.empty() && data.size() >= bs) {
+      // A whole block in the caller's bytes skips the staging copy.
+      block = data.first(bs);
+      data = data.subspan(bs);
+      cursor_ += bs;
+    } else {
+      const std::size_t take = std::min<std::size_t>(bs - pending_.size(),
+                                                     data.size());
+      pending_.insert(pending_.end(), data.begin(),
+                      data.begin() + static_cast<std::ptrdiff_t>(take));
+      data = data.subspan(take);
+      cursor_ += take;
+      if (pending_.size() < bs) break;
+      block = pending_;
       pending_.clear();
-      pending_.reserve(bs);
-      const std::uint64_t offset = block_start_;
-      block_start_ += bs;
-      if (options_.synchronous) {
-        GL_RETURN_IF_ERROR(send_block(offset, std::move(block)));
-      } else {
-        queued_blocks_.fetch_add(1);
-        if (!queue_.push(QueuedBlock{offset, std::move(block)})) {
-          return closed_error("grid buffer write pipeline closed");
-        }
-      }
     }
+    GL_RETURN_IF_ERROR(enqueue_block(block_start_, std::move(block)));
+    block_start_ += bs;
   }
+  return Status::ok();
+}
+
+Status GridBufferWriter::enqueue_block(std::uint64_t offset, Buffer block) {
+  if (options_.synchronous) {
+    return send_block(control_, offset, std::move(block));
+  }
+  if (!queue_.push(QueuedBlock{offset, std::move(block)})) {
+    return closed_error("grid buffer write pipeline closed");
+  }
+  ++queued_blocks_;
   return Status::ok();
 }
 
@@ -132,22 +140,15 @@ Status GridBufferWriter::flush() {
   if (closed_) return Status::ok();
   if (!pending_.empty()) {
     // Send the partial block; the stream may extend it later (the server
-    // accepts extending rewrites at the same offset).
-    Bytes block = pending_;  // keep pending_: later writes extend the block
-    if (options_.synchronous) {
-      GL_RETURN_IF_ERROR(send_block(block_start_, std::move(block)));
-    } else {
-      queued_blocks_.fetch_add(1);
-      if (!queue_.push(QueuedBlock{block_start_, std::move(block)})) {
-        return closed_error("grid buffer write pipeline closed");
-      }
-    }
+    // accepts extending rewrites at the same offset), so pending_ stays.
+    GL_RETURN_IF_ERROR(enqueue_block(block_start_, pending_));
   }
-  // Drain the pipeline.
   if (!options_.synchronous) {
-    while (acked_blocks_.load() < queued_blocks_.load()) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
+    // Drain the pipeline: the flushers signal after every ack.
+    const std::uint64_t queued = queued_blocks_;
+    MutexLock lock(mu_);
+    // lint: blocking-ok (monitor wait: releases mu_ until the acks catch up)
+    acked_.wait(mu_, [&]() REQUIRES(mu_) { return acked_blocks_ >= queued; });
   }
   return pipeline_error();
 }
@@ -175,7 +176,7 @@ Result<std::unique_ptr<GridBufferReader>> GridBufferReader::open(
   auto reader = std::unique_ptr<GridBufferReader>(
       new GridBufferReader(transport, server, channel, options));
   GL_ASSIGN_OR_RETURN(
-      const Bytes reply,
+      const Buffer reply,
       reader->rpc_.call(method_id(Method::kOpenRead),
                         encode_open(channel, options.channel)));
   xdr::Decoder dec(reply);
@@ -205,13 +206,18 @@ Result<std::size_t> GridBufferReader::read(MutableByteSpan out) {
     enc.put_u64(cursor_);
     enc.put_u32(static_cast<std::uint32_t>(out.size() - got));
     enc.put_u64(options_.read_deadline_ms);
-    GL_ASSIGN_OR_RETURN(const Bytes reply,
+    GL_ASSIGN_OR_RETURN(const Buffer reply,
                         rpc_.call(method_id(Method::kRead), enc.buffer()));
     xdr::Decoder dec(reply);
     GL_ASSIGN_OR_RETURN(const bool eof, dec.boolean());
     GL_ASSIGN_OR_RETURN(const std::uint64_t frontier, dec.u64());
     (void)frontier;
-    GL_ASSIGN_OR_RETURN(const Bytes data, dec.bytes());
+    GL_ASSIGN_OR_RETURN(const Buffer data, dec.bytes());
+    if (data.size() > out.size() - got) {
+      return data_loss(strings::cat("grid buffer read of ", channel_, ": ",
+                                    data.size(), " bytes returned for ",
+                                    out.size() - got, " requested"));
+    }
     std::copy(data.begin(), data.end(),
               out.begin() + static_cast<std::ptrdiff_t>(got));
     got += data.size();
@@ -250,7 +256,7 @@ Result<std::uint64_t> GridBufferReader::size() {
   enc.put_string(channel_);
   enc.put_bool(true);  // wait for eof
   enc.put_u64(options_.read_deadline_ms);
-  GL_ASSIGN_OR_RETURN(const Bytes reply,
+  GL_ASSIGN_OR_RETURN(const Buffer reply,
                       rpc_.call(method_id(Method::kStat), enc.buffer()));
   xdr::Decoder dec(reply);
   GL_ASSIGN_OR_RETURN(const bool eof, dec.boolean());

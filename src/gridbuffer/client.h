@@ -7,7 +7,6 @@
 // costs nothing until the next read.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -71,7 +70,10 @@ class GridBufferWriter {
   GridBufferWriter(net::Transport& transport, net::Endpoint server,
                    std::string channel, Options options);
 
-  Status send_block(std::uint64_t offset, Bytes data);
+  /// Sends one block at `offset` as a kWrite on `rpc`.
+  Status send_block(net::RpcClient& rpc, std::uint64_t offset, Buffer data);
+  /// Sends (synchronous mode) or queues one block for the flushers.
+  Status enqueue_block(std::uint64_t offset, Buffer block);
   void flusher_main();
   Status pipeline_error() const;
 
@@ -89,16 +91,15 @@ class GridBufferWriter {
 
   struct QueuedBlock {
     std::uint64_t offset;
-    Bytes data;
+    Buffer data;
   };
   BoundedQueue<QueuedBlock> queue_;
   std::vector<std::thread> flushers_;
-  // lint: not-a-metric (flow control)
-  std::atomic<std::uint64_t> acked_blocks_{0};
-  // lint: not-a-metric (flow control)
-  std::atomic<std::uint64_t> queued_blocks_{0};
-  mutable Mutex error_mu_;
-  Status flusher_status_ GUARDED_BY(error_mu_);
+  std::uint64_t queued_blocks_ = 0;  // writer thread only
+  mutable Mutex mu_;
+  CondVar acked_;  // signalled by the flushers after every ack
+  std::uint64_t acked_blocks_ GUARDED_BY(mu_) = 0;
+  Status flusher_status_ GUARDED_BY(mu_);
 };
 
 class GridBufferReader {

@@ -14,23 +14,22 @@ namespace griddles::gridbuffer {
 namespace {
 /// One kRelayWrite request: the receiver's subtree, the channel config
 /// its machine opens locally, and the block.
-Bytes relay_write_request(const multicast::RelayNode& node,
-                          const ChannelConfig& config, std::uint64_t offset,
-                          ByteSpan data) {
+Buffer relay_write_request(const multicast::RelayNode& node,
+                           const ChannelConfig& config, std::uint64_t offset,
+                           const Buffer& data) {
   xdr::Encoder enc;
   multicast::encode_node(enc, node);
   encode_channel_config(enc, config);
   enc.put_u64(offset);
-  enc.put_bytes(data);
-  return std::move(enc).take();
+  return std::move(enc).finish_with_bytes(data);
 }
 
-Bytes relay_close_request(const multicast::RelayNode& node,
-                          const ChannelConfig& config) {
+Buffer relay_close_request(const multicast::RelayNode& node,
+                           const ChannelConfig& config) {
   xdr::Encoder enc;
   multicast::encode_node(enc, node);
   encode_channel_config(enc, config);
-  return std::move(enc).take();
+  return std::move(enc).finish();
 }
 
 /// Caps a blocking wait (ms; 0 = forever) to the ambient end-to-end
@@ -94,7 +93,7 @@ void GridBufferServer::stop() {
 void GridBufferServer::register_handlers() {
   rpc_.register_method(
       method_id(Method::kOpenWrite),
-      [this](ByteSpan request, const net::RpcContext&) -> Result<Bytes> {
+      [this](const Buffer& request, const net::RpcContext&) -> Result<Buffer> {
         xdr::Decoder dec(request);
         GL_ASSIGN_OR_RETURN(const std::string channel, dec.string());
         GL_ASSIGN_OR_RETURN(const ChannelConfig config,
@@ -104,15 +103,15 @@ void GridBufferServer::register_handlers() {
           return failed_precondition(
               strings::cat("channel ", channel, " was already closed"));
         }
-        return Bytes{};
+        return Buffer{};
       });
   rpc_.register_method(
       method_id(Method::kWrite),
-      [this](ByteSpan request, const net::RpcContext&) -> Result<Bytes> {
+      [this](const Buffer& request, const net::RpcContext&) -> Result<Buffer> {
         xdr::Decoder dec(request);
         GL_ASSIGN_OR_RETURN(const std::string channel, dec.string());
         GL_ASSIGN_OR_RETURN(const std::uint64_t offset, dec.u64());
-        GL_ASSIGN_OR_RETURN(const Bytes data, dec.bytes());
+        GL_ASSIGN_OR_RETURN(const Buffer data, dec.bytes());
         GL_ASSIGN_OR_RETURN(auto chan, store_.find(channel));
         GL_RETURN_IF_ERROR(chan->write(offset, data));
         // Broadcast channels also fan the block out down the relay tree.
@@ -141,11 +140,11 @@ void GridBufferServer::register_handlers() {
                    "readers will miss this block");
           }
         }
-        return Bytes{};
+        return Buffer{};
       });
   rpc_.register_method(
       method_id(Method::kCloseWrite),
-      [this](ByteSpan request, const net::RpcContext&) -> Result<Bytes> {
+      [this](const Buffer& request, const net::RpcContext&) -> Result<Buffer> {
         xdr::Decoder dec(request);
         GL_ASSIGN_OR_RETURN(const std::string channel, dec.string());
         GL_ASSIGN_OR_RETURN(auto chan, store_.find(channel));
@@ -173,11 +172,11 @@ void GridBufferServer::register_handlers() {
                    "not reach ", dead.size(), " machine(s)");
           }
         }
-        return Bytes{};
+        return Buffer{};
       });
   rpc_.register_method(
       method_id(Method::kOpenRead),
-      [this](ByteSpan request, const net::RpcContext&) -> Result<Bytes> {
+      [this](const Buffer& request, const net::RpcContext&) -> Result<Buffer> {
         xdr::Decoder dec(request);
         GL_ASSIGN_OR_RETURN(const std::string channel, dec.string());
         GL_ASSIGN_OR_RETURN(const ChannelConfig config,
@@ -185,14 +184,14 @@ void GridBufferServer::register_handlers() {
         GL_ASSIGN_OR_RETURN(auto chan, store_.open(channel, config));
         xdr::Encoder enc;
         enc.put_u64(chan->add_reader());
-        return std::move(enc).take();
+        return std::move(enc).finish();
       });
   // lint: no-admission (read-blocks-until-written: a reader legitimately
   // parks here until its writer produces data; holding admission capacity
   // for the stall would starve the very writes that unblock it)
   rpc_.register_method_unadmitted(
       method_id(Method::kRead),
-      [this](ByteSpan request, const net::RpcContext&) -> Result<Bytes> {
+      [this](const Buffer& request, const net::RpcContext&) -> Result<Buffer> {
         xdr::Decoder dec(request);
         GL_ASSIGN_OR_RETURN(const std::string channel, dec.string());
         GL_ASSIGN_OR_RETURN(const std::uint64_t reader_id, dec.u64());
@@ -213,24 +212,23 @@ void GridBufferServer::register_handlers() {
         xdr::Encoder enc;
         enc.put_bool(result->eof);
         enc.put_u64(result->frontier);
-        enc.put_bytes(result->data);
-        return std::move(enc).take();
+        return std::move(enc).finish_with_bytes(std::move(result->data));
       });
   rpc_.register_method(
       method_id(Method::kCloseRead),
-      [this](ByteSpan request, const net::RpcContext&) -> Result<Bytes> {
+      [this](const Buffer& request, const net::RpcContext&) -> Result<Buffer> {
         xdr::Decoder dec(request);
         GL_ASSIGN_OR_RETURN(const std::string channel, dec.string());
         GL_ASSIGN_OR_RETURN(const std::uint64_t reader_id, dec.u64());
         GL_ASSIGN_OR_RETURN(auto chan, store_.find(channel));
         chan->remove_reader(reader_id);
-        return Bytes{};
+        return Buffer{};
       });
   // lint: no-admission (wait_for_eof parks until the writer closes — the
   // same read-blocks-until-written semantics as kRead)
   rpc_.register_method_unadmitted(
       method_id(Method::kStat),
-      [this](ByteSpan request, const net::RpcContext&) -> Result<Bytes> {
+      [this](const Buffer& request, const net::RpcContext&) -> Result<Buffer> {
         xdr::Decoder dec(request);
         GL_ASSIGN_OR_RETURN(const std::string channel, dec.string());
         GL_ASSIGN_OR_RETURN(const bool wait_for_eof, dec.boolean());
@@ -247,26 +245,26 @@ void GridBufferServer::register_handlers() {
         xdr::Encoder enc;
         enc.put_bool(result->eof);
         enc.put_u64(result->frontier);
-        return std::move(enc).take();
+        return std::move(enc).finish();
       });
   rpc_.register_method(
       method_id(Method::kRemove),
-      [this](ByteSpan request, const net::RpcContext&) -> Result<Bytes> {
+      [this](const Buffer& request, const net::RpcContext&) -> Result<Buffer> {
         xdr::Decoder dec(request);
         GL_ASSIGN_OR_RETURN(const std::string channel, dec.string());
         GL_RETURN_IF_ERROR(store_.remove(channel));
-        return Bytes{};
+        return Buffer{};
       });
   rpc_.register_method(
       method_id(Method::kRelayWrite),
-      [this](ByteSpan request, const net::RpcContext&) -> Result<Bytes> {
+      [this](const Buffer& request, const net::RpcContext&) -> Result<Buffer> {
         xdr::Decoder dec(request);
         GL_ASSIGN_OR_RETURN(const multicast::RelayNode node,
                             multicast::decode_node(dec));
         GL_ASSIGN_OR_RETURN(ChannelConfig config,
                             decode_channel_config(dec));
         GL_ASSIGN_OR_RETURN(const std::uint64_t offset, dec.u64());
-        GL_ASSIGN_OR_RETURN(const Bytes data, dec.bytes());
+        GL_ASSIGN_OR_RETURN(const Buffer data, dec.bytes());
 
         const std::string host = rpc_.endpoint().host;
         obs::Span span(obs::SpanKind::kRelay, strings::cat("relay:", host));
@@ -295,11 +293,11 @@ void GridBufferServer::register_handlers() {
             dead);
         xdr::Encoder enc;
         multicast::encode_dead_hosts(enc, dead);
-        return std::move(enc).take();
+        return std::move(enc).finish();
       });
   rpc_.register_method(
       method_id(Method::kRelayClose),
-      [this](ByteSpan request, const net::RpcContext&) -> Result<Bytes> {
+      [this](const Buffer& request, const net::RpcContext&) -> Result<Buffer> {
         xdr::Decoder dec(request);
         GL_ASSIGN_OR_RETURN(const multicast::RelayNode node,
                             multicast::decode_node(dec));
@@ -323,7 +321,7 @@ void GridBufferServer::register_handlers() {
             dead);
         xdr::Encoder enc;
         multicast::encode_dead_hosts(enc, dead);
-        return std::move(enc).take();
+        return std::move(enc).finish();
       });
 }
 

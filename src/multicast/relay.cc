@@ -75,8 +75,8 @@ Result<std::vector<std::string>> decode_dead_hosts(xdr::Decoder& dec) {
       [](xdr::Decoder& d) { return d.string(); });
 }
 
-Result<Bytes> RelayForwarder::call(const RelayNode& node,
-                                   std::uint16_t method, ByteSpan request) {
+Result<Buffer> RelayForwarder::call(const RelayNode& node,
+                                    std::uint16_t method, Buffer request) {
   std::shared_ptr<net::RpcClient> client;
   {
     MutexLock lock(mu_);
@@ -91,7 +91,7 @@ Result<Bytes> RelayForwarder::call(const RelayNode& node,
     // First inserter wins a race; both clients work either way.
     client = clients_.emplace(node.endpoint, std::move(fresh)).first->second;
   }
-  return client->call(method, request);
+  return client->call(method, std::move(request));
 }
 
 void relay_block(RelayForwarder& forwarder,
@@ -99,8 +99,7 @@ void relay_block(RelayForwarder& forwarder,
                  std::uint16_t method, const RelayPayloadFn& payload,
                  std::vector<std::string>& dead) {
   for (const RelayNode& child : children) {
-    const Bytes request = payload(child);
-    const Result<Bytes> reply = forwarder.call(child, method, request);
+    const Result<Buffer> reply = forwarder.call(child, method, payload(child));
     if (reply.is_ok()) {
       xdr::Decoder dec(*reply);
       auto reported = decode_dead_hosts(dec);

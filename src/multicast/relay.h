@@ -67,8 +67,8 @@ class RelayForwarder {
       : transport_(transport) {}
 
   /// Calls `method` on the node's endpoint with `request`.
-  Result<Bytes> call(const RelayNode& node, std::uint16_t method,
-                     ByteSpan request);
+  Result<Buffer> call(const RelayNode& node, std::uint16_t method,
+                      Buffer request);
 
  private:
   net::Transport& transport_;
@@ -78,7 +78,7 @@ class RelayForwarder {
 };
 
 /// Builds the request payload delivering one block to `node`'s subtree.
-using RelayPayloadFn = std::function<Bytes(const RelayNode& node)>;
+using RelayPayloadFn = std::function<Buffer(const RelayNode& node)>;
 
 /// Delivers one block to every subtree in `children`: one call per
 /// child, each failure adopted (the dead child's own children get direct

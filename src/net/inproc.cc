@@ -27,7 +27,7 @@ class InProcChannel {
                 std::size_t capacity)
       : clock_(clock), shaper_(std::move(shaper)), capacity_(capacity) {}
 
-  Status send(ByteSpan message) {
+  Status send(Buffer message) {
     const Duration arrival =
         shaper_->arrival_time(clock_.now(), message.size());
     MutexLock lock(mu_);
@@ -36,13 +36,13 @@ class InProcChannel {
       return closed_ || queue_.size() < capacity_;
     });
     if (closed_) return closed_error("inproc channel closed");
-    queue_.push_back(Msg{arrival, Bytes(message.begin(), message.end())});
+    queue_.push_back(Msg{arrival, std::move(message)});
     lock.unlock();
     not_empty_.notify_one();
     return Status::ok();
   }
 
-  Result<Bytes> recv(const WallClock::time_point* deadline) {
+  Result<Buffer> recv(const WallClock::time_point* deadline) {
     MutexLock lock(mu_);
     while (true) {
       if (deadline == nullptr) {
@@ -60,7 +60,7 @@ class InProcChannel {
       const Duration arrival = queue_.front().arrival;
       const Duration now = clock_.now();
       if (now >= arrival) {
-        Bytes data = std::move(queue_.front().data);
+        Buffer data = std::move(queue_.front().data);
         queue_.pop_front();
         lock.unlock();
         not_full_.notify_one();
@@ -93,7 +93,7 @@ class InProcChannel {
  private:
   struct Msg {
     Duration arrival;
-    Bytes data;
+    Buffer data;
   };
 
   Clock& clock_;
@@ -115,9 +115,11 @@ class InProcConnection final : public Connection {
 
   ~InProcConnection() override { close(); }
 
-  Status send(ByteSpan message) override { return tx_->send(message); }
-  Result<Bytes> recv() override { return rx_->recv(nullptr); }
-  Result<Bytes> recv_until(WallClock::time_point deadline) override {
+  Status send(Buffer message) override {
+    return tx_->send(std::move(message));
+  }
+  Result<Buffer> recv() override { return rx_->recv(nullptr); }
+  Result<Buffer> recv_until(WallClock::time_point deadline) override {
     return rx_->recv(&deadline);
   }
 

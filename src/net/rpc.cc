@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <optional>
 
 #include "src/common/deadline.h"
@@ -42,25 +43,69 @@ struct RpcMetrics {
     return metrics;
   }
 };
+
+/// Bytes of the binary frame in front of the payload: kind, id, method,
+/// trace and span ids, deadline, status (code, text) and payload length.
+std::size_t header_size(const RpcFrame& frame) {
+  return 1 + 8 + 2 + 8 + 8 + 8 + 4 + 4 + frame.status.message().size() + 4;
+}
+
+/// Writes the header_size(frame) header bytes, big-endian as XDR, for a
+/// payload of `payload_size` bytes. Written in place rather than through
+/// an xdr::Encoder so that framing allocates nothing.
+void write_header(const RpcFrame& frame, std::size_t payload_size,
+                  std::byte* out) {
+  const auto put = [&out](std::uint64_t value, int width) {
+    for (int i = width - 1; i >= 0; --i) {
+      *out++ = static_cast<std::byte>((value >> (8 * i)) & 0xFF);
+    }
+  };
+  put(static_cast<std::uint8_t>(frame.kind), 1);
+  put(frame.id, 8);
+  put(frame.method, 2);
+  put(frame.trace_id, 8);
+  put(frame.span_id, 8);
+  put(frame.deadline_us, 8);
+  put(static_cast<std::uint32_t>(frame.status.code()), 4);
+  const std::string& text = frame.status.message();
+  put(text.size(), 4);
+  std::memcpy(out, text.data(), text.size());
+  out += text.size();
+  put(payload_size, 4);
+}
+
+/// The frame as sent on a connection. The binary header goes into the
+/// payload's headroom, so the payload itself is not copied again.
+Buffer to_wire(RpcFrame&& frame, WireFormat format) {
+  if (format == WireFormat::kSoap) return soap_encode(frame);
+  const std::size_t payload_size = frame.payload.size();
+  MutableByteSpan head;
+  Buffer wire = std::move(frame.payload).grow_front(header_size(frame), head);
+  write_header(frame, payload_size, head.data());
+  return wire;
+}
+
+/// The payload of a frame this side encoded, to resend it after a
+/// reconnect.
+Buffer sent_payload(const Buffer& wire, WireFormat format) {
+  auto frame = decode_frame(wire, format);
+  return frame.is_ok() ? std::move(frame->payload) : Buffer{};
+}
 }  // namespace
 
 Bytes encode_frame(const RpcFrame& frame, WireFormat format) {
   if (format == WireFormat::kSoap) return soap_encode(frame);
-  xdr::Encoder enc;
-  enc.put_u8(static_cast<std::uint8_t>(frame.kind));
-  enc.put_u64(frame.id);
-  enc.put_u16(frame.method);
-  enc.put_u64(frame.trace_id);
-  enc.put_u64(frame.span_id);
-  enc.put_u64(frame.deadline_us);
-  xdr::encode_status(enc, frame.status);
-  enc.put_bytes(frame.payload);
-  return std::move(enc).take();
+  Bytes out;
+  out.reserve(header_size(frame) + frame.payload.size());
+  out.resize(header_size(frame));
+  write_header(frame, frame.payload.size(), out.data());
+  out.insert(out.end(), frame.payload.begin(), frame.payload.end());
+  return out;
 }
 
-Result<RpcFrame> decode_frame(ByteSpan data, WireFormat format) {
+Result<RpcFrame> decode_frame(Buffer data, WireFormat format) {
   if (format == WireFormat::kSoap) return soap_decode(data);
-  xdr::Decoder dec(data);
+  xdr::Decoder dec(std::move(data));
   RpcFrame frame;
   GL_ASSIGN_OR_RETURN(const std::uint8_t kind, dec.u8());
   if (kind > 1) return invalid_argument("rpc frame: bad kind");
@@ -206,7 +251,7 @@ void RpcServer::serve_connection(std::shared_ptr<Connection> conn) {
       return;
     }
     RpcMetrics::get().server_bytes_in.add(message->size());
-    auto frame = decode_frame(*message, format_);
+    auto frame = decode_frame(std::move(*message), format_);
     if (!frame.is_ok()) {
       GL_LOG(kWarn, "rpc bad frame from ", context.peer, ": ",
              frame.status());
@@ -296,9 +341,9 @@ void RpcServer::serve_connection(std::shared_ptr<Connection> conn) {
         }
       }
     }
-    const Bytes encoded = encode_frame(reply, format_);
+    Buffer encoded = to_wire(std::move(reply), format_);
     RpcMetrics::get().server_bytes_out.add(encoded.size());
-    if (const Status sent = conn->send(encoded); !sent.is_ok()) {
+    if (const Status sent = conn->send(std::move(encoded)); !sent.is_ok()) {
       if (sent.code() != ErrorCode::kClosed) {
         GL_LOG(kDebug, "rpc reply send failed: ", sent);
       }
@@ -328,30 +373,32 @@ void RpcClient::reset_connection() {
   conn_.reset();
 }
 
-Result<Bytes> RpcClient::call(std::uint16_t method, ByteSpan request) {
+Result<Buffer> RpcClient::call(std::uint16_t method, Buffer request) {
   RpcMetrics::get().client_calls.add();
-  auto result = call_impl(method, request, nullptr);
+  auto result = call_impl(method, std::move(request), nullptr);
   if (!result.is_ok()) RpcMetrics::get().client_errors.add();
   return result;
 }
 
-Result<Bytes> RpcClient::call_until(std::uint16_t method, ByteSpan request,
-                                    WallClock::time_point deadline) {
+Result<Buffer> RpcClient::call_until(std::uint16_t method, Buffer request,
+                                     WallClock::time_point deadline) {
   RpcMetrics::get().client_calls.add();
-  auto result = call_impl(method, request, &deadline);
+  auto result = call_impl(method, std::move(request), &deadline);
   if (!result.is_ok()) RpcMetrics::get().client_errors.add();
   return result;
 }
 
-Result<Bytes> RpcClient::call_impl(std::uint16_t method, ByteSpan request,
-                                   const WallClock::time_point* deadline) {
+Result<Buffer> RpcClient::call_impl(std::uint16_t method, Buffer request,
+                                    const WallClock::time_point* deadline) {
   // Every fresh call earns its peer retry-budget tokens (taken before
   // the client lock: the budget has its own).
   const std::uint64_t key_hash = fnv1a(as_bytes_view(fault_key_));
   fault::RetryBudget::global().note_fresh(key_hash);
 
   MutexLock lock(mu_);
-  if (fault::armed() == nullptr) return call_once(method, request, deadline);
+  if (fault::armed() == nullptr) {
+    return call_once(method, std::move(request), deadline);
+  }
 
   // Fault-tolerant path: consult the armed plan before each attempt and
   // retry transient failures (injected or organic) with deterministic
@@ -363,7 +410,7 @@ Result<Bytes> RpcClient::call_impl(std::uint16_t method, ByteSpan request,
   // the next, so injected chaos shows up on the exported timeline.
   std::optional<obs::Span> retry_span;
   for (int attempt = 1;; ++attempt) {
-    Result<Bytes> result = unavailable("rpc: no attempt made");
+    Result<Buffer> result = unavailable("rpc: no attempt made");
     fault::Plan* plan = fault::armed();
     fault::Decision decision;
     if (plan != nullptr) {
@@ -379,6 +426,8 @@ Result<Bytes> RpcClient::call_impl(std::uint16_t method, ByteSpan request,
         fault::sleep_for_model(decision.delay);
         lock.lock();
       }
+      // Each attempt shares the request, so framing it copies (armed
+      // fault plans only).
       result = call_once(method, request, deadline);
     }
     if (result.is_ok()) return result;
@@ -404,9 +453,12 @@ Result<Bytes> RpcClient::call_impl(std::uint16_t method, ByteSpan request,
   }
 }
 
-Result<Bytes> RpcClient::call_once(std::uint16_t method, ByteSpan request,
-                                   const WallClock::time_point* deadline) {
+Result<Buffer> RpcClient::call_once(std::uint16_t method, Buffer request,
+                                    const WallClock::time_point* deadline) {
+  Buffer encoded;
   for (int attempt = 0; attempt < 2; ++attempt) {
+    // A reconnect resends the request the first attempt framed.
+    if (attempt > 0) request = sent_payload(encoded, format_);
     // Fail fast while the ambient budget is already spent: sending would
     // only make the server reject the work after a wasted round trip.
     const std::optional<Duration> budget = remaining_budget();
@@ -437,9 +489,9 @@ Result<Bytes> RpcClient::call_once(std::uint16_t method, ByteSpan request,
           1, std::chrono::duration_cast<std::chrono::microseconds>(*budget)
                  .count()));
     }
-    frame.payload.assign(request.begin(), request.end());
-
-    const Bytes encoded = encode_frame(frame, format_);
+    const std::uint64_t id = frame.id;
+    frame.payload = std::move(request);
+    encoded = to_wire(std::move(frame), format_);
     RpcMetrics::get().client_bytes_sent.add(encoded.size());
     const Status sent = conn_->send(encoded);
     if (!sent.is_ok()) {
@@ -476,8 +528,9 @@ Result<Bytes> RpcClient::call_once(std::uint16_t method, ByteSpan request,
       return message.status();
     }
     RpcMetrics::get().client_bytes_received.add(message->size());
-    GL_ASSIGN_OR_RETURN(RpcFrame reply, decode_frame(*message, format_));
-    if (reply.kind != FrameKind::kResponse || reply.id != frame.id) {
+    GL_ASSIGN_OR_RETURN(RpcFrame reply,
+                        decode_frame(std::move(*message), format_));
+    if (reply.kind != FrameKind::kResponse || reply.id != id) {
       conn_.reset();
       return internal_error("rpc response out of sequence");
     }

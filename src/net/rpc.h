@@ -32,8 +32,10 @@ struct RpcContext {
 };
 
 /// A handler consumes the request payload and produces a response payload
-/// (or an error Status, which travels back to the caller).
-using RpcHandler = std::function<Result<Bytes>(ByteSpan, const RpcContext&)>;
+/// (or an error Status, which travels back to the caller). The request
+/// shares the received message: keep slices of it via Buffer::compact().
+using RpcHandler =
+    std::function<Result<Buffer>(const Buffer&, const RpcContext&)>;
 
 class RpcServer {
  public:
@@ -116,12 +118,14 @@ class RpcClient {
   RpcClient& operator=(const RpcClient&) = delete;
 
   /// Calls `method`; the returned bytes are the handler's response
-  /// payload. Handler errors come back as their original Status.
-  Result<Bytes> call(std::uint16_t method, ByteSpan request);
+  /// payload, a slice of the received message. Handler errors come back
+  /// as their original Status. A request the caller hands over is framed
+  /// in its headroom (Buffer::grow_front).
+  Result<Buffer> call(std::uint16_t method, Buffer request);
 
   /// As call(), failing with kTimeout at the wall deadline.
-  Result<Bytes> call_until(std::uint16_t method, ByteSpan request,
-                           WallClock::time_point deadline);
+  Result<Buffer> call_until(std::uint16_t method, Buffer request,
+                            WallClock::time_point deadline);
 
   const Endpoint& server() const noexcept { return server_; }
 
@@ -129,10 +133,11 @@ class RpcClient {
   void reset_connection();
 
  private:
-  Result<Bytes> call_impl(std::uint16_t method, ByteSpan request,
-                          const WallClock::time_point* deadline);
-  Result<Bytes> call_once(std::uint16_t method, ByteSpan request,
-                          const WallClock::time_point* deadline) REQUIRES(mu_);
+  Result<Buffer> call_impl(std::uint16_t method, Buffer request,
+                           const WallClock::time_point* deadline);
+  Result<Buffer> call_once(std::uint16_t method, Buffer request,
+                           const WallClock::time_point* deadline)
+      REQUIRES(mu_);
   Status ensure_connected() REQUIRES(mu_);
 
   Transport& transport_;
@@ -147,8 +152,9 @@ class RpcClient {
 };
 
 /// Encodes/decodes RPC frames for the given wire format (exposed for the
-/// codec ablation bench and fuzz-style tests).
+/// codec ablation bench and fuzz-style tests). A decoded binary frame's
+/// payload is a slice of `data`.
 Bytes encode_frame(const RpcFrame& frame, WireFormat format);
-Result<RpcFrame> decode_frame(ByteSpan data, WireFormat format);
+Result<RpcFrame> decode_frame(Buffer data, WireFormat format);
 
 }  // namespace griddles::net

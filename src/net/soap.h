@@ -35,7 +35,7 @@ struct RpcFrame {
   // hop's queueing and service time shrinks the budget for the next.
   std::uint64_t deadline_us = 0;
   Status status;  // meaningful on responses only
-  Bytes payload;
+  Buffer payload;
 };
 
 std::string base64_encode(ByteSpan data);

@@ -5,11 +5,13 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <span>
 
 #include "src/common/strings.h"
 #include "src/common/thread_annotations.h"
@@ -53,15 +55,26 @@ class Fd {
   int fd_ = -1;
 };
 
-Status send_all(int fd, const std::byte* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
+/// Writes every byte of `parts` as one gather (writev-style) send.
+Status send_all(int fd, std::span<iovec> parts) {
+  while (!parts.empty()) {
+    msghdr msg{};
+    msg.msg_iov = parts.data();
+    msg.msg_iovlen = parts.size();
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return errno_status("send");
     }
-    sent += static_cast<std::size_t>(n);
+    auto left = static_cast<std::size_t>(n);
+    while (!parts.empty() && left >= parts[0].iov_len) {
+      left -= parts[0].iov_len;
+      parts = parts.subspan(1);
+    }
+    if (!parts.empty()) {
+      parts[0].iov_base = static_cast<char*>(parts[0].iov_base) + left;
+      parts[0].iov_len -= left;
+    }
   }
   return Status::ok();
 }
@@ -114,7 +127,7 @@ class TcpConnection final : public Connection {
 
   ~TcpConnection() override { close(); }
 
-  Status send(ByteSpan message) override {
+  Status send(Buffer message) override {
     if (message.size() > kMaxTcpMessageBytes) {
       return invalid_argument("tcp message exceeds frame cap");
     }
@@ -128,13 +141,16 @@ class TcpConnection final : public Connection {
     header[1] = static_cast<std::byte>((size >> 16) & 0xFF);
     header[2] = static_cast<std::byte>((size >> 8) & 0xFF);
     header[3] = static_cast<std::byte>(size & 0xFF);
-    GL_RETURN_IF_ERROR(send_all(fd_.get(), header, sizeof(header)));
-    return send_all(fd_.get(), message.data(), message.size());
+    // The length prefix and the frame leave in one writev-style call.
+    iovec parts[2] = {
+        {header, sizeof(header)},
+        {const_cast<std::byte*>(message.data()), message.size()}};
+    return send_all(fd_.get(), parts);
   }
 
-  Result<Bytes> recv() override { return recv_impl(nullptr); }
+  Result<Buffer> recv() override { return recv_impl(nullptr); }
 
-  Result<Bytes> recv_until(WallClock::time_point deadline) override {
+  Result<Buffer> recv_until(WallClock::time_point deadline) override {
     return recv_impl(&deadline);
   }
 
@@ -150,7 +166,7 @@ class TcpConnection final : public Connection {
   std::string peer() const override { return peer_; }
 
  private:
-  Result<Bytes> recv_impl(const WallClock::time_point* deadline) {
+  Result<Buffer> recv_impl(const WallClock::time_point* deadline) {
     MutexLock lock(recv_mu_);
     if (closed_.load() || !fd_.valid()) {
       return closed_error("tcp connection closed");
@@ -166,9 +182,10 @@ class TcpConnection final : public Connection {
     if (size > kMaxTcpMessageBytes) {
       return io_error("tcp frame larger than cap; stream corrupt");
     }
-    Bytes payload(size);
+    MutableByteSpan out;
+    Buffer payload = Buffer::uninitialized(size, out);
     GL_RETURN_IF_ERROR(
-        recv_all(fd_.get(), payload.data(), size, nullptr, deadline));
+        recv_all(fd_.get(), out.data(), size, nullptr, deadline));
     return payload;
   }
 

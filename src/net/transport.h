@@ -23,14 +23,15 @@ class Connection {
  public:
   virtual ~Connection() = default;
 
-  /// Enqueues one message; blocks on flow control. kClosed after close.
-  virtual Status send(ByteSpan message) = 0;
+  /// Enqueues one message, sharing rather than copying it; blocks on
+  /// flow control. kClosed after close.
+  virtual Status send(Buffer message) = 0;
 
   /// Blocks for the next message; kClosed on orderly shutdown.
-  virtual Result<Bytes> recv() = 0;
+  virtual Result<Buffer> recv() = 0;
 
   /// As recv(), but fails with kTimeout at the wall deadline.
-  virtual Result<Bytes> recv_until(WallClock::time_point deadline) = 0;
+  virtual Result<Buffer> recv_until(WallClock::time_point deadline) = 0;
 
   /// Half-closes for sending and unblocks local receivers.
   virtual void close() = 0;

@@ -20,15 +20,15 @@ Responder::Responder(net::Transport& transport, net::Endpoint bind)
     : rpc_(transport, std::move(bind)) {
   rpc_.register_method(
       method_id(Method::kEcho),
-      [](ByteSpan request, const net::RpcContext&) -> Result<Bytes> {
-        return Bytes(request.begin(), request.end());
+      [](const Buffer& request, const net::RpcContext&) -> Result<Buffer> {
+        return request;
       });
   rpc_.register_method(
       method_id(Method::kSink),
-      [](ByteSpan request, const net::RpcContext&) -> Result<Bytes> {
+      [](const Buffer& request, const net::RpcContext&) -> Result<Buffer> {
         xdr::Encoder enc;
         enc.put_u64(request.size());
-        return std::move(enc).take();
+        return std::move(enc).finish();
       });
 }
 
@@ -106,7 +106,7 @@ Status Monitor::probe_once_impl(const std::string& dst_host) {
   for (std::size_t i = 0; i < options_.echo_count; ++i) {
     const Duration start = clock_.now();
     const Bytes ping = to_bytes("nws-ping");
-    GL_ASSIGN_OR_RETURN(const Bytes reply,
+    GL_ASSIGN_OR_RETURN(const Buffer reply,
                         target->client->call(method_id(Method::kEcho), ping));
     if (reply.size() != ping.size()) {
       return internal_error("nws echo reply size mismatch");
@@ -120,7 +120,7 @@ Status Monitor::probe_once_impl(const std::string& dst_host) {
   // Throughput: time a bulk transfer and subtract the latency estimate.
   Bytes bulk(options_.bulk_bytes, std::byte{0x5a});
   const Duration bulk_start = clock_.now();
-  GL_ASSIGN_OR_RETURN(const Bytes ack,
+  GL_ASSIGN_OR_RETURN(const Buffer ack,
                       target->client->call(method_id(Method::kSink), bulk));
   (void)ack;
   const double bulk_elapsed = to_seconds_d(clock_.now() - bulk_start);
@@ -237,7 +237,7 @@ QueryService::QueryService(Monitor& monitor, net::Transport& transport,
     : monitor_(monitor), rpc_(transport, std::move(bind)) {
   rpc_.register_method(
       method_id(Method::kEstimate),
-      [this](ByteSpan request, const net::RpcContext&) -> Result<Bytes> {
+      [this](const Buffer& request, const net::RpcContext&) -> Result<Buffer> {
         xdr::Decoder dec(request);
         GL_ASSIGN_OR_RETURN(const std::string dst_host, dec.string());
         GL_ASSIGN_OR_RETURN(const LinkEstimate estimate,
@@ -245,7 +245,7 @@ QueryService::QueryService(Monitor& monitor, net::Transport& transport,
         xdr::Encoder enc;
         enc.put_f64(estimate.latency_seconds);
         enc.put_f64(estimate.bandwidth_bytes_per_sec);
-        return std::move(enc).take();
+        return std::move(enc).finish();
       });
 }
 
@@ -255,7 +255,7 @@ QueryClient::QueryClient(net::Transport& transport, net::Endpoint service)
 Result<LinkEstimate> QueryClient::estimate(const std::string& dst_host) {
   xdr::Encoder enc;
   enc.put_string(dst_host);
-  GL_ASSIGN_OR_RETURN(const Bytes reply,
+  GL_ASSIGN_OR_RETURN(const Buffer reply,
                       rpc_.call(method_id(Method::kEstimate), enc.buffer()));
   xdr::Decoder dec(reply);
   LinkEstimate estimate;

@@ -53,7 +53,7 @@ Result<std::uint64_t> remote_size(net::RpcClient& rpc,
                                   const std::string& path) {
   xdr::Encoder enc;
   enc.put_string(path);
-  GL_ASSIGN_OR_RETURN(const Bytes reply,
+  GL_ASSIGN_OR_RETURN(const Buffer reply,
                       rpc.call(method_id(Method::kStat), enc.buffer()));
   xdr::Decoder dec(reply);
   GL_ASSIGN_OR_RETURN(const bool exists, dec.boolean());
@@ -66,7 +66,7 @@ Result<std::uint64_t> remote_size(net::RpcClient& rpc,
 /// is caught right away by the length check; corruption survives until
 /// the whole-file checksum pass. Returns non-OK only for drop-style
 /// injections that should fail the chunk outright.
-Status apply_copy_fault(const std::string& remote_path, Bytes& data) {
+Status apply_copy_fault(const std::string& remote_path, Buffer& data) {
   fault::Plan* plan = fault::armed();
   if (plan == nullptr) return Status::ok();
   const fault::Decision verdict =
@@ -78,19 +78,22 @@ Status apply_copy_fault(const std::string& remote_path, Bytes& data) {
       fault::sleep_for_model(verdict.delay);
       return Status::ok();
     case fault::Decision::Action::kTruncate:
-      data.resize(data.size() / 2);
+      data = data.slice(0, data.size() / 2);
       return Status::ok();
     case fault::Decision::Action::kCorrupt: {
       // Flip the rule's byte range, clamped to this chunk, so mid-chunk
       // (non-aligned) damage exercises the whole-file checksum pass and
-      // not just the per-chunk length check.
+      // not just the per-chunk length check. The chunk may share a
+      // received message, so the damage goes to a copy.
+      Bytes damaged(data.begin(), data.end());
       const std::uint64_t begin =
-          std::min<std::uint64_t>(verdict.corrupt_offset, data.size());
+          std::min<std::uint64_t>(verdict.corrupt_offset, damaged.size());
       const std::uint64_t end =
-          std::min<std::uint64_t>(begin + verdict.corrupt_len, data.size());
+          std::min<std::uint64_t>(begin + verdict.corrupt_len, damaged.size());
       for (std::uint64_t i = begin; i < end; ++i) {
-        data[static_cast<std::size_t>(i)] ^= std::byte{0xff};
+        damaged[static_cast<std::size_t>(i)] ^= std::byte{0xff};
       }
+      data = std::move(damaged);
       return Status::ok();
     }
     case fault::Decision::Action::kFail:
@@ -122,15 +125,14 @@ multicast::RelayNode build_relay_node(
 }
 
 /// Encodes one kRelayChunk request: the receiver's subtree plus the block.
-Bytes relay_chunk_request(const multicast::RelayNode& node,
-                          std::uint64_t offset, bool truncate_to_offset,
-                          ByteSpan data) {
+Buffer relay_chunk_request(const multicast::RelayNode& node,
+                           std::uint64_t offset, bool truncate_to_offset,
+                           ByteSpan data) {
   xdr::Encoder enc;
   multicast::encode_node(enc, node);
   enc.put_u64(offset);
   enc.put_bool(truncate_to_offset);
-  enc.put_bytes(data);
-  return std::move(enc).take();
+  return std::move(enc).finish_with_bytes(data);
 }
 
 /// A chunk failure worth re-requesting at the same offset: transient
@@ -170,7 +172,7 @@ Status verify_transfer(net::RpcClient& rpc, const std::string& remote_path,
                        const std::string& local_path) {
   xdr::Encoder enc;
   enc.put_string(remote_path);
-  GL_ASSIGN_OR_RETURN(const Bytes reply,
+  GL_ASSIGN_OR_RETURN(const Buffer reply,
                       rpc.call(method_id(Method::kChecksum), enc.buffer()));
   xdr::Decoder dec(reply);
   GL_ASSIGN_OR_RETURN(const std::uint64_t remote_hash, dec.u64());
@@ -287,7 +289,7 @@ Status FileCopier::fetch_attempt(const net::Endpoint& server,
         enc.put_u64(offset);
         enc.put_u32(length);
         GL_ASSIGN_OR_RETURN(
-            const Bytes reply,
+            const Buffer reply,
             rpc.call(method_id(Method::kGetChunk), enc.buffer()));
         xdr::Decoder dec(reply);
         auto data = dec.bytes();
@@ -679,12 +681,14 @@ Status FileCopier::push_attempt(const std::string& local_path,
       obs::ScopedTraceContext trace_scope(trace_parent);
       ScopedDeadline deadline_scope(budget);
       net::RpcClient rpc(transport_, server);
-      Bytes buffer(chunk);
       const auto push_chunk = [&](std::uint64_t offset,
                                   std::size_t length) -> Status {
+        // Read straight into the request's byte field.
+        MutableByteSpan out;
+        Buffer data = Buffer::uninitialized(length, out);
         std::size_t got = 0;
         while (got < length) {
-          const ssize_t n = ::pread(fd, buffer.data() + got, length - got,
+          const ssize_t n = ::pread(fd, out.data() + got, length - got,
                                     static_cast<off_t>(offset + got));
           if (n < 0) {
             if (errno == EINTR) continue;
@@ -693,21 +697,21 @@ Status FileCopier::push_attempt(const std::string& local_path,
           if (n == 0) break;
           got += static_cast<std::size_t>(n);
         }
-        Bytes data(buffer.begin(),
-                   buffer.begin() + static_cast<std::ptrdiff_t>(got));
+        data = data.slice(0, got);
         GL_RETURN_IF_ERROR(apply_copy_fault(remote_path, data));
+        const std::size_t sent = data.size();
         xdr::Encoder enc;
         enc.put_string(remote_path);
         enc.put_u64(offset);
         enc.put_bool(false);
-        enc.put_bytes(data);
         GL_ASSIGN_OR_RETURN(
-            const Bytes reply,
-            rpc.call(method_id(Method::kPutChunk), enc.buffer()));
+            const Buffer reply,
+            rpc.call(method_id(Method::kPutChunk),
+                     std::move(enc).finish_with_bytes(std::move(data))));
         (void)reply;
         // A mutated payload leaves a hole or garbage at this offset; the
         // post-push verification pass catches it and re-pushes.
-        if (data.size() != got) {
+        if (sent != got) {
           return data_loss(strings::cat("push ", remote_path,
                                         ": truncated chunk at offset ",
                                         offset));

@@ -22,6 +22,26 @@ Status errno_status(const char* op, const std::string& path) {
   return io_error(
       strings::cat(op, " ", path, ": ", strings::errno_message(errno)));
 }
+
+/// Up to `length` bytes of `fd` at `offset` (short at end of file),
+/// read straight into a reply-ready buffer.
+Result<Buffer> read_at(int fd, std::uint64_t offset, std::uint32_t length,
+                       const std::string& what) {
+  MutableByteSpan out;
+  Buffer data = Buffer::uninitialized(length, out);
+  std::size_t got = 0;
+  while (got < length) {
+    const ssize_t n = ::pread(fd, out.data() + got, length - got,
+                              static_cast<off_t>(offset + got));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return errno_status("pread", what);
+    }
+    if (n == 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  return data.slice(0, got);
+}
 }  // namespace
 
 FileServer::FileServer(fs::path root, net::Transport& transport,
@@ -76,10 +96,11 @@ Result<fs::path> FileServer::resolve(const std::string& path) const {
 }
 
 void FileServer::register_handlers() {
-  auto bind = [this](Method m, Result<Bytes> (FileServer::*fn)(ByteSpan)) {
+  auto bind = [this](Method m,
+                     Result<Buffer> (FileServer::*fn)(const Buffer&)) {
     rpc_.register_method(
         method_id(m),
-        [this, fn](ByteSpan request, const net::RpcContext&) {
+        [this, fn](const Buffer& request, const net::RpcContext&) {
           return (this->*fn)(request);
         });
   };
@@ -97,7 +118,7 @@ void FileServer::register_handlers() {
   bind(Method::kRelayChunk, &FileServer::handle_relay_chunk);
 }
 
-Result<Bytes> FileServer::handle_open(ByteSpan request) {
+Result<Buffer> FileServer::handle_open(const Buffer& request) {
   xdr::Decoder dec(request);
   GL_ASSIGN_OR_RETURN(const std::string path, dec.string());
   GL_ASSIGN_OR_RETURN(const bool read, dec.boolean());
@@ -142,10 +163,10 @@ Result<Bytes> FileServer::handle_open(ByteSpan request) {
   xdr::Encoder enc;
   enc.put_u64(handle);
   enc.put_u64(static_cast<std::uint64_t>(size));
-  return std::move(enc).take();
+  return std::move(enc).finish();
 }
 
-Result<Bytes> FileServer::handle_close(ByteSpan request) {
+Result<Buffer> FileServer::handle_close(const Buffer& request) {
   xdr::Decoder dec(request);
   GL_ASSIGN_OR_RETURN(const std::uint64_t handle, dec.u64());
   MutexLock lock(mu_);
@@ -155,10 +176,10 @@ Result<Bytes> FileServer::handle_close(ByteSpan request) {
   }
   if (it->second.fd >= 0) ::close(it->second.fd);
   handles_.erase(it);
-  return Bytes{};
+  return Buffer{};
 }
 
-Result<Bytes> FileServer::handle_pread(ByteSpan request) {
+Result<Buffer> FileServer::handle_pread(const Buffer& request) {
   xdr::Decoder dec(request);
   GL_ASSIGN_OR_RETURN(const std::uint64_t handle, dec.u64());
   GL_ASSIGN_OR_RETURN(const std::uint64_t offset, dec.u64());
@@ -172,29 +193,17 @@ Result<Bytes> FileServer::handle_pread(ByteSpan request) {
     }
     fd = it->second.fd;
   }
-  Bytes buffer(length);
-  std::size_t got = 0;
-  while (got < length) {
-    const ssize_t n = ::pread(fd, buffer.data() + got, length - got,
-                              static_cast<off_t>(offset + got));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return errno_status("pread", strings::cat("handle ", handle));
-    }
-    if (n == 0) break;
-    got += static_cast<std::size_t>(n);
-  }
-  buffer.resize(got);
+  GL_ASSIGN_OR_RETURN(Buffer data, read_at(fd, offset, length,
+                                           strings::cat("handle ", handle)));
   xdr::Encoder enc;
-  enc.put_bytes(buffer);
-  return std::move(enc).take();
+  return std::move(enc).finish_with_bytes(std::move(data));
 }
 
-Result<Bytes> FileServer::handle_pwrite(ByteSpan request) {
+Result<Buffer> FileServer::handle_pwrite(const Buffer& request) {
   xdr::Decoder dec(request);
   GL_ASSIGN_OR_RETURN(const std::uint64_t handle, dec.u64());
   GL_ASSIGN_OR_RETURN(const std::uint64_t offset, dec.u64());
-  GL_ASSIGN_OR_RETURN(const Bytes data, dec.bytes());
+  GL_ASSIGN_OR_RETURN(const Buffer data, dec.bytes());
   int fd = -1;
   {
     MutexLock lock(mu_);
@@ -219,10 +228,10 @@ Result<Bytes> FileServer::handle_pwrite(ByteSpan request) {
   }
   xdr::Encoder enc;
   enc.put_u64(put);
-  return std::move(enc).take();
+  return std::move(enc).finish();
 }
 
-Result<Bytes> FileServer::handle_stat(ByteSpan request) {
+Result<Buffer> FileServer::handle_stat(const Buffer& request) {
   xdr::Decoder dec(request);
   GL_ASSIGN_OR_RETURN(const std::string path, dec.string());
   GL_ASSIGN_OR_RETURN(const fs::path full, resolve(path));
@@ -236,10 +245,10 @@ Result<Bytes> FileServer::handle_stat(ByteSpan request) {
     enc.put_bool(true);
     enc.put_u64(size);
   }
-  return std::move(enc).take();
+  return std::move(enc).finish();
 }
 
-Result<Bytes> FileServer::handle_get_chunk(ByteSpan request) {
+Result<Buffer> FileServer::handle_get_chunk(const Buffer& request) {
   xdr::Decoder dec(request);
   GL_ASSIGN_OR_RETURN(const std::string path, dec.string());
   GL_ASSIGN_OR_RETURN(const std::uint64_t offset, dec.u64());
@@ -252,26 +261,11 @@ Result<Bytes> FileServer::handle_get_chunk(ByteSpan request) {
     }
     return errno_status("open", path);
   }
-  Bytes buffer(length);
-  std::size_t got = 0;
-  Status status = Status::ok();
-  while (got < length) {
-    const ssize_t n = ::pread(fd, buffer.data() + got, length - got,
-                              static_cast<off_t>(offset + got));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      status = errno_status("pread", path);
-      break;
-    }
-    if (n == 0) break;
-    got += static_cast<std::size_t>(n);
-  }
+  Result<Buffer> data = read_at(fd, offset, length, path);
   ::close(fd);
-  GL_RETURN_IF_ERROR(status);
-  buffer.resize(got);
+  GL_RETURN_IF_ERROR(data.status());
   xdr::Encoder enc;
-  enc.put_bytes(buffer);
-  return std::move(enc).take();
+  return std::move(enc).finish_with_bytes(std::move(*data));
 }
 
 Status FileServer::write_chunk(const std::string& path, std::uint64_t offset,
@@ -301,23 +295,23 @@ Status FileServer::write_chunk(const std::string& path, std::uint64_t offset,
   return status;
 }
 
-Result<Bytes> FileServer::handle_put_chunk(ByteSpan request) {
+Result<Buffer> FileServer::handle_put_chunk(const Buffer& request) {
   xdr::Decoder dec(request);
   GL_ASSIGN_OR_RETURN(const std::string path, dec.string());
   GL_ASSIGN_OR_RETURN(const std::uint64_t offset, dec.u64());
   GL_ASSIGN_OR_RETURN(const bool truncate_to_offset, dec.boolean());
-  GL_ASSIGN_OR_RETURN(const Bytes data, dec.bytes());
+  GL_ASSIGN_OR_RETURN(const Buffer data, dec.bytes());
   GL_RETURN_IF_ERROR(write_chunk(path, offset, truncate_to_offset, data));
-  return Bytes{};
+  return Buffer{};
 }
 
-Result<Bytes> FileServer::handle_relay_chunk(ByteSpan request) {
+Result<Buffer> FileServer::handle_relay_chunk(const Buffer& request) {
   xdr::Decoder dec(request);
   GL_ASSIGN_OR_RETURN(const multicast::RelayNode node,
                       multicast::decode_node(dec));
   GL_ASSIGN_OR_RETURN(const std::uint64_t offset, dec.u64());
   GL_ASSIGN_OR_RETURN(const bool truncate_to_offset, dec.boolean());
-  GL_ASSIGN_OR_RETURN(const Bytes data, dec.bytes());
+  GL_ASSIGN_OR_RETURN(const Buffer data, dec.bytes());
 
   const std::string host = rpc_.endpoint().host;
   obs::Span span(obs::SpanKind::kRelay, strings::cat("relay:", host));
@@ -342,17 +336,16 @@ Result<Bytes> FileServer::handle_relay_chunk(ByteSpan request) {
         multicast::encode_node(enc, child);
         enc.put_u64(offset);
         enc.put_bool(truncate_to_offset);
-        enc.put_bytes(data);
-        return std::move(enc).take();
+        return std::move(enc).finish_with_bytes(data);
       },
       dead);
 
   xdr::Encoder enc;
   multicast::encode_dead_hosts(enc, dead);
-  return std::move(enc).take();
+  return std::move(enc).finish();
 }
 
-Result<Bytes> FileServer::handle_truncate(ByteSpan request) {
+Result<Buffer> FileServer::handle_truncate(const Buffer& request) {
   xdr::Decoder dec(request);
   GL_ASSIGN_OR_RETURN(const std::string path, dec.string());
   GL_ASSIGN_OR_RETURN(const std::uint64_t size, dec.u64());
@@ -360,20 +353,20 @@ Result<Bytes> FileServer::handle_truncate(ByteSpan request) {
   if (::truncate(full.c_str(), static_cast<off_t>(size)) != 0) {
     return errno_status("truncate", path);
   }
-  return Bytes{};
+  return Buffer{};
 }
 
-Result<Bytes> FileServer::handle_remove(ByteSpan request) {
+Result<Buffer> FileServer::handle_remove(const Buffer& request) {
   xdr::Decoder dec(request);
   GL_ASSIGN_OR_RETURN(const std::string path, dec.string());
   GL_ASSIGN_OR_RETURN(const fs::path full, resolve(path));
   std::error_code ec;
   fs::remove(full, ec);
   if (ec) return io_error(strings::cat("remove ", path, ": ", ec.message()));
-  return Bytes{};
+  return Buffer{};
 }
 
-Result<Bytes> FileServer::handle_list(ByteSpan request) {
+Result<Buffer> FileServer::handle_list(const Buffer& request) {
   xdr::Decoder dec(request);
   GL_ASSIGN_OR_RETURN(const std::string path, dec.string());
   GL_ASSIGN_OR_RETURN(const fs::path full, resolve(path));
@@ -387,10 +380,10 @@ Result<Bytes> FileServer::handle_list(ByteSpan request) {
   enc.put_vector(names, [](xdr::Encoder& e, const std::string& name) {
     e.put_string(name);
   });
-  return std::move(enc).take();
+  return std::move(enc).finish();
 }
 
-Result<Bytes> FileServer::handle_checksum(ByteSpan request) {
+Result<Buffer> FileServer::handle_checksum(const Buffer& request) {
   xdr::Decoder dec(request);
   GL_ASSIGN_OR_RETURN(const std::string path, dec.string());
   GL_ASSIGN_OR_RETURN(const fs::path full, resolve(path));
@@ -398,7 +391,7 @@ Result<Bytes> FileServer::handle_checksum(ByteSpan request) {
   xdr::Encoder enc;
   enc.put_u64(fnv1a(contents));
   enc.put_u64(contents.size());
-  return std::move(enc).take();
+  return std::move(enc).finish();
 }
 
 }  // namespace griddles::remote

@@ -44,18 +44,18 @@ class FileServer {
 
   void register_handlers();
   Result<std::filesystem::path> resolve(const std::string& path) const;
-  Result<Bytes> handle_open(ByteSpan request);
-  Result<Bytes> handle_close(ByteSpan request);
-  Result<Bytes> handle_pread(ByteSpan request);
-  Result<Bytes> handle_pwrite(ByteSpan request);
-  Result<Bytes> handle_stat(ByteSpan request);
-  Result<Bytes> handle_get_chunk(ByteSpan request);
-  Result<Bytes> handle_put_chunk(ByteSpan request);
-  Result<Bytes> handle_truncate(ByteSpan request);
-  Result<Bytes> handle_remove(ByteSpan request);
-  Result<Bytes> handle_list(ByteSpan request);
-  Result<Bytes> handle_checksum(ByteSpan request);
-  Result<Bytes> handle_relay_chunk(ByteSpan request);
+  Result<Buffer> handle_open(const Buffer& request);
+  Result<Buffer> handle_close(const Buffer& request);
+  Result<Buffer> handle_pread(const Buffer& request);
+  Result<Buffer> handle_pwrite(const Buffer& request);
+  Result<Buffer> handle_stat(const Buffer& request);
+  Result<Buffer> handle_get_chunk(const Buffer& request);
+  Result<Buffer> handle_put_chunk(const Buffer& request);
+  Result<Buffer> handle_truncate(const Buffer& request);
+  Result<Buffer> handle_remove(const Buffer& request);
+  Result<Buffer> handle_list(const Buffer& request);
+  Result<Buffer> handle_checksum(const Buffer& request);
+  Result<Buffer> handle_relay_chunk(const Buffer& request);
 
   /// Shared pwrite body of kPutChunk and kRelayChunk.
   Status write_chunk(const std::string& path, std::uint64_t offset,

@@ -20,7 +20,7 @@ Result<std::unique_ptr<RemoteFileClient>> RemoteFileClient::open(
   enc.put_bool(flags.write);
   enc.put_bool(flags.create);
   enc.put_bool(flags.truncate);
-  GL_ASSIGN_OR_RETURN(const Bytes reply,
+  GL_ASSIGN_OR_RETURN(const Buffer reply,
                       rpc->call(method_id(Method::kOpen), enc.buffer()));
   xdr::Decoder dec(reply);
   GL_ASSIGN_OR_RETURN(const std::uint64_t handle, dec.u64());
@@ -44,7 +44,8 @@ RemoteFileClient::RemoteFileClient(std::unique_ptr<net::RpcClient> rpc,
 
 RemoteFileClient::~RemoteFileClient() { (void)close(); }
 
-void RemoteFileClient::cache_insert(std::uint64_t block_start, Bytes data) {
+void RemoteFileClient::cache_insert(std::uint64_t block_start,
+                                    const Buffer& data) {
   const auto existing = lru_index_.find(block_start);
   if (existing != lru_index_.end()) {
     lru_.erase(existing->second);
@@ -52,7 +53,8 @@ void RemoteFileClient::cache_insert(std::uint64_t block_start, Bytes data) {
   }
   lru_.push_front(block_start);
   lru_index_[block_start] = lru_.begin();
-  cache_[block_start] = std::move(data);
+  // The reply's block slice, unless it is a small part of the reply.
+  cache_[block_start] = data.compact();
   while (cache_.size() > options_.cache_blocks && !lru_.empty()) {
     const std::uint64_t victim = lru_.back();
     lru_.pop_back();
@@ -80,7 +82,8 @@ void RemoteFileClient::cache_invalidate_range(std::uint64_t offset,
   }
 }
 
-Result<const Bytes*> RemoteFileClient::block_at(std::uint64_t block_start) {
+Result<const Buffer*> RemoteFileClient::block_at(
+    std::uint64_t block_start) {
   const auto hit = cache_.find(block_start);
   if (hit != cache_.end()) {
     ++cache_hits_;
@@ -93,12 +96,12 @@ Result<const Bytes*> RemoteFileClient::block_at(std::uint64_t block_start) {
   enc.put_u64(handle_);
   enc.put_u64(block_start);
   enc.put_u32(options_.block_size);
-  GL_ASSIGN_OR_RETURN(const Bytes reply,
+  GL_ASSIGN_OR_RETURN(const Buffer reply,
                       rpc_->call(method_id(Method::kPread), enc.buffer()));
   xdr::Decoder dec(reply);
-  GL_ASSIGN_OR_RETURN(Bytes data, dec.bytes());
+  GL_ASSIGN_OR_RETURN(const Buffer data, dec.bytes());
   bytes_fetched_ += data.size();
-  cache_insert(block_start, std::move(data));
+  cache_insert(block_start, data);
   return &cache_[block_start];
 }
 
@@ -117,7 +120,7 @@ Result<std::size_t> RemoteFileClient::read(MutableByteSpan out) {
       if (got > 0) return got;
       return block_or.status();
     }
-    const Bytes* block = *block_or;
+    const Buffer* block = *block_or;
     const std::uint64_t in_block = cursor_ - block_start;
     if (in_block >= block->size()) break;  // EOF (short block)
     const std::size_t take = std::min<std::size_t>(
@@ -142,9 +145,10 @@ Result<std::size_t> RemoteFileClient::write(ByteSpan data) {
   xdr::Encoder enc;
   enc.put_u64(handle_);
   enc.put_u64(cursor_);
-  enc.put_bytes(data);
-  GL_ASSIGN_OR_RETURN(const Bytes reply,
-                      rpc_->call(method_id(Method::kPwrite), enc.buffer()));
+  GL_ASSIGN_OR_RETURN(
+      const Buffer reply,
+      rpc_->call(method_id(Method::kPwrite),
+                 std::move(enc).finish_with_bytes(data)));
   xdr::Decoder dec(reply);
   GL_ASSIGN_OR_RETURN(const std::uint64_t written, dec.u64());
   cache_invalidate_range(cursor_, data.size());

@@ -56,8 +56,8 @@ class RemoteFileClient final : public vfs::FileClient {
                    vfs::OpenFlags flags, Options options);
 
   /// Returns the cached block starting at block_start, fetching on miss.
-  Result<const Bytes*> block_at(std::uint64_t block_start);
-  void cache_insert(std::uint64_t block_start, Bytes data);
+  Result<const Buffer*> block_at(std::uint64_t block_start);
+  void cache_insert(std::uint64_t block_start, const Buffer& data);
   void cache_invalidate_range(std::uint64_t offset, std::size_t length);
 
   std::unique_ptr<net::RpcClient> rpc_;
@@ -70,7 +70,7 @@ class RemoteFileClient final : public vfs::FileClient {
   bool closed_ = false;
 
   // LRU block cache: block start offset -> payload.
-  std::map<std::uint64_t, Bytes> cache_;
+  std::map<std::uint64_t, Buffer> cache_;
   std::list<std::uint64_t> lru_;  // front = most recent
   std::map<std::uint64_t, std::list<std::uint64_t>::iterator> lru_index_;
   std::uint64_t cache_hits_ = 0;

@@ -82,7 +82,7 @@ CatalogServer::CatalogServer(Catalog& catalog, net::Transport& transport,
     : catalog_(catalog), rpc_(transport, std::move(bind)) {
   rpc_.register_method(
       method_id(Method::kLookup),
-      [this](ByteSpan request, const net::RpcContext&) -> Result<Bytes> {
+      [this](const Buffer& request, const net::RpcContext&) -> Result<Buffer> {
         xdr::Decoder dec(request);
         GL_ASSIGN_OR_RETURN(const std::string logical, dec.string());
         GL_ASSIGN_OR_RETURN(const std::vector<PhysicalReplica> copies,
@@ -92,36 +92,36 @@ CatalogServer::CatalogServer(Catalog& catalog, net::Transport& transport,
                        [](xdr::Encoder& e, const PhysicalReplica& r) {
                          encode_replica(e, r);
                        });
-        return std::move(enc).take();
+        return std::move(enc).finish();
       });
   rpc_.register_method(
       method_id(Method::kAdd),
-      [this](ByteSpan request, const net::RpcContext&) -> Result<Bytes> {
+      [this](const Buffer& request, const net::RpcContext&) -> Result<Buffer> {
         xdr::Decoder dec(request);
         GL_ASSIGN_OR_RETURN(const std::string logical, dec.string());
         GL_ASSIGN_OR_RETURN(PhysicalReplica replica, decode_replica(dec));
         catalog_.add(logical, std::move(replica));
-        return Bytes{};
+        return Buffer{};
       });
   rpc_.register_method(
       method_id(Method::kRemove),
-      [this](ByteSpan request, const net::RpcContext&) -> Result<Bytes> {
+      [this](const Buffer& request, const net::RpcContext&) -> Result<Buffer> {
         xdr::Decoder dec(request);
         GL_ASSIGN_OR_RETURN(const std::string logical, dec.string());
         GL_ASSIGN_OR_RETURN(const std::string host, dec.string());
         xdr::Encoder enc;
         enc.put_bool(catalog_.remove(logical, host));
-        return std::move(enc).take();
+        return std::move(enc).finish();
       });
   rpc_.register_method(
       method_id(Method::kList),
-      [this](ByteSpan, const net::RpcContext&) -> Result<Bytes> {
+      [this](const Buffer&, const net::RpcContext&) -> Result<Buffer> {
         xdr::Encoder enc;
         enc.put_vector(catalog_.logical_names(),
                        [](xdr::Encoder& e, const std::string& name) {
                          e.put_string(name);
                        });
-        return std::move(enc).take();
+        return std::move(enc).finish();
       });
 }
 
@@ -132,7 +132,7 @@ Result<std::vector<PhysicalReplica>> CatalogClient::lookup(
     const std::string& logical_name) {
   xdr::Encoder enc;
   enc.put_string(logical_name);
-  GL_ASSIGN_OR_RETURN(const Bytes reply,
+  GL_ASSIGN_OR_RETURN(const Buffer reply,
                       rpc_.call(method_id(Method::kLookup), enc.buffer()));
   xdr::Decoder dec(reply);
   return dec.vector<PhysicalReplica>(
@@ -156,7 +156,7 @@ Status CatalogClient::remove(const std::string& logical_name,
 }
 
 Result<std::vector<std::string>> CatalogClient::list() {
-  GL_ASSIGN_OR_RETURN(const Bytes reply,
+  GL_ASSIGN_OR_RETURN(const Buffer reply,
                       rpc_.call(method_id(Method::kList), {}));
   xdr::Decoder dec(reply);
   return dec.vector<std::string>(

@@ -41,7 +41,7 @@ Bytes encode_stage(const StageRecord& record) {
   return std::move(enc).take();
 }
 
-Result<StageRecord> decode_stage(ByteSpan payload) {
+Result<StageRecord> decode_stage(const Buffer& payload) {
   xdr::Decoder dec(payload);
   StageRecord record;
   GL_ASSIGN_OR_RETURN(record.name, dec.string());
@@ -73,7 +73,7 @@ Bytes encode_copy(const CopyRecord& record) {
   return std::move(enc).take();
 }
 
-Result<CopyRecord> decode_copy(ByteSpan payload) {
+Result<CopyRecord> decode_copy(const Buffer& payload) {
   xdr::Decoder dec(payload);
   CopyRecord record;
   GL_ASSIGN_OR_RETURN(record.path, dec.string());

@@ -54,11 +54,19 @@ void Encoder::put_bytes(ByteSpan v) {
   buffer_.insert(buffer_.end(), v.begin(), v.end());
 }
 
+Buffer Encoder::finish_with_bytes(Buffer field) && {
+  put_u32(static_cast<std::uint32_t>(field.size()));
+  MutableByteSpan head;
+  Buffer out = std::move(field).grow_front(buffer_.size(), head);
+  std::memcpy(head.data(), buffer_.data(), buffer_.size());
+  return out;
+}
+
 Result<ByteSpan> Decoder::take(std::size_t n) {
   if (remaining() < n) {
     return out_of_range("xdr decode past end of buffer");
   }
-  ByteSpan out = data_.subspan(pos_, n);
+  ByteSpan out = ByteSpan(data_).subspan(pos_, n);
   pos_ += n;
   return out;
 }
@@ -118,10 +126,10 @@ Result<std::string> Decoder::string() {
   return to_string(b);
 }
 
-Result<Bytes> Decoder::bytes() {
+Result<Buffer> Decoder::bytes() {
   GL_ASSIGN_OR_RETURN(const std::uint32_t size, u32());
-  GL_ASSIGN_OR_RETURN(ByteSpan b, take(size));
-  return Bytes(b.begin(), b.end());
+  GL_RETURN_IF_ERROR(take(size).status());
+  return data_.slice(pos_ - size, size);
 }
 
 void encode_status(Encoder& enc, const Status& status) {

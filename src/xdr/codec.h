@@ -18,7 +18,7 @@ namespace griddles::xdr {
 /// Appends canonically-encoded values to a growing byte buffer.
 class Encoder {
  public:
-  Encoder() = default;
+  Encoder() { buffer_.reserve(64); }
 
   void put_u8(std::uint8_t v);
   void put_u16(std::uint16_t v);
@@ -44,6 +44,15 @@ class Encoder {
   const Bytes& buffer() const noexcept { return buffer_; }
   Bytes take() && { return std::move(buffer_); }
 
+  /// The encoding as an RPC payload (a Buffer with headroom, so framing
+  /// it copies nothing more).
+  Buffer finish() && { return Buffer(buffer_); }
+
+  /// Finishes with `field` as a last byte field, as put_bytes would, but
+  /// writes the encoding so far in front of the field (grow_front)
+  /// instead of copying the field: bulk data reaches the wire uncopied.
+  Buffer finish_with_bytes(Buffer field) &&;
+
  private:
   Bytes buffer_;
 };
@@ -51,7 +60,7 @@ class Encoder {
 /// Reads canonically-encoded values; every accessor validates bounds.
 class Decoder {
  public:
-  explicit Decoder(ByteSpan data) : data_(data) {}
+  explicit Decoder(Buffer data) : data_(std::move(data)) {}
 
   Result<std::uint8_t> u8();
   Result<std::uint16_t> u16();
@@ -63,7 +72,8 @@ class Decoder {
   Result<double> f64();
   Result<bool> boolean();
   Result<std::string> string();
-  Result<Bytes> bytes();
+  /// A byte field, as a slice sharing the decoded buffer.
+  Result<Buffer> bytes();
 
   /// Decodes a u32-count-prefixed vector via a per-element callback.
   template <typename T, typename Fn>
@@ -84,7 +94,7 @@ class Decoder {
 
  private:
   Result<ByteSpan> take(std::size_t n);
-  ByteSpan data_;
+  Buffer data_;
   std::size_t pos_ = 0;
 };
 

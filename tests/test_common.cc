@@ -316,5 +316,66 @@ TEST(LoggingTest, ParseLevelDefaultsUnknownToWarn) {
   EXPECT_EQ(log::parse_level("warning"), log::Level::kWarn);
 }
 
+TEST(BufferTest, SlicesShareAndClamp) {
+  const Buffer whole(to_bytes("griddles"));
+  const Buffer mid = whole.slice(2, 3);
+  EXPECT_EQ(to_string(mid), "idd");
+  EXPECT_EQ(mid.data(), whole.data() + 2);
+  EXPECT_EQ(to_string(whole.slice(6, 100)), "es");
+  EXPECT_TRUE(whole.slice(100, 5).empty());
+}
+
+TEST(BufferTest, CompactCopiesOnlySmallSlices) {
+  const Buffer whole(Bytes(4096, std::byte{7}));
+  const Buffer most = whole.slice(0, 4000);
+  EXPECT_EQ(most.compact().data(), most.data());  // shared
+  const Buffer small = whole.slice(100, 10);
+  const Buffer kept = small.compact();
+  EXPECT_NE(kept.data(), small.data());  // copied, so `whole` can go
+  EXPECT_EQ(kept, small);
+}
+
+TEST(BufferTest, GrowFrontWritesInPlaceOnlyForTheSoleOwner) {
+  MutableByteSpan out;
+  Buffer body = Buffer::uninitialized(4, out);
+  std::copy_n(to_bytes("body").begin(), 4, out.begin());
+  const std::byte* at = body.data();
+  MutableByteSpan head;
+  Buffer grown = std::move(body).grow_front(2, head);
+  EXPECT_TRUE(body.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(grown.data() + 2, at);  // the head went into the headroom
+  head[0] = std::byte{'h'};
+  head[1] = std::byte{'d'};
+  EXPECT_EQ(to_string(grown), "hdbody");
+
+  const Buffer shared = grown;  // a second reference: copy instead
+  Buffer regrown = Buffer(grown).grow_front(1, head);
+  head[0] = std::byte{'>'};
+  EXPECT_EQ(to_string(regrown), ">hdbody");
+  EXPECT_EQ(to_string(shared), "hdbody");
+}
+
+TEST(BufferTest, ConversionsCopyOrAdopt) {
+  Bytes bytes = to_bytes("adopt");
+  const std::byte* storage = bytes.data();
+  const Buffer adopted(std::move(bytes));
+  EXPECT_EQ(adopted.data(), storage);
+  const Bytes source = to_bytes("copy");
+  const Buffer copied(source);
+  EXPECT_NE(copied.data(), source.data());
+  EXPECT_EQ(copied, Buffer(to_bytes("copy")));
+  Buffer filled;
+  filled.assign(3, std::byte{'z'});
+  EXPECT_EQ(to_string(filled), "zzz");
+}
+
+TEST(ResultTest, ConvertsBetweenValueTypes) {
+  const Result<Buffer> ok = Result<Bytes>(to_bytes("v"));
+  ASSERT_TRUE(ok.is_ok());
+  EXPECT_EQ(to_string(*ok), "v");
+  const Result<Buffer> err = Result<Bytes>(not_found("gone"));
+  EXPECT_EQ(err.status().code(), ErrorCode::kNotFound);
+}
+
 }  // namespace
 }  // namespace griddles

@@ -62,6 +62,111 @@ TEST(FuzzTest, BinaryFrameDecodeSurvivesTruncation) {
   }
 }
 
+/// `bytes` placed inside a larger buffer, returned as a slice of it, so
+/// a decoder that reads past its input's end would read real (readable)
+/// neighbour bytes instead of crashing — the bounds checks below catch it.
+Buffer embedded(ByteSpan bytes) {
+  Bytes padded(bytes.size() + 64, std::byte{0xee});
+  std::copy(bytes.begin(), bytes.end(), padded.begin() + 32);
+  return Buffer(std::move(padded)).slice(32, bytes.size());
+}
+
+bool within(const Buffer& part, const Buffer& whole) {
+  return part.empty() ||
+         (part.data() >= whole.data() && part.end() <= whole.end());
+}
+
+/// Offset of the payload length prefix in a binary frame whose status
+/// text is `status_text` bytes long.
+constexpr std::size_t payload_length_offset(std::size_t status_text) {
+  return 1 + 8 + 2 + 8 + 8 + 8 + 4 + 4 + status_text;
+}
+
+TEST(FuzzTest, BinaryFrameDecodeSurvivesMutatedValidFrames) {
+  net::RpcFrame frame;
+  frame.kind = net::FrameKind::kResponse;
+  frame.id = 7;
+  frame.method = 9;
+  frame.trace_id = 11;
+  frame.deadline_us = 5000;
+  frame.status = not_found("xyz");
+  frame.payload = Bytes(300, std::byte{0x5a});
+  const Bytes valid = net::encode_frame(frame, net::WireFormat::kBinary);
+  std::mt19937 rng(2024);
+  for (int trial = 0; trial < 500; ++trial) {
+    Bytes mutated = valid;
+    const int mutations = 1 + static_cast<int>(rng() % 4);
+    for (int m = 0; m < mutations; ++m) {
+      mutated[rng() % mutated.size()] = static_cast<std::byte>(rng());
+    }
+    const Buffer input = embedded(mutated);
+    auto decoded = net::decode_frame(input, net::WireFormat::kBinary);
+    if (decoded.is_ok()) {
+      EXPECT_TRUE(within(decoded->payload, input)) << "trial " << trial;
+    }
+  }
+}
+
+TEST(FuzzTest, BinaryFrameDecodeRejectsLengthsPastTheEnd) {
+  net::RpcFrame frame;
+  frame.status = not_found("xyz");
+  frame.payload = Bytes(40, std::byte{0x5a});
+  const Bytes valid = net::encode_frame(frame, net::WireFormat::kBinary);
+  const std::size_t at = payload_length_offset(3);
+  for (const std::uint32_t length :
+       {41u, 64u, 0x7fffffffu, 0x80000000u, 0xffffffffu}) {
+    Bytes bad = valid;
+    for (int i = 0; i < 4; ++i) {
+      bad[at + static_cast<std::size_t>(i)] =
+          static_cast<std::byte>(length >> (24 - 8 * i));
+    }
+    EXPECT_FALSE(
+        net::decode_frame(embedded(bad), net::WireFormat::kBinary).is_ok())
+        << "payload length " << length;
+  }
+  // The status text's length prefix (the u32 before the text), too.
+  Bytes bad_text = valid;
+  bad_text[payload_length_offset(0) - 4] = std::byte{0x7f};
+  EXPECT_FALSE(
+      net::decode_frame(embedded(bad_text), net::WireFormat::kBinary).is_ok());
+}
+
+TEST(FuzzTest, XdrSlicesStayInsideMutatedInput) {
+  xdr::Encoder enc;
+  enc.put_string("channel");
+  enc.put_u64(4096);
+  enc.put_bytes(Bytes(100, std::byte{1}));
+  enc.put_bytes(Bytes(3, std::byte{2}));
+  const Bytes valid = enc.buffer();
+  std::mt19937 rng(77);
+  for (int trial = 0; trial < 500; ++trial) {
+    Bytes mutated = valid;
+    if (trial % 2 == 0) {
+      mutated[rng() % mutated.size()] = static_cast<std::byte>(rng());
+    } else {
+      mutated.resize(rng() % mutated.size());  // truncated input
+    }
+    const Buffer input = embedded(mutated);
+    xdr::Decoder dec(input);
+    (void)dec.string();
+    (void)dec.u64();
+    for (int field = 0; field < 2; ++field) {
+      auto bytes = dec.bytes();
+      if (!bytes.is_ok()) break;
+      EXPECT_TRUE(within(*bytes, input)) << "trial " << trial;
+    }
+    EXPECT_LE(dec.remaining(), input.size());
+  }
+  // A length prefix past the end fails without consuming anything past it.
+  for (const std::uint32_t length : {5u, 0x80000000u, 0xffffffffu}) {
+    xdr::Encoder bad;
+    bad.put_u32(length);
+    bad.put_u32(0);
+    xdr::Decoder dec(embedded(bad.buffer()));
+    EXPECT_FALSE(dec.bytes().is_ok()) << "length " << length;
+  }
+}
+
 TEST(FuzzTest, MappingDecodeSurvivesRandomBytes) {
   std::mt19937 rng(7);
   for (int trial = 0; trial < 300; ++trial) {

@@ -11,6 +11,8 @@
 #include "src/gridbuffer/file_client.h"
 #include "src/gridbuffer/server.h"
 #include "src/net/inproc.h"
+#include "src/net/tcp.h"
+#include "src/xdr/codec.h"
 
 namespace griddles::gridbuffer {
 namespace {
@@ -42,9 +44,9 @@ TEST_F(ChannelTest, SequentialWriteReadEof) {
   auto channel = make_channel(config);
   const auto reader = channel->add_reader();
   const Bytes data = pattern(40);
-  ASSERT_TRUE(channel->write(0, {data.data(), 16}).is_ok());
-  ASSERT_TRUE(channel->write(16, {data.data() + 16, 16}).is_ok());
-  ASSERT_TRUE(channel->write(32, {data.data() + 32, 8}).is_ok());
+  ASSERT_TRUE(channel->write(0, ByteSpan{data.data(), 16}).is_ok());
+  ASSERT_TRUE(channel->write(16, ByteSpan{data.data() + 16, 16}).is_ok());
+  ASSERT_TRUE(channel->write(32, ByteSpan{data.data() + 32, 8}).is_ok());
   channel->close_writer();
 
   Bytes got;
@@ -127,7 +129,7 @@ TEST_F(ChannelTest, RereadServedFromCacheFile) {
   const auto reader = channel->add_reader();
   const Bytes data = pattern(24);
   for (std::uint64_t off = 0; off < 24; off += 8) {
-    ASSERT_TRUE(channel->write(off, {data.data() + off, 8}).is_ok());
+    ASSERT_TRUE(channel->write(off, ByteSpan{data.data() + off, 8}).is_ok());
   }
   // Consume everything (evicts from the hash table)...
   for (std::uint64_t off = 0; off < 24; off += 8) {
@@ -162,7 +164,7 @@ TEST_F(ChannelTest, CacheRereadAndSeekAfterWriterClose) {
   const auto first = channel->add_reader();
   const Bytes data = pattern(40);
   for (std::uint64_t off = 0; off < 40; off += 8) {
-    ASSERT_TRUE(channel->write(off, {data.data() + off, 8}).is_ok());
+    ASSERT_TRUE(channel->write(off, ByteSpan{data.data() + off, 8}).is_ok());
   }
   channel->close_writer();
   for (std::uint64_t off = 0; off < 40; off += 8) {
@@ -202,13 +204,13 @@ TEST_F(ChannelTest, WriterDeathDrainsThenSurfacesDataLoss) {
   auto channel = make_channel(config);
   const auto reader = channel->add_reader();
   const Bytes data = pattern(16);
-  ASSERT_TRUE(channel->write(0, {data.data(), 8}).is_ok());
-  ASSERT_TRUE(channel->write(8, {data.data() + 8, 8}).is_ok());
+  ASSERT_TRUE(channel->write(0, ByteSpan{data.data(), 8}).is_ok());
+  ASSERT_TRUE(channel->write(8, ByteSpan{data.data() + 8, 8}).is_ok());
   channel->fail_writer("test-induced death");
   EXPECT_TRUE(channel->writer_failed());
 
   // Further writes are refused with kDataLoss.
-  auto late = channel->write(16, {data.data(), 8});
+  auto late = channel->write(16, ByteSpan{data.data(), 8});
   EXPECT_FALSE(late.is_ok());
   EXPECT_EQ(late.code(), ErrorCode::kDataLoss);
 
@@ -237,10 +239,10 @@ TEST_F(ChannelTest, OutOfOrderWritesAssemble) {
   auto channel = make_channel(config);
   const auto reader = channel->add_reader();
   const Bytes data = pattern(32);
-  ASSERT_TRUE(channel->write(24, {data.data() + 24, 8}).is_ok());
-  ASSERT_TRUE(channel->write(8, {data.data() + 8, 8}).is_ok());
-  ASSERT_TRUE(channel->write(0, {data.data() + 0, 8}).is_ok());
-  ASSERT_TRUE(channel->write(16, {data.data() + 16, 8}).is_ok());
+  ASSERT_TRUE(channel->write(24, ByteSpan{data.data() + 24, 8}).is_ok());
+  ASSERT_TRUE(channel->write(8, ByteSpan{data.data() + 8, 8}).is_ok());
+  ASSERT_TRUE(channel->write(0, ByteSpan{data.data() + 0, 8}).is_ok());
+  ASSERT_TRUE(channel->write(16, ByteSpan{data.data() + 16, 8}).is_ok());
   channel->close_writer();
   Bytes got;
   std::uint64_t offset = 0;
@@ -264,8 +266,8 @@ TEST_F(ChannelTest, BroadcastBothReadersSeeAll) {
   const auto r1 = channel->add_reader();
   const auto r2 = channel->add_reader();
   const Bytes data = pattern(16);
-  ASSERT_TRUE(channel->write(0, {data.data(), 8}).is_ok());
-  ASSERT_TRUE(channel->write(8, {data.data() + 8, 8}).is_ok());
+  ASSERT_TRUE(channel->write(0, ByteSpan{data.data(), 8}).is_ok());
+  ASSERT_TRUE(channel->write(8, ByteSpan{data.data() + 8, 8}).is_ok());
 
   // r1 consumes everything; blocks must survive for r2.
   ASSERT_TRUE(channel->read(r1, 0, 8, 1000).is_ok());
@@ -304,7 +306,7 @@ TEST_F(ChannelTest, BackpressureSpillsToCache) {
   // Write 16 blocks with no reads: table stays bounded, data spills.
   const Bytes data = pattern(16 * 1024);
   for (std::uint64_t off = 0; off < data.size(); off += 1024) {
-    ASSERT_TRUE(channel->write(off, {data.data() + off, 1024}).is_ok());
+    ASSERT_TRUE(channel->write(off, ByteSpan{data.data() + off, 1024}).is_ok());
   }
   EXPECT_LE(channel->buffered_bytes(), 4096u);
   channel->close_writer();
@@ -370,16 +372,16 @@ TEST_F(ChannelTest, PartialBlockExtension) {
   const auto reader = channel->add_reader();
   const Bytes data = pattern(16);
   // Flush-style partial write, then the extended full block.
-  ASSERT_TRUE(channel->write(0, {data.data(), 6}).is_ok());
+  ASSERT_TRUE(channel->write(0, ByteSpan{data.data(), 6}).is_ok());
   auto early = channel->read(reader, 0, 16, 1000);
   ASSERT_TRUE(early.is_ok());
   EXPECT_EQ(early->data.size(), 6u);
-  ASSERT_TRUE(channel->write(0, {data.data(), 16}).is_ok());
+  ASSERT_TRUE(channel->write(0, ByteSpan{data.data(), 16}).is_ok());
   auto rest = channel->read(reader, 6, 16, 1000);
   ASSERT_TRUE(rest.is_ok());
   EXPECT_EQ(rest->data, Bytes(data.begin() + 6, data.end()));
   // Shrinking a block is rejected.
-  EXPECT_FALSE(channel->write(0, {data.data(), 4}).is_ok());
+  EXPECT_FALSE(channel->write(0, ByteSpan{data.data(), 4}).is_ok());
 }
 
 TEST_F(ChannelTest, StatWaitsForEof) {
@@ -648,6 +650,106 @@ TEST(GridBufferPropertyTest, RandomChunkingAndSeeks) {
     ASSERT_TRUE((*reader)->close().is_ok());
   }
   server.stop();
+}
+
+TEST(GridBufferReaderTest, OverlongReadReplyIsDataLoss) {
+  // A server that answers kRead with more bytes than were asked for must
+  // not make the reader write past the caller's buffer.
+  RealClock clock;
+  net::InProcNetwork network(clock);
+  auto server_transport = network.transport("dione");
+  auto client_transport = network.transport("jagan");
+  net::RpcServer stub(*server_transport, net::inproc_endpoint("dione", "gb"));
+  stub.register_method(method_id(Method::kOpenRead),
+                       [](const Buffer&, const net::RpcContext&)
+                           -> Result<Buffer> {
+                         xdr::Encoder enc;
+                         enc.put_u64(1);
+                         return std::move(enc).finish();
+                       });
+  stub.register_method(method_id(Method::kRead),
+                       [](const Buffer& request, const net::RpcContext&)
+                           -> Result<Buffer> {
+                         xdr::Decoder dec(request);
+                         (void)dec.string();
+                         (void)dec.u64();
+                         (void)dec.u64();
+                         const std::uint32_t length = dec.u32().value();
+                         xdr::Encoder enc;
+                         enc.put_bool(false);
+                         enc.put_u64(1 << 20);
+                         enc.put_bytes(pattern(length + 10));
+                         return std::move(enc).finish();
+                       });
+  stub.register_method(method_id(Method::kCloseRead),
+                       [](const Buffer&, const net::RpcContext&)
+                           -> Result<Buffer> { return Buffer{}; });
+  ASSERT_TRUE(stub.start().is_ok());
+
+  auto reader =
+      GridBufferReader::open(*client_transport, stub.endpoint(), "evil");
+  ASSERT_TRUE(reader.is_ok());
+  Bytes out(64 + 16, std::byte{0x11});
+  auto n = (*reader)->read({out.data(), 64});
+  ASSERT_FALSE(n.is_ok());
+  EXPECT_EQ(n.status().code(), ErrorCode::kDataLoss);
+  // The guard bytes past the caller's 64 are untouched.
+  EXPECT_EQ(Bytes(out.begin() + 64, out.end()), Bytes(16, std::byte{0x11}));
+  stub.stop();
+}
+
+/// Writes `data` through a GridBufferWriter on `transport`, then scribbles
+/// over the writer's source bytes and closes the writer (and with it every
+/// connection that carried the blocks) before a reader drains the channel:
+/// the channel table's slices must still hold the original bytes.
+void expect_blocks_outlive_sender(net::Transport& transport,
+                                  const net::Endpoint& bind) {
+  auto dir = TempDir::create("gbuf-lifetime");
+  ASSERT_TRUE(dir.is_ok());
+  GridBufferServer server(dir->file("cache").string(), transport, bind);
+  ASSERT_TRUE(server.start().is_ok());
+  const Bytes original = pattern(10 * 4096 + 123, 5);
+  Bytes source = original;
+  GridBufferWriter::Options options;
+  options.channel.cache_enabled = false;  // reads come from the table
+  {
+    auto writer =
+        GridBufferWriter::open(transport, server.endpoint(), "life", options);
+    ASSERT_TRUE(writer.is_ok());
+    ASSERT_TRUE((*writer)->write(source).is_ok());
+    ASSERT_TRUE((*writer)->flush().is_ok());
+    std::fill(source.begin(), source.end(), std::byte{0});
+    ASSERT_TRUE((*writer)->close().is_ok());
+  }
+  GridBufferReader::Options reader_options;
+  reader_options.channel = options.channel;
+  auto reader = GridBufferReader::open(transport, server.endpoint(), "life",
+                                       reader_options);
+  ASSERT_TRUE(reader.is_ok());
+  Bytes got(original.size() + 1);
+  std::size_t filled = 0;
+  while (true) {
+    auto n = (*reader)->read({got.data() + filled, got.size() - filled});
+    ASSERT_TRUE(n.is_ok()) << n.status();
+    if (*n == 0) break;
+    filled += *n;
+  }
+  got.resize(filled);
+  EXPECT_EQ(got, original);
+  server.stop();
+}
+
+TEST(GridBufferLifetimeTest, TableSlicesOutliveSenderInProc) {
+  RealClock clock;
+  net::InProcNetwork network(clock);
+  auto transport = network.transport("dione");
+  expect_blocks_outlive_sender(*transport,
+                               net::inproc_endpoint("dione", "gbuf"));
+}
+
+TEST(GridBufferLifetimeTest, TableSlicesOutliveSenderTcp) {
+  net::TcpTransport transport;
+  expect_blocks_outlive_sender(transport, net::tcp_endpoint("127.0.0.1", 0));
 }
 
 }  // namespace

@@ -410,7 +410,7 @@ TEST(RpcOverloadTest, TwoHopDeadlineExpiryCancelsDownstreamWork) {
   const std::uint64_t expired_before = counter_value("deadline.expired");
 
   net::RpcClient client(*client_t, front.endpoint());
-  Result<Bytes> reply = [&] {
+  Result<Buffer> reply = [&] {
     ScopedDeadline budget(WallClock::now() + milliseconds(50));
     return client.call(1, {});
   }();

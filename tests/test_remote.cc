@@ -4,6 +4,7 @@
 
 #include "src/common/tempfile.h"
 #include "src/net/inproc.h"
+#include "src/net/tcp.h"
 #include "src/remote/advisor.h"
 #include "src/remote/copier.h"
 #include "src/remote/file_server.h"
@@ -71,6 +72,53 @@ TEST_F(RemoteTest, ProxyBlockCacheHitsOnRereads) {
   ASSERT_TRUE((*file)->read({buffer.data(), buffer.size()}).is_ok());
   EXPECT_EQ((*file)->cache_misses(), misses);
   EXPECT_GT((*file)->cache_hits(), 0u);
+}
+
+/// Reads a file through a RemoteFileClient, then stops the server (closing
+/// the connection that carried the blocks) and overwrites the file: the
+/// block cache's slices must still serve the original bytes.
+void expect_cached_blocks_outlive_connection(net::Transport& transport,
+                                             const net::Endpoint& bind) {
+  auto dir = TempDir::create("remote-lifetime");
+  ASSERT_TRUE(dir.is_ok());
+  FileServer server(dir->file("export"), transport, bind);
+  ASSERT_TRUE(server.start().is_ok());
+  Bytes original(150000);
+  for (std::size_t i = 0; i < original.size(); ++i) {
+    original[i] = static_cast<std::byte>(i * 7 + 3);
+  }
+  const std::string path = (server.root() / "f.bin").string();
+  ASSERT_TRUE(vfs::write_file(path, original).is_ok());
+  auto file = RemoteFileClient::open(transport, server.endpoint(), "f.bin",
+                                     vfs::OpenFlags::input());
+  ASSERT_TRUE(file.is_ok());
+  Bytes first(original.size());
+  ASSERT_EQ((*file)->read({first.data(), first.size()}).value(),
+            original.size());
+  const auto misses = (*file)->cache_misses();
+
+  server.stop();
+  ASSERT_TRUE(vfs::write_file(path, Bytes(original.size())).is_ok());
+  ASSERT_TRUE((*file)->seek(0, vfs::Whence::kSet).is_ok());
+  Bytes again(original.size());
+  ASSERT_EQ((*file)->read({again.data(), again.size()}).value(),
+            original.size());
+  EXPECT_EQ((*file)->cache_misses(), misses);
+  EXPECT_EQ(again, original);
+}
+
+TEST(RemoteLifetimeTest, CachedBlocksOutliveConnectionInProc) {
+  RealClock clock;
+  net::InProcNetwork network(clock);
+  auto transport = network.transport("freak");
+  expect_cached_blocks_outlive_connection(*transport,
+                                          net::inproc_endpoint("freak", "fs"));
+}
+
+TEST(RemoteLifetimeTest, CachedBlocksOutliveConnectionTcp) {
+  net::TcpTransport transport;
+  expect_cached_blocks_outlive_connection(transport,
+                                          net::tcp_endpoint("127.0.0.1", 0));
 }
 
 TEST_F(RemoteTest, ProxyWriteReadBack) {
