@@ -75,8 +75,8 @@ inline bool write_spans(const TableConfig& config) {
 }
 
 /// Runner options matching the paper's Grid Buffer deployment: 4 KiB
-/// blocks (scaled), a small in-flight window — the latency-sensitive
-/// configuration of §5.3.
+/// blocks (scaled), one block per kWrite over 4 senders — the
+/// latency-sensitive configuration of §5.3.
 inline workflow::WorkflowRunner::Options paper_options(
     workflow::CouplingMode mode, const TableConfig& config) {
   workflow::WorkflowRunner::Options options;
@@ -88,7 +88,7 @@ inline workflow::WorkflowRunner::Options paper_options(
   // measurement overhead without touching modelled time.
   options.buffer_block_fast_link = 65536;
   options.flusher_threads = 4;
-  options.writer_window = 16;
+  options.writer_window = 4;
   options.read_deadline_ms = 120000;
   return options;
 }
@@ -100,6 +100,7 @@ inline workflow::WorkflowRunner::Options predict_options(
   options.mode = mode;
   options.buffer_block = 4096;
   options.flusher_threads = 4;
+  options.writer_window = 4;
   return options;
 }
 

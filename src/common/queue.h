@@ -1,7 +1,6 @@
 // BoundedQueue<T>: a blocking MPMC queue with close semantics.
 //
-// Used as the spine of the in-process transport channels and the Grid
-// Buffer writer's asynchronous send pipeline.
+// Used as the spine of the in-process transport channels.
 #pragma once
 
 #include <chrono>

@@ -19,17 +19,22 @@ constexpr double kEps = 1e-9;
 }  // namespace
 
 double buffer_stream_bps(const testbed::LinkSpec& link,
-                         std::uint32_t block_size, int flusher_threads) {
+                         std::uint32_t block_size, std::size_t window_blocks,
+                         int flusher_threads) {
   if (link.mb_per_s <= 0 && link.latency_s <= 0) return 1e18;  // loopback
   const double bw = link.mb_per_s > 0 ? link.mb_per_s * 1e6 : 1e18;
-  // Each flusher is a synchronous request/response loop: one block per
-  // (round trip + serialization), `flusher_threads` of them in parallel,
-  // never exceeding the link bandwidth.
-  const double per_block =
-      link.latency_s * 2 + static_cast<double>(block_size) / bw;
-  const double pipelined =
-      flusher_threads * static_cast<double>(block_size) / per_block;
-  return std::min(bw, pipelined);
+  // Each sender is a synchronous request/response loop: one run per
+  // (round trip + serialization), in parallel, never exceeding the link
+  // bandwidth. As in the writer, a run is window_blocks / flusher_threads
+  // blocks, at least one, and the credit keeps at most window_blocks
+  // blocks in flight.
+  const std::size_t window = std::max<std::size_t>(1, window_blocks);
+  const std::size_t senders = std::min(
+      static_cast<std::size_t>(std::max(1, flusher_threads)), window);
+  const double run_bytes =
+      static_cast<double>(window / senders) * block_size;
+  const double per_run = link.latency_s * 2 + run_bytes / bw;
+  return std::min(bw, static_cast<double>(senders) * run_bytes / per_run);
 }
 
 double staged_copy_seconds(const testbed::LinkSpec& link,
@@ -200,7 +205,8 @@ Result<Prediction> predict(
           machines[edges[e].consumers.front()];
       stream_bps[e] = buffer_stream_bps(
           testbed::link_between(producer, buffer_host),
-          options.buffer_block, options.flusher_threads);
+          options.buffer_block, options.writer_window,
+          options.flusher_threads);
     }
   }
 

@@ -33,10 +33,12 @@ Result<Prediction> predict(const workflow::WorkflowSpec& spec,
 /// run whose spec/options were previously fed to predict().
 void record_accuracy(double predicted_s, double actual_s);
 
-/// Closed-form throughput of a Grid Buffer stream over a link
-/// (flusher-bounded request/response pipelining): bytes per second.
+/// Closed-form throughput of a Grid Buffer stream over a link: bytes per
+/// second. `flusher_threads` senders each carry runs of
+/// window_blocks / flusher_threads blocks per round trip (DESIGN.md §16).
 double buffer_stream_bps(const testbed::LinkSpec& link,
-                         std::uint32_t block_size, int flusher_threads);
+                         std::uint32_t block_size, std::size_t window_blocks,
+                         int flusher_threads);
 
 /// Closed-form duration of a parallel-stream staged copy.
 double staged_copy_seconds(const testbed::LinkSpec& link,

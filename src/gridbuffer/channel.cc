@@ -89,23 +89,38 @@ std::uint64_t Channel::min_consumed_locked() const {
   return lowest;
 }
 
+void Channel::drop_locked(
+    std::unordered_map<std::uint64_t, Buffer>::iterator block) {
+  table_bytes_ -= block->second.size();
+  GbMetrics::get().bytes_buffered.sub(
+      static_cast<std::int64_t>(block->second.size()));
+  GbMetrics::get().blocks_buffered.sub(1);
+  GbMetrics::get().blocks_evicted.add();
+  blocks_.erase(block);
+}
+
 void Channel::evict_locked() {
   const std::uint64_t safe = min_consumed_locked();
-  auto it = block_sizes_.lower_bound(evicted_upto_);
+  auto it = block_sizes_.lower_bound(resident_from_);
   while (it != block_sizes_.end() &&
          it->first + it->second <= safe) {
     const auto block = blocks_.find(it->first);
-    if (block != blocks_.end()) {
-      table_bytes_ -= block->second.size();
-      GbMetrics::get().bytes_buffered.sub(
-          static_cast<std::int64_t>(block->second.size()));
-      GbMetrics::get().blocks_buffered.sub(1);
-      GbMetrics::get().blocks_evicted.add();
-      blocks_.erase(block);
-    }
-    evicted_upto_ = it->first + it->second;
+    if (block != blocks_.end()) drop_locked(block);
+    resident_from_ = it->first + it->second;
     ++it;
   }
+}
+
+bool Channel::spill_oldest_locked() {
+  for (auto it = block_sizes_.lower_bound(resident_from_);
+       it != block_sizes_.end(); ++it) {
+    const auto block = blocks_.find(it->first);
+    if (block == blocks_.end()) continue;
+    drop_locked(block);
+    resident_from_ = it->first + it->second;
+    return true;
+  }
+  return false;
 }
 
 Status Channel::cache_write_locked(std::uint64_t offset, ByteSpan data) {
@@ -166,93 +181,88 @@ Status Channel::write(std::uint64_t offset, const Buffer& data) {
     return failed_precondition(
         strings::cat("channel ", name_, ": writer already closed"));
   }
-  if (offset % config_.block_size != 0) {
+  const std::uint64_t bs = config_.block_size;
+  if (offset % bs != 0) {
     return invalid_argument("grid buffer write not block-aligned");
   }
-  if (data.size() > config_.block_size) {
-    return invalid_argument("grid buffer write larger than block size");
-  }
-  // Injected peer death: the producer "dies" once the stream frontier
-  // would pass the rule's `after=` mark. The block is NOT stored — the
-  // reader can drain only what a real dead writer had already flushed.
-  if (fault::Plan* plan = fault::armed(); plan != nullptr) {
-    const std::uint64_t would_be =
-        std::max(frontier_, offset + data.size());
-    const fault::Decision verdict =
-        plan->consult(fault::Site::kPeer, name_, would_be);
-    if (verdict.action == fault::Decision::Action::kKill) {
-      writer_failed_ = true;
-      lock.unlock();
-      cv_.notify_all();
-      return data_loss(strings::cat("injected fault: channel ", name_,
-                                    " writer died at frontier ", frontier_));
+  const std::uint64_t end = offset + data.size();
+  for (auto it = block_sizes_.lower_bound(offset);
+       it != block_sizes_.end() && it->first < end; ++it) {
+    if (std::min(bs, end - it->first) < it->second) {
+      return invalid_argument(
+          "grid buffer block rewrite must extend the block");
     }
   }
-
+  // The pin rule (DESIGN.md §15) applies to the run as a whole; its
+  // blocks are slices of it.
+  const Buffer run = data.compact();
+  if (config_.cache_enabled && !run.empty()) {
+    GL_RETURN_IF_ERROR(cache_write_locked(offset, run));
+  }
   // Any blocked stall below is additionally bounded by the ambient
   // end-to-end budget (src/common/deadline.h): an expired writer gives
   // up with kDeadlineExceeded instead of buffering into a stall.
   const std::optional<WallClock::time_point> budget = current_deadline();
+  const std::uint64_t table_cap =
+      config_.cache_enabled
+          ? std::min(config_.max_buffered_bytes, kCachedResidentBytes)
+          : config_.max_buffered_bytes;
 
-  // Opt-in backpressure on *unread* data: even when the spill cache
-  // would absorb table overflow, the frontier may not outrun the
-  // slowest reader by more than max_unread_bytes.
-  while (config_.max_unread_bytes > 0 && !shutdown_ && !writer_failed_ &&
-         !writer_closed_) {
-    const std::uint64_t consumed = min_consumed_locked();
-    const std::uint64_t would_be = std::max(frontier_, offset + data.size());
-    if (would_be <= consumed ||
-        would_be - consumed <= config_.max_unread_bytes) {
-      break;
-    }
-    if (!wait_span) {
-      wait_span.emplace(obs::SpanKind::kBufferWait,
-                        strings::cat("gbuf.write_wait:", name_));
-      GbMetrics::get().backpressure_waits.add();
-    }
-    if (budget) {
-      // lint: blocking-ok (backpressure monitor wait: releases mu_; deadline-bounded)
-      if (cv_.wait_until(mu_, *budget) == std::cv_status::timeout) {
-        return deadline_exceeded(strings::cat(
-            "channel ", name_, ": budget exhausted under backpressure"));
+  for (std::uint64_t at = offset; at < end; at += bs) {
+    const Buffer block = run.slice(at - offset, bs);
+    // Injected peer death: the producer "dies" once the stream frontier
+    // would pass the rule's `after=` mark. The block is NOT stored — the
+    // reader can drain only what a real dead writer had already flushed.
+    if (fault::Plan* plan = fault::armed(); plan != nullptr) {
+      const fault::Decision verdict = plan->consult(
+          fault::Site::kPeer, name_, std::max(frontier_, at + block.size()));
+      if (verdict.action == fault::Decision::Action::kKill) {
+        writer_failed_ = true;
+        const std::uint64_t died_at = frontier_;
+        lock.unlock();
+        cv_.notify_all();
+        return data_loss(strings::cat("injected fault: channel ", name_,
+                                      " writer died at frontier ", died_at));
       }
-    } else {
-      // lint: blocking-ok (backpressure monitor wait: releases mu_)
-      cv_.wait(mu_);
     }
-  }
-  if (shutdown_) return aborted_error("grid buffer shutting down");
-  if (writer_failed_) {
-    return data_loss(
-        strings::cat("channel ", name_, ": writer died mid-stream"));
-  }
-  if (writer_closed_) {
-    return failed_precondition("writer closed while blocked");
-  }
 
-  // Backpressure / spill when the table is at capacity.
-  while (table_bytes_ + data.size() > config_.max_buffered_bytes &&
-         !blocks_.empty() && !shutdown_) {
-    if (config_.cache_enabled) {
-      // Every resident block is already in the cache (write-through);
-      // drop the lowest-offset resident block from the table.
-      const auto oldest = std::min_element(
-          blocks_.begin(), blocks_.end(),
-          [](const auto& a, const auto& b) { return a.first < b.first; });
-      table_bytes_ -= oldest->second.size();
-      GbMetrics::get().bytes_buffered.sub(
-          static_cast<std::int64_t>(oldest->second.size()));
-      GbMetrics::get().blocks_buffered.sub(1);
-      GbMetrics::get().blocks_evicted.add();
-      blocks_.erase(oldest);
-    } else {
-      evict_locked();
-      if (table_bytes_ + data.size() <= config_.max_buffered_bytes) break;
+    while (true) {
+      if (shutdown_) return aborted_error("grid buffer shutting down");
+      if (writer_failed_) {
+        return data_loss(
+            strings::cat("channel ", name_, ": writer died mid-stream"));
+      }
+      if (writer_closed_) {
+        return failed_precondition("writer closed while blocked");
+      }
+      // Opt-in backpressure on *unread* data: even when the spill cache
+      // would absorb table overflow, the frontier may not outrun the
+      // slowest reader by more than max_unread_bytes.
+      bool stall = false;
+      if (config_.max_unread_bytes > 0) {
+        const std::uint64_t consumed = min_consumed_locked();
+        const std::uint64_t would_be = std::max(frontier_, at + block.size());
+        stall = would_be > consumed &&
+                would_be - consumed > config_.max_unread_bytes;
+      }
+      // Table at capacity: spill the oldest block to the cache (every
+      // resident block is already there), or, without a cache, wait for
+      // readers to consume.
+      if (!stall && config_.cache_enabled) {
+        while (table_bytes_ + block.size() > table_cap &&
+               spill_oldest_locked()) {
+        }
+      } else if (!stall && table_bytes_ + block.size() > table_cap) {
+        evict_locked();
+        stall = table_bytes_ + block.size() > table_cap && !blocks_.empty();
+      }
+      if (!stall) break;
       if (!wait_span) {
         wait_span.emplace(obs::SpanKind::kBufferWait,
                           strings::cat("gbuf.write_wait:", name_));
         GbMetrics::get().backpressure_waits.add();
       }
+      cv_.notify_all();  // readers may consume the blocks stored so far
       if (budget) {
         // lint: blocking-ok (backpressure monitor wait: releases mu_; deadline-bounded)
         if (cv_.wait_until(mu_, *budget) == std::cv_status::timeout) {
@@ -263,42 +273,27 @@ Status Channel::write(std::uint64_t offset, const Buffer& data) {
         // lint: blocking-ok (backpressure monitor wait: releases mu_)
         cv_.wait(mu_);
       }
-      if (writer_closed_) {
-        return failed_precondition("writer closed while blocked");
+    }
+
+    auto [size_it, added] = block_sizes_.try_emplace(at, 0);
+    if (!added) {
+      const auto existing = blocks_.find(at);
+      if (existing != blocks_.end()) {
+        table_bytes_ -= existing->second.size();
+        GbMetrics::get().bytes_buffered.sub(
+            static_cast<std::int64_t>(existing->second.size()));
+        GbMetrics::get().blocks_buffered.sub(1);
       }
     }
+    size_it->second = static_cast<std::uint32_t>(block.size());
+    blocks_[at] = block;
+    table_bytes_ += block.size();
+    GbMetrics::get().bytes_buffered.add(
+        static_cast<std::int64_t>(block.size()));
+    GbMetrics::get().blocks_buffered.add(1);
+    frontier_ = std::max(frontier_, at + block.size());
+    resident_from_ = std::min(resident_from_, at);
   }
-  if (shutdown_) return aborted_error("grid buffer shutting down");
-
-  if (config_.cache_enabled) {
-    GL_RETURN_IF_ERROR(cache_write_locked(offset, data));
-  }
-
-  const auto size_it = block_sizes_.find(offset);
-  if (size_it != block_sizes_.end()) {
-    if (data.size() < size_it->second) {
-      return invalid_argument(
-          "grid buffer block rewrite must extend the block");
-    }
-    const auto existing = blocks_.find(offset);
-    if (existing != blocks_.end()) {
-      table_bytes_ -= existing->second.size();
-      GbMetrics::get().bytes_buffered.sub(
-          static_cast<std::int64_t>(existing->second.size()));
-      GbMetrics::get().blocks_buffered.sub(1);
-    }
-    size_it->second = static_cast<std::uint32_t>(data.size());
-  } else {
-    block_sizes_[offset] = static_cast<std::uint32_t>(data.size());
-  }
-  // The table shares the block with the request that carried it, unless
-  // the block is a small part of that message (Buffer::compact).
-  blocks_[offset] = data.compact();
-  table_bytes_ += data.size();
-  GbMetrics::get().bytes_buffered.add(
-      static_cast<std::int64_t>(data.size()));
-  GbMetrics::get().blocks_buffered.add(1);
-  frontier_ = std::max(frontier_, offset + data.size());
 
   lock.unlock();
   cv_.notify_all();

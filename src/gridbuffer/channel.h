@@ -33,7 +33,8 @@ struct ChannelConfig {
   bool cache_enabled = true;
   std::uint32_t expected_readers = 1;
   /// Hash-table occupancy (bytes) above which blocks spill to the cache
-  /// file (cache on) or the writer blocks (cache off).
+  /// file (cache on; at most Channel::kCachedResidentBytes) or the writer
+  /// blocks (cache off).
   std::uint64_t max_buffered_bytes = 16u << 20;
   /// Opt-in writer backpressure (DESIGN.md §14): when nonzero, a write
   /// that would put the frontier more than this many bytes ahead of the
@@ -64,11 +65,18 @@ class Channel {
   std::uint64_t add_reader();
   void remove_reader(std::uint64_t reader_id);
 
-  /// Stores one block. `offset` must be block-aligned and `data` no
-  /// longer than block_size. Blocks (backpressure) when the table is full
-  /// and nothing can spill. Rewriting a block with more data extends it.
-  /// The table keeps data.compact(), so a block received in a request
-  /// message is shared rather than copied.
+  /// A cache-enabled channel keeps at most this many bytes of blocks in
+  /// its table; the rest is served from the write-through cache file.
+  static constexpr std::uint64_t kCachedResidentBytes = 1u << 20;
+
+  /// Stores a run of blocks: `offset` must be block-aligned; every block
+  /// of `data` is whole but the last. Rewriting a block with more data
+  /// extends it. Under one lock, with one cache-file write and one
+  /// wakeup; the table keeps per-block slices of data.compact(), so a
+  /// run received in a request message is shared rather than copied.
+  /// Injected peer death and backpressure are checked at every block
+  /// boundary. When the table is full and nothing can spill, the write
+  /// waits, with the blocks before the wait already stored.
   Status write(std::uint64_t offset, const Buffer& data);
 
   /// Declares end-of-stream; wakes blocked readers.
@@ -112,6 +120,11 @@ class Channel {
   /// Drops fully-consumed blocks from the table; spills to cache first
   /// when enabled.
   void evict_locked() REQUIRES(mu_);
+  /// Drops the lowest-offset resident block (it is in the cache file);
+  /// false when no block is resident.
+  bool spill_oldest_locked() REQUIRES(mu_);
+  void drop_locked(std::unordered_map<std::uint64_t, Buffer>::iterator block)
+      REQUIRES(mu_);
 
   /// Appends `data` at `offset` in the cache file.
   Status cache_write_locked(std::uint64_t offset, ByteSpan data)
@@ -136,7 +149,8 @@ class Channel {
   // every write, ordered
   std::map<std::uint64_t, std::uint32_t> block_sizes_ GUARDED_BY(mu_);
   std::uint64_t table_bytes_ GUARDED_BY(mu_) = 0;
-  std::uint64_t evicted_upto_ GUARDED_BY(mu_) = 0;  // eviction resume point
+  // No block below this offset is resident: where eviction resumes.
+  std::uint64_t resident_from_ GUARDED_BY(mu_) = 0;
   std::uint64_t frontier_ GUARDED_BY(mu_) = 0;
   bool writer_closed_ GUARDED_BY(mu_) = false;
   bool writer_failed_ GUARDED_BY(mu_) = false;

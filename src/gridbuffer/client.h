@@ -1,17 +1,18 @@
 // Grid Buffer clients (paper Figure 4's "Grid Buffer Client").
 //
-// The writer pipelines blocks through a bounded queue drained by a
-// background flusher thread, so application WRITE calls return as soon as
-// the block is queued — the asynchronous-write latency masking of §3.1.
-// The reader issues blocking reads; its cursor is purely local, so SEEK
-// costs nothing until the next read.
+// The writer copies application bytes into runs of whole blocks that
+// background sender threads ship, one kWrite per run, so WRITE calls
+// return as soon as the bytes are staged — the asynchronous-write latency
+// masking of §3.1 (runs and credit: DESIGN.md §16). The reader issues
+// blocking reads; its cursor is purely local, so SEEK costs nothing until
+// the next read.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <thread>
 
-#include "src/common/queue.h"
 #include "src/common/thread_annotations.h"
 #include "src/gridbuffer/server.h"
 #include "src/net/rpc.h"
@@ -22,17 +23,20 @@ class GridBufferWriter {
  public:
   struct Options {
     ChannelConfig channel;
-    /// Blocks in flight before write() exerts backpressure.
+    /// The writer's credit: write() blocks once this many blocks' bytes
+    /// are accepted but not yet acknowledged by the server. Whole blocks
+    /// go out in runs of up to window_blocks / flusher_threads blocks,
+    /// one kWrite each; a run is cut when it is full and when write()
+    /// returns. window_blocks == flusher_threads is the paper's stream:
+    /// one block per kWrite.
     std::size_t window_blocks = 32;
-    /// Concurrent flusher connections. Because each flusher RPCs
-    /// synchronously, this bounds the blocks concurrently in flight on
-    /// the wire — the knob that makes small-block buffer streams
-    /// latency-limited (~threads * block / RTT), as the paper observed
-    /// on WAN links (§5.3). Out-of-order arrival is what the server's
-    /// hash table exists for (§4).
+    /// Concurrent sender connections. Each sender RPCs synchronously,
+    /// so at most this many runs are on the wire at once and a stream
+    /// is latency-limited to ~window_blocks * block / RTT — with the
+    /// paper's one-block runs, the small-block WAN collapse of §5.3.
+    /// Out-of-order arrival is what the server's hash table exists for
+    /// (§4).
     int flusher_threads = 4;
-    /// Synchronous mode: every write RPCs inline (for ablation benches).
-    bool synchronous = false;
     /// Wire format — kSoap reproduces the paper's Web-Services transport
     /// (must match the server's).
     net::WireFormat wire = net::WireFormat::kBinary;
@@ -56,8 +60,9 @@ class GridBufferWriter {
   /// Appends bytes to the stream (buffered into block_size blocks).
   Status write(ByteSpan data);
 
-  /// Sends any buffered partial block and waits for the pipeline to
-  /// drain.
+  /// Waits until every whole block is acknowledged, then sends the
+  /// partial last block, if any. The stream may extend that block
+  /// later: the server accepts extending rewrites at the same offset.
   Status flush();
 
   /// Flushes and publishes end-of-stream. Idempotent.
@@ -70,36 +75,52 @@ class GridBufferWriter {
   GridBufferWriter(net::Transport& transport, net::Endpoint server,
                    std::string channel, Options options);
 
-  /// Sends one block at `offset` as a kWrite on `rpc`.
-  Status send_block(net::RpcClient& rpc, std::uint64_t offset, Buffer data);
-  /// Sends (synchronous mode) or queues one block for the flushers.
-  Status enqueue_block(std::uint64_t offset, Buffer block);
-  void flusher_main();
+  /// Caller bytes copied into one buffer, starting at a block boundary.
+  struct Run {
+    std::uint64_t offset = 0;  // stream offset of the first byte
+    Buffer storage;            // at most run_bytes_, filled in place
+    MutableByteSpan out;       // storage's bytes
+    std::size_t filled = 0;
+  };
+  /// Whole blocks sealed for one kWrite.
+  struct Sealed {
+    std::uint64_t offset = 0;
+    Buffer data;  // the only reference to its storage
+  };
+
+  /// Sends `data` at `offset` as one kWrite on `rpc`.
+  Status send_run(net::RpcClient& rpc, std::uint64_t offset, Buffer data);
+  /// Grows open_ to take `more` bytes, up to one run: a run holds no
+  /// more than the write() that fills it needs.
+  void reserve_open(std::size_t more);
+  /// Hands the whole blocks of open_ to the senders; its partial last
+  /// block, if any, moves to a fresh open_.
+  void seal_open();
+  void sender_main();
   Status pipeline_error() const;
 
   net::Transport& transport_;
   net::Endpoint server_;
   std::string channel_;
   Options options_;
+  const std::size_t run_bytes_;        // whole blocks per kWrite, in bytes
+  const std::uint64_t window_bytes_;   // the credit
 
-  net::RpcClient control_;  // open/close + synchronous writes
+  net::RpcClient control_;  // open/close + the flushed partial block
 
-  Bytes pending_;              // partial block being assembled
-  std::uint64_t block_start_ = 0;  // stream offset of pending_[0]
-  std::uint64_t cursor_ = 0;       // total bytes accepted
+  // Writer thread only.
+  std::uint64_t cursor_ = 0;  // total bytes accepted
+  Run open_;                  // the run being filled
   bool closed_ = false;
 
-  struct QueuedBlock {
-    std::uint64_t offset;
-    Buffer data;
-  };
-  BoundedQueue<QueuedBlock> queue_;
-  std::vector<std::thread> flushers_;
-  std::uint64_t queued_blocks_ = 0;  // writer thread only
   mutable Mutex mu_;
-  CondVar acked_;  // signalled by the flushers after every ack
-  std::uint64_t acked_blocks_ GUARDED_BY(mu_) = 0;
-  Status flusher_status_ GUARDED_BY(mu_);
+  CondVar sealed_cv_;  // senders wait for a sealed run or stop
+  CondVar acked_cv_;   // write()/flush() wait for acknowledgements
+  std::deque<Sealed> sealed_ GUARDED_BY(mu_);
+  std::uint64_t acked_bytes_ GUARDED_BY(mu_) = 0;  // sealed bytes acked
+  bool stopping_ GUARDED_BY(mu_) = false;
+  Status sender_status_ GUARDED_BY(mu_);
+  std::vector<std::thread> senders_;
 };
 
 class GridBufferReader {

@@ -80,7 +80,15 @@ void GridBufferServer::set_broadcast(
     const std::string& channel, const ChannelConfig& config,
     std::vector<multicast::RelayNode> children) {
   MutexLock lock(mu_);
-  broadcast_[channel] = Broadcast{config, std::move(children)};
+  broadcast_[channel] = std::make_shared<const Broadcast>(
+      Broadcast{config, std::move(children)});
+}
+
+std::shared_ptr<const GridBufferServer::Broadcast>
+GridBufferServer::broadcast(const std::string& channel) const {
+  MutexLock lock(mu_);
+  const auto it = broadcast_.find(channel);
+  return it == broadcast_.end() ? nullptr : it->second;
 }
 
 GridBufferServer::~GridBufferServer() { stop(); }
@@ -114,30 +122,22 @@ void GridBufferServer::register_handlers() {
         GL_ASSIGN_OR_RETURN(const Buffer data, dec.bytes());
         GL_ASSIGN_OR_RETURN(auto chan, store_.find(channel));
         GL_RETURN_IF_ERROR(chan->write(offset, data));
-        // Broadcast channels also fan the block out down the relay tree.
-        // The route is copied under the lock; the forwards block outside.
-        std::vector<multicast::RelayNode> children;
-        ChannelConfig fan_config;
-        {
-          MutexLock lock(mu_);
-          const auto it = broadcast_.find(channel);
-          if (it != broadcast_.end()) {
-            children = it->second.children;
-            fan_config = it->second.config;
-          }
-        }
-        if (!children.empty()) {
+        // Broadcast channels also fan the run out down the relay tree, as
+        // one call per child. The forwards block outside the lock.
+        const std::shared_ptr<const Broadcast> route = broadcast(channel);
+        if (route != nullptr) {
           std::vector<std::string> dead;
           multicast::relay_block(
-              forwarder_, children, method_id(Method::kRelayWrite),
+              forwarder_, route->children, method_id(Method::kRelayWrite),
               [&](const multicast::RelayNode& child) {
-                return relay_write_request(child, fan_config, offset, data);
+                return relay_write_request(child, route->config, offset,
+                                           data);
               },
               dead);
           if (!dead.empty()) {
             GL_LOG(kWarn, "grid buffer broadcast ", channel, ": ",
                    dead.size(), " machine(s) unreachable; their local ",
-                   "readers will miss this block");
+                   "readers will miss this run");
           }
         }
         return Buffer{};
@@ -149,22 +149,13 @@ void GridBufferServer::register_handlers() {
         GL_ASSIGN_OR_RETURN(const std::string channel, dec.string());
         GL_ASSIGN_OR_RETURN(auto chan, store_.find(channel));
         chan->close_writer();
-        std::vector<multicast::RelayNode> children;
-        ChannelConfig fan_config;
-        {
-          MutexLock lock(mu_);
-          const auto it = broadcast_.find(channel);
-          if (it != broadcast_.end()) {
-            children = it->second.children;
-            fan_config = it->second.config;
-          }
-        }
-        if (!children.empty()) {
+        const std::shared_ptr<const Broadcast> route = broadcast(channel);
+        if (route != nullptr) {
           std::vector<std::string> dead;
           multicast::relay_block(
-              forwarder_, children, method_id(Method::kRelayClose),
+              forwarder_, route->children, method_id(Method::kRelayClose),
               [&](const multicast::RelayNode& child) {
-                return relay_close_request(child, fan_config);
+                return relay_close_request(child, route->config);
               },
               dead);
           if (!dead.empty()) {

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,7 +24,8 @@ namespace griddles::gridbuffer {
 
 enum class Method : std::uint16_t {
   kOpenWrite = 1,   // (channel, block_size, cache, readers, max_bytes)
-  kWrite = 2,       // (channel, offset, bytes)
+  kWrite = 2,       // (channel, offset, bytes): a run of blocks, all
+                    // whole but the last
   kCloseWrite = 3,  // (channel)
   kOpenRead = 4,    // (channel, block_size, cache, readers, max_bytes)
                     //   -> reader_id
@@ -33,7 +35,7 @@ enum class Method : std::uint16_t {
   kStat = 7,        // (channel, wait_for_eof, deadline_ms) -> eof, frontier
   kRemove = 8,      // (channel)
   kRelayWrite = 9,  // (subtree, config, offset, bytes) -> dead hosts:
-                    // open+write the block locally, forward it down the
+                    // open+write the run locally, forward it down the
                     // subtree (broadcast relay hop, DESIGN.md §12)
   kRelayClose = 10, // (subtree, config) -> dead hosts: close the local
                     // writer, forward the close down the subtree
@@ -77,6 +79,8 @@ class GridBufferServer {
     std::vector<multicast::RelayNode> children;
   };
 
+  /// The broadcast route of `channel`, or null for a plain channel.
+  std::shared_ptr<const Broadcast> broadcast(const std::string& channel) const;
   void register_handlers();
 
   ChannelStore store_;
@@ -87,7 +91,9 @@ class GridBufferServer {
   // lint: not-a-metric (fault-site high-water mark)
   std::atomic<std::uint64_t> relayed_bytes_{0};
   mutable Mutex mu_;
-  std::map<std::string, Broadcast> broadcast_ GUARDED_BY(mu_);
+  /// Immutable once installed, so a handler copies only the pointer.
+  std::map<std::string, std::shared_ptr<const Broadcast>> broadcast_
+      GUARDED_BY(mu_);
 };
 
 }  // namespace griddles::gridbuffer

@@ -77,10 +77,11 @@ class RelayForwarder {
       GUARDED_BY(mu_);
 };
 
-/// Builds the request payload delivering one block to `node`'s subtree.
+/// Builds the request payload delivering one block (or run of blocks)
+/// to `node`'s subtree.
 using RelayPayloadFn = std::function<Buffer(const RelayNode& node)>;
 
-/// Delivers one block to every subtree in `children`: one call per
+/// Delivers one payload to every subtree in `children`: one call per
 /// child, each failure adopted (the dead child's own children get direct
 /// calls from here, recursively). Appends every dead host seen — locally
 /// or reported by a child's response — to `dead`. Never fails: total

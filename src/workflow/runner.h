@@ -80,10 +80,14 @@ class WorkflowRunner {
     std::uint32_t buffer_block_fast_link = 0;
     /// One-way latency below which an edge counts as "fast" (seconds).
     double fast_link_latency_s = 0.005;
-    /// Writer pipelining: in-flight blocks ~= flusher_threads, which
-    /// bounds WAN throughput to ~threads*block/RTT (paper-faithful
-    /// latency sensitivity; raise it for the ablation).
-    std::size_t writer_window = 16;
+    /// Grid Buffer writer credit in blocks (DESIGN.md §16): each of the
+    /// flusher_threads senders carries runs of up to
+    /// writer_window / flusher_threads whole blocks per kWrite, so WAN
+    /// throughput is bounded by ~writer_window*block/RTT. The default
+    /// sends 16-block runs over 4 senders; writer_window ==
+    /// flusher_threads is the paper's latency-sensitive stream (in-flight
+    /// blocks ~= flusher_threads, ~threads*block/RTT).
+    std::size_t writer_window = 64;
     int flusher_threads = 4;
     /// Parallel streams for staged copies.
     int copy_streams = 4;

@@ -17,13 +17,27 @@ TEST(ClosedFormTest, BufferStreamThroughputLatencyBound) {
   testbed::LinkSpec wan{0.165, 0.40};  // AU-UK
   // 4 flushers x 4 KiB blocks: throughput is latency-bound, way below
   // the 400 KB/s the pipe could carry — the paper's §5.3 observation.
-  const double bps = buffer_stream_bps(wan, 4096, 4);
+  const double bps = buffer_stream_bps(wan, 4096, 4, 4);
   EXPECT_LT(bps, 100e3);
   EXPECT_GT(bps, 10e3);
   // Wider windows / bigger blocks recover bandwidth (ablation C's point).
-  EXPECT_GT(buffer_stream_bps(wan, 65536, 16), 350e3);
+  EXPECT_GT(buffer_stream_bps(wan, 65536, 16, 16), 350e3);
   // Loopback streams are effectively unbounded.
-  EXPECT_GT(buffer_stream_bps({0, 0}, 4096, 4), 1e15);
+  EXPECT_GT(buffer_stream_bps({0, 0}, 4096, 4, 4), 1e15);
+}
+
+TEST(ClosedFormTest, RunsCarryWindowOverFlushersBlocksPerRoundTrip) {
+  testbed::LinkSpec wan{0.165, 0.40};  // AU-UK
+  // The paper configuration (window == flushers) is one block per round
+  // trip per flusher: exactly the pre-run closed form, 4 x 4 KiB / RTT.
+  const double paper = buffer_stream_bps(wan, 4096, 4, 4);
+  EXPECT_DOUBLE_EQ(paper, 4 * 4096.0 / (0.165 * 2 + 4096.0 / 0.40e6));
+  EXPECT_NEAR(paper, 48154.2, 0.1);
+  // A 16-block run per flusher (window 64 over 4) fills the 400 KB/s
+  // pipe: bandwidth-bound, about 8x the paper stream.
+  EXPECT_DOUBLE_EQ(buffer_stream_bps(wan, 4096, 64, 4), 0.40e6);
+  // A window below the flusher count keeps fewer blocks in flight.
+  EXPECT_DOUBLE_EQ(buffer_stream_bps(wan, 4096, 2, 4), paper / 2);
 }
 
 TEST(ClosedFormTest, CopyIsBandwidthBound) {
@@ -31,7 +45,7 @@ TEST(ClosedFormTest, CopyIsBandwidthBound) {
   const double copy_s = staged_copy_seconds(wan, 180u * 1000 * 1000);
   EXPECT_NEAR(copy_s, 180e6 / 0.4e6, 5.0);
   // Copy moves the same bytes far faster than a 4 KiB buffer stream.
-  EXPECT_LT(copy_s, 180e6 / buffer_stream_bps(wan, 4096, 4) / 3);
+  EXPECT_LT(copy_s, 180e6 / buffer_stream_bps(wan, 4096, 4, 4) / 3);
 }
 
 apps::AppKernel make_kernel(const std::string& name, double work,
@@ -178,7 +192,14 @@ TEST(PredictTest, PaperClimatePredictionsHavePaperShape) {
     files.mode = CouplingMode::kSequentialFiles;
     WorkflowRunner::Options buffers;
     buffers.mode = CouplingMode::kGridBuffers;
+    buffers.writer_window = 4;  // == flusher_threads: the paper's stream
     EXPECT_GT(predict(*spec, buffers)->total_seconds,
+              predict(*spec, files)->total_seconds);
+    // The default 16-block runs are the paper's proposed fix: the same
+    // pairing flips to buffers.
+    WorkflowRunner::Options runs;
+    runs.mode = CouplingMode::kGridBuffers;
+    EXPECT_LT(predict(*spec, runs)->total_seconds,
               predict(*spec, files)->total_seconds);
   }
 }

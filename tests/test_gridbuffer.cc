@@ -6,12 +6,16 @@
 #include <random>
 #include <thread>
 
+#include "src/common/strings.h"
 #include "src/common/tempfile.h"
+#include "src/fault/plan.h"
 #include "src/gridbuffer/client.h"
 #include "src/gridbuffer/file_client.h"
 #include "src/gridbuffer/server.h"
 #include "src/net/inproc.h"
 #include "src/net/tcp.h"
+#include "src/obs/metrics.h"
+#include "src/workflow/runner.h"
 #include "src/xdr/codec.h"
 
 namespace griddles::gridbuffer {
@@ -362,7 +366,7 @@ TEST_F(ChannelTest, MisalignedWriteRejected) {
   config.block_size = 8;
   auto channel = make_channel(config);
   EXPECT_FALSE(channel->write(3, pattern(4)).is_ok());
-  EXPECT_FALSE(channel->write(0, pattern(9)).is_ok());
+  EXPECT_FALSE(channel->write(4, pattern(9)).is_ok());
 }
 
 TEST_F(ChannelTest, PartialBlockExtension) {
@@ -382,6 +386,43 @@ TEST_F(ChannelTest, PartialBlockExtension) {
   EXPECT_EQ(rest->data, Bytes(data.begin() + 6, data.end()));
   // Shrinking a block is rejected.
   EXPECT_FALSE(channel->write(0, ByteSpan{data.data(), 4}).is_ok());
+}
+
+TEST_F(ChannelTest, RunWithPartialLastBlockIsExtendedByTheNextRun) {
+  ChannelConfig config;
+  config.block_size = 8;
+  auto channel = make_channel(config);
+  const auto reader = channel->add_reader();
+  const Bytes data = pattern(40);
+  // One run: blocks 0 and 1 whole, block 2 partial.
+  ASSERT_TRUE(channel->write(0, ByteSpan{data.data(), 20}).is_ok());
+  auto head = channel->read(reader, 0, 40, 1000);
+  ASSERT_TRUE(head.is_ok());
+  EXPECT_EQ(head->data, Bytes(data.begin(), data.begin() + 20));
+  EXPECT_EQ(head->frontier, 20u);
+  // A run that would shrink the partial block is rejected whole.
+  EXPECT_FALSE(channel->write(16, ByteSpan{data.data() + 16, 2}).is_ok());
+  // The next run rewrites block 2 with more data and goes on.
+  ASSERT_TRUE(channel->write(16, ByteSpan{data.data() + 16, 24}).is_ok());
+  auto rest = channel->read(reader, 20, 40, 1000);
+  ASSERT_TRUE(rest.is_ok());
+  EXPECT_EQ(rest->data, Bytes(data.begin() + 20, data.end()));
+}
+
+TEST_F(ChannelTest, RunLargerThanTableSpillsItsOwnBlocks) {
+  ChannelConfig config;
+  config.block_size = 8;
+  config.max_buffered_bytes = 16;  // two blocks
+  auto channel = make_channel(config);
+  const auto reader = channel->add_reader();
+  const Bytes data = pattern(44);
+  ASSERT_TRUE(channel->write(0, data).is_ok());
+  EXPECT_LE(channel->buffered_bytes(), 16u);
+  channel->close_writer();
+  // The spilled blocks of the run come back from the cache file.
+  auto all = channel->read(reader, 0, 64, 1000);
+  ASSERT_TRUE(all.is_ok());
+  EXPECT_EQ(all->data, data);
 }
 
 TEST_F(ChannelTest, StatWaitsForEof) {
@@ -750,6 +791,175 @@ TEST(GridBufferLifetimeTest, TableSlicesOutliveSenderInProc) {
 TEST(GridBufferLifetimeTest, TableSlicesOutliveSenderTcp) {
   net::TcpTransport transport;
   expect_blocks_outlive_sender(transport, net::tcp_endpoint("127.0.0.1", 0));
+}
+
+// ---------------------------------------------------------------------
+// Runs: one kWrite per contiguous run of blocks (DESIGN.md §16).
+
+class RunPathTest : public ::testing::Test {
+ protected:
+  RunPathTest()
+      : dir_(*TempDir::create("gbuf-runs")), network_(clock_),
+        transport_(network_.transport("dione")),
+        server_(dir_.file("cache").string(), *transport_,
+                net::inproc_endpoint("dione", "gbuf")) {
+    EXPECT_TRUE(server_.start().is_ok());
+  }
+  ~RunPathTest() override { server_.stop(); }
+
+  static std::uint64_t server_requests() {
+    return obs::MetricsRegistry::global().counter("rpc.server.requests")
+        .value();
+  }
+
+  /// kWrite calls the server receives while `options` write `blocks`
+  /// 4 KiB blocks in 64 KiB writes, then flush.
+  std::uint64_t write_calls(const std::string& channel,
+                            GridBufferWriter::Options options,
+                            std::size_t blocks) {
+    auto writer =
+        GridBufferWriter::open(*transport_, server_.endpoint(), channel,
+                               options);
+    EXPECT_TRUE(writer.is_ok()) << writer.status();
+    if (!writer.is_ok()) return 0;
+    const Bytes data = pattern(blocks * 4096, 4);
+    const std::uint64_t before = server_requests();
+    for (std::size_t at = 0; at < data.size(); at += 65536) {
+      EXPECT_TRUE((*writer)->write({data.data() + at, 65536}).is_ok());
+    }
+    EXPECT_TRUE((*writer)->flush().is_ok());
+    const std::uint64_t calls = server_requests() - before;
+    EXPECT_TRUE((*writer)->close().is_ok());
+    return calls;
+  }
+
+  /// Reads `channel` from the start until EOF or an error; returns the
+  /// bytes and the error (ok at EOF).
+  std::pair<Bytes, Status> drain(const std::string& channel) {
+    auto reader =
+        GridBufferReader::open(*transport_, server_.endpoint(), channel);
+    EXPECT_TRUE(reader.is_ok()) << reader.status();
+    Bytes out;
+    // One block per read, so a read that fails loses no delivered bytes.
+    Bytes buffer(4096);
+    Status status;
+    while (reader.is_ok()) {
+      auto n = (*reader)->read({buffer.data(), buffer.size()});
+      if (!n.is_ok()) {
+        status = n.status();
+        break;
+      }
+      if (*n == 0) break;
+      out.insert(out.end(), buffer.begin(),
+                 buffer.begin() + static_cast<std::ptrdiff_t>(*n));
+    }
+    return {out, status};
+  }
+
+  TempDir dir_;
+  RealClock clock_;
+  net::InProcNetwork network_;
+  std::unique_ptr<net::Transport> transport_;
+  GridBufferServer server_;
+};
+
+TEST_F(RunPathTest, PaperOptionsSendOneBlockPerWrite) {
+  GridBufferWriter::Options paper;
+  paper.window_blocks = 4;
+  paper.flusher_threads = 4;
+  EXPECT_EQ(write_calls("paper", paper, 64), 64u);
+}
+
+TEST_F(RunPathTest, RunnerDefaultsSendRunsOfBlocks) {
+  const workflow::WorkflowRunner::Options defaults;
+  GridBufferWriter::Options runs;
+  runs.window_blocks = defaults.writer_window;
+  runs.flusher_threads = defaults.flusher_threads;
+  const std::uint64_t calls = write_calls("runs", runs, 256);
+  EXPECT_GE(calls, 1u);
+  EXPECT_LE(calls, 256u / 8);  // >= 8 blocks per kWrite
+}
+
+TEST_F(RunPathTest, PartialLastBlockFlushedThenExtended) {
+  const Bytes data = pattern(9 * 4096 + 300, 6);
+  const std::size_t first = 3 * 4096 + 2048;  // ends mid-block
+  auto writer = GridBufferWriter::open(*transport_, server_.endpoint(),
+                                       "extend", GridBufferWriter::Options{});
+  ASSERT_TRUE(writer.is_ok()) << writer.status();
+  ASSERT_TRUE((*writer)->write({data.data(), first}).is_ok());
+  ASSERT_TRUE((*writer)->flush().is_ok());
+  auto channel = server_.store().find("extend");
+  ASSERT_TRUE(channel.is_ok());
+  auto stat = (*channel)->stat(/*wait_for_eof=*/false, 0);
+  ASSERT_TRUE(stat.is_ok());
+  EXPECT_EQ(stat->frontier, first);  // the partial block is on the server
+  // The next run rewrites the partial block with more data (extends it).
+  ASSERT_TRUE(
+      (*writer)->write({data.data() + first, data.size() - first}).is_ok());
+  ASSERT_TRUE((*writer)->close().is_ok());
+  const auto [got, status] = drain("extend");
+  EXPECT_TRUE(status.is_ok()) << status;
+  EXPECT_EQ(got, data);
+}
+
+TEST_F(RunPathTest, PeerDeathInsideRunKeepsOneBlockFrontier) {
+  // die@peer fires at the first block whose end reaches after=: blocks
+  // 0..9 survive, whether they came one per kWrite or as one run.
+  constexpr std::uint64_t kAfter = 10 * 4096 + 100;
+  auto plan = fault::Plan::parse(
+      strings::cat("seed=3;die@peer:death-*:after=", kAfter));
+  ASSERT_TRUE(plan.is_ok()) << plan.status();
+  fault::arm(*plan);
+  const Bytes data = pattern(64 * 4096, 8);
+  std::vector<std::uint64_t> frontiers;
+  for (const std::size_t window : {1, 16}) {
+    const std::string channel = strings::cat("death-", window);
+    GridBufferWriter::Options options;
+    options.window_blocks = window;  // one sender: runs arrive in order
+    options.flusher_threads = 1;
+    auto writer = GridBufferWriter::open(*transport_, server_.endpoint(),
+                                         channel, options);
+    ASSERT_TRUE(writer.is_ok()) << writer.status();
+    (void)(*writer)->write(data);  // may already see the death
+    const Status closed = (*writer)->close();
+    EXPECT_EQ(closed.code(), ErrorCode::kDataLoss) << channel;
+    const auto [got, status] = drain(channel);
+    EXPECT_EQ(status.code(), ErrorCode::kDataLoss) << channel;
+    EXPECT_EQ(got, Bytes(data.begin(), data.begin() + 10 * 4096)) << channel;
+    frontiers.push_back(got.size());
+  }
+  fault::disarm();
+  EXPECT_EQ(frontiers[0], frontiers[1]);
+}
+
+TEST_F(RunPathTest, StalledReaderKeepsTableAtCapAndRereadsFromCache) {
+  const Bytes data = pattern(8u << 20, 10);
+  auto reader =
+      GridBufferReader::open(*transport_, server_.endpoint(), "stalled");
+  ASSERT_TRUE(reader.is_ok()) << reader.status();
+  {
+    auto writer =
+        GridBufferWriter::open(*transport_, server_.endpoint(), "stalled");
+    ASSERT_TRUE(writer.is_ok()) << writer.status();
+    for (std::size_t at = 0; at < data.size(); at += 65536) {
+      ASSERT_TRUE((*writer)->write({data.data() + at, 65536}).is_ok());
+    }
+    ASSERT_TRUE((*writer)->close().is_ok());
+  }
+  auto channel = server_.store().find("stalled");
+  ASSERT_TRUE(channel.is_ok());
+  EXPECT_LE((*channel)->buffered_bytes(), Channel::kCachedResidentBytes);
+  Bytes got(data.size() + 1);
+  std::size_t filled = 0;
+  while (true) {
+    auto n = (*reader)->read({got.data() + filled, got.size() - filled});
+    ASSERT_TRUE(n.is_ok()) << n.status();
+    if (*n == 0) break;
+    filled += *n;
+  }
+  got.resize(filled);
+  EXPECT_TRUE(got == data);
+  ASSERT_TRUE((*reader)->close().is_ok());
 }
 
 }  // namespace

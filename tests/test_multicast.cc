@@ -8,6 +8,7 @@
 #include <filesystem>
 
 #include "src/apps/paper_apps.h"
+#include "src/common/strings.h"
 #include "src/common/tempfile.h"
 #include "src/fault/plan.h"
 #include "src/gridbuffer/client.h"
@@ -476,6 +477,26 @@ TEST_F(BroadcastBufferTest, DeadRelayMachineIsAdoptedByParent) {
   EXPECT_EQ(read_all_from(0, "bd"), data);
   EXPECT_EQ(read_all_from(2, "bd"), data);
   EXPECT_GT(counter_value("multicast.relay.dead"), dead_before);
+}
+
+TEST_F(BroadcastBufferTest, RelayDeathMidRunIsAdoptedByParent) {
+  // 16-block runs through one sender; m1 dies on the run that carries
+  // its after= mark, partway into that run. m0 adopts m2 for it.
+  install_chain("br");
+  const std::uint64_t reparents_before = counter_value("multicast.reparents");
+  ArmedPlan armed(strings::cat("seed=12;die@relay:m1:after=", 65536 + 5000));
+  const Bytes data = pattern(5 * 65536 + 77);
+  gridbuffer::GridBufferWriter::Options options;
+  options.window_blocks = 16;
+  options.flusher_threads = 1;
+  auto writer = gridbuffer::GridBufferWriter::open(
+      *client_transport_, servers_[0]->endpoint(), "br", options);
+  ASSERT_TRUE(writer.is_ok()) << writer.status();
+  ASSERT_TRUE((*writer)->write(data).is_ok());
+  ASSERT_TRUE((*writer)->close().is_ok());
+  EXPECT_EQ(read_all_from(0, "br"), data);
+  EXPECT_EQ(read_all_from(2, "br"), data);
+  EXPECT_GT(counter_value("multicast.reparents"), reparents_before);
 }
 
 // ---------------------------------------------------------------------
