@@ -89,12 +89,10 @@ struct Deployment {
       std::exit(1);
     }
 
-    gns::ReplicatedNameService::Options service_options;
-    // One map fetch up front, none mid-leg: keeps the RPC schedule
-    // identical from run to run.
-    service_options.map_refresh = std::chrono::seconds(60);
+    // One map fetch at the first lookup, none mid-leg (the epoch never
+    // moves): the RPC schedule is identical from run to run.
     service = std::make_unique<gns::ReplicatedNameService>(
-        *client_transport, service_options);
+        *client_transport);
     for (const gns::ReplicaAddress& replica : cluster->endpoints()) {
       service->add_replica(replica.name, replica.endpoint);
     }

@@ -19,7 +19,8 @@
 #include "src/common/tempfile.h"
 #include "src/core/multiplexer.h"
 #include "src/core/posix_shim.h"
-#include "src/gns/service.h"
+#include "src/gns/antientropy.h"
+#include "src/gns/replicated.h"
 #include "src/gridbuffer/server.h"
 #include "src/net/inproc.h"
 #include "src/remote/file_server.h"
@@ -76,11 +77,13 @@ int main() {
   net::InProcNetwork network(clock);
 
   // Shared services: a GNS, a Grid Buffer server, a remote file server.
-  gns::Database db;
   auto gns_transport = network.transport("dione");
-  gns::GnsServer gns_server(db, *gns_transport,
-                            net::inproc_endpoint("dione", "gns"));
-  if (!gns_server.start().is_ok()) return 1;
+  gns::GnsCluster gns(*gns_transport, gns::GnsCluster::Options{});
+  if (!gns.add_replica("gns-0", net::inproc_endpoint("dione", "gns"))
+           .is_ok() ||
+      !gns.start().is_ok()) {
+    return 1;
+  }
 
   gridbuffer::GridBufferServer buffer_server(
       scratch->file("gbuf").string(), *gns_transport,
@@ -94,7 +97,10 @@ int main() {
   const std::string work = scratch->file("work").string();
   auto run_pair = [&](const char* label, bool concurrent) -> bool {
     auto transport = network.transport("jagan");
-    gns::GnsClient gns_client(*transport, gns_server.endpoint());
+    gns::ReplicatedNameService gns_client(*transport);
+    for (const gns::ReplicaAddress& replica : gns.endpoints()) {
+      gns_client.add_replica(replica.name, replica.endpoint);
+    }
     core::FileMultiplexer::Options options;
     options.host = "jagan";
     options.local_root = work;
@@ -143,20 +149,20 @@ int main() {
     rule.mapping.channel = "quickstart/result";
     rule.mapping.buffer_endpoint =
         buffer_server.endpoint().to_string();
-    db.add_rule(rule);
+    if (!gns.add_rule(rule).is_ok()) return fail("buffer rule");
   }
   if (!run_pair("grid buffer stream", true)) return fail("buffer run");
 
-  // 3. Reroute to the remote file server (staged copy in/out).
+  // 3. Reroute to the remote file server (staged copy in/out). Same
+  // pattern pair, so this rule replaces the buffer one.
   {
-    db.set_rules({});
     gns::MappingRule rule;
     rule.host_pattern = "jagan";
     rule.path_pattern = "*result.dat";
     rule.mapping.mode = gns::IoMode::kRemoteCopy;
     rule.mapping.remote_endpoint = file_server.endpoint().to_string();
     rule.mapping.remote_path = "result.dat";
-    db.add_rule(rule);
+    if (!gns.add_rule(rule).is_ok()) return fail("remote rule");
   }
   if (!run_pair("remote file (staged copy)", false)) {
     return fail("remote run");
@@ -164,7 +170,7 @@ int main() {
 
   buffer_server.stop();
   file_server.stop();
-  gns_server.stop();
+  gns.stop();
   std::printf("All three configurations produced identical results.\n");
   return 0;
 }

@@ -9,7 +9,8 @@
 
 #include "src/common/tempfile.h"
 #include "src/core/multiplexer.h"
-#include "src/gns/service.h"
+#include "src/gns/antientropy.h"
+#include "src/gns/replicated.h"
 #include "src/net/inproc.h"
 #include "src/remote/file_server.h"
 #include "src/vfs/local_client.h"
@@ -52,11 +53,13 @@ int main() {
 
   // GNS rules: both files are remote with mode=auto; the archive carries
   // an access-fraction hint of 1% (the app samples it).
-  gns::Database db;
   auto gns_transport = network.transport("jagan");
-  gns::GnsServer gns_server(db, *gns_transport,
-                            net::inproc_endpoint("jagan", "gns"));
-  if (!gns_server.start().is_ok()) return 1;
+  gns::GnsCluster gns(*gns_transport, gns::GnsCluster::Options{});
+  if (!gns.add_replica("gns-0", net::inproc_endpoint("jagan", "gns"))
+           .is_ok() ||
+      !gns.start().is_ok()) {
+    return 1;
+  }
   {
     gns::MappingRule rule;
     rule.host_pattern = "jagan";
@@ -65,11 +68,11 @@ int main() {
     rule.mapping.remote_endpoint = file_server.endpoint().to_string();
     rule.mapping.remote_path = "config.dat";
     rule.mapping.access_fraction = 1.0;
-    db.add_rule(rule);
+    if (!gns.add_rule(rule).is_ok()) return 1;
     rule.path_pattern = "*archive.bin";
     rule.mapping.remote_path = "archive.bin";
     rule.mapping.access_fraction = 0.01;
-    db.add_rule(rule);
+    if (!gns.add_rule(rule).is_ok()) return 1;
   }
 
   // Static link estimate standing in for NWS (see replica_selection for
@@ -78,7 +81,10 @@ int main() {
   estimator.set("freak", {0.090, 0.84e6});
 
   auto app_transport = network.transport("jagan");
-  gns::GnsClient gns_client(*app_transport, gns_server.endpoint());
+  gns::ReplicatedNameService gns_client(*app_transport);
+  for (const gns::ReplicaAddress& replica : gns.endpoints()) {
+    gns_client.add_replica(replica.name, replica.endpoint);
+  }
   core::FileMultiplexer::Options options;
   options.host = "jagan";
   options.local_root = scratch->file("work").string();

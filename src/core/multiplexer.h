@@ -18,7 +18,7 @@
 
 #include "src/common/clock.h"
 #include "src/common/thread_annotations.h"
-#include "src/gns/service.h"
+#include "src/gns/replicated.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/gridbuffer/file_client.h"
@@ -54,9 +54,8 @@ class FileMultiplexer {
     std::string local_root = ".";
     /// Directory for staged copies.
     std::string scratch_dir = "/tmp";
-    /// Name service (single client or replicated front end); null means
-    /// every open is plain local IO.
-    gns::NameService* gns = nullptr;
+    /// The GNS client; null means every open is plain local IO.
+    gns::ReplicatedNameService* gns = nullptr;
     /// Transport for the remote/buffer/replica modes.
     net::Transport* transport = nullptr;
     /// Model clock for copy timing; null uses a process-wide RealClock.

@@ -118,6 +118,7 @@ Status GnsCluster::add_replica(std::string name, net::Endpoint bind) {
   }
   install(new_map);
   if (live) {
+    start_antientropy();
     // Old owners that lost a shard serve stale-map readers through the
     // handoff lease, then GC the bucket.
     const WallClock::time_point drop_at =
@@ -202,21 +203,27 @@ Status GnsCluster::start() {
     GL_RETURN_IF_ERROR(node->start());
   }
   install(map());
-  if (options_.ae_interval.count() > 0) {
-    MutexLock lock(ae_mu_);
-    ae_stop_ = false;
-    ae_thread_ = std::thread([this] { ae_loop(); });
-  }
+  start_antientropy();
   return Status::ok();
 }
 
+void GnsCluster::start_antientropy() {
+  if (options_.ae_interval.count() <= 0 || replica_count() < 2) return;
+  MutexLock lock(ae_mu_);
+  if (ae_thread_.joinable()) return;
+  ae_stop_ = false;
+  ae_thread_ = std::thread([this] { ae_loop(); });
+}
+
 void GnsCluster::stop() {
+  std::thread ae_thread;
   {
     MutexLock lock(ae_mu_);
     ae_stop_ = true;
     ae_cv_.notify_all();
+    ae_thread = std::move(ae_thread_);
   }
-  if (ae_thread_.joinable()) ae_thread_.join();
+  if (ae_thread.joinable()) ae_thread.join();
   reap_retired(/*force=*/true);
   std::vector<std::shared_ptr<ReplicaNode>> nodes;
   {

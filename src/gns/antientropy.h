@@ -7,7 +7,8 @@
 //     replica pair exchanges per-shard digests and swaps entries for the
 //     divergent shards, so a partitioned or die@gns-dead replica
 //     converges after the fault heals (gns.antientropy.{rounds,repaired}
-//     make the repair observable);
+//     make the repair observable). A 1-replica cluster has no pairs and
+//     runs no loop; it starts when a live cluster reaches two members;
 //   - writes: add_rule/remove_rule coordinate on the shard's first
 //     healthy owner (dead owners are skipped by the fault plan exactly
 //     like the lookup walk skips them), which replicates onward;
@@ -42,8 +43,9 @@ class GnsCluster {
     /// Owners per shard; 0 = every replica owns every shard.
     std::uint32_t replication = 0;
     net::WireFormat format = net::WireFormat::kBinary;
-    /// Background anti-entropy period; zero means manual ticks only
-    /// (tests drive run_antientropy_round() themselves).
+    /// Background anti-entropy period while the cluster has two or more
+    /// members; zero means manual ticks only (tests drive
+    /// run_antientropy_round() themselves).
     std::chrono::milliseconds ae_interval{100};
     /// How long an old owner keeps serving a handed-off shard (covers
     /// clients still routing by the previous map epoch).
@@ -58,7 +60,8 @@ class GnsCluster {
 
   /// Adds a member. Before start() this only extends the membership; on
   /// a live cluster it starts the node, primes every shard the new map
-  /// assigns it, then installs the new epoch everywhere.
+  /// assigns it, installs the new epoch everywhere, and starts the
+  /// anti-entropy loop if this is the second member.
   Status add_replica(std::string name, net::Endpoint bind);
 
   /// Removes a member with a lease-safe handoff: surviving owners sync
@@ -67,7 +70,8 @@ class GnsCluster {
   /// reaped on a later anti-entropy tick or at stop()).
   Status remove_replica(const std::string& name);
 
-  /// Starts every node and the anti-entropy loop.
+  /// Starts every node, and the anti-entropy loop when there are two or
+  /// more.
   Status start();
   void stop();
 
@@ -101,6 +105,8 @@ class GnsCluster {
   };
 
   void ae_loop();
+  /// Starts the anti-entropy thread once the cluster has a pair to sync.
+  void start_antientropy();
   void reap_retired(bool force);
   Status put(MappingRule rule, bool tombstone);
   std::vector<std::shared_ptr<ReplicaNode>> snapshot() const;
@@ -120,7 +126,7 @@ class GnsCluster {
   Mutex ae_mu_;
   CondVar ae_cv_;
   bool ae_stop_ GUARDED_BY(ae_mu_) = false;
-  std::thread ae_thread_;
+  std::thread ae_thread_ GUARDED_BY(ae_mu_);
 };
 
 }  // namespace griddles::gns

@@ -44,6 +44,25 @@ PeerClient::PeerClient(net::Transport& transport, net::Endpoint server,
                        net::WireFormat format)
     : rpc_(transport, std::move(server), format) {}
 
+Result<LookupReply> PeerClient::lookup(const std::string& host,
+                                       const std::string& path) {
+  xdr::Encoder enc;
+  enc.put_string(host);
+  enc.put_string(path);
+  GL_ASSIGN_OR_RETURN(
+      const Buffer reply,
+      rpc_.call(method_id(PeerMethod::kLookup), enc.buffer()));
+  xdr::Decoder dec(reply);
+  LookupReply result;
+  GL_ASSIGN_OR_RETURN(result.version, dec.u64());
+  GL_ASSIGN_OR_RETURN(result.epoch, dec.u64());
+  GL_ASSIGN_OR_RETURN(const bool present, dec.boolean());
+  if (present) {
+    GL_ASSIGN_OR_RETURN(result.mapping, decode_mapping(dec));
+  }
+  return result;
+}
+
 Result<std::uint64_t> PeerClient::put(const MappingRule& rule,
                                       bool tombstone, bool allow_forward) {
   xdr::Encoder enc;
@@ -357,21 +376,35 @@ void ReplicaNode::gc_dropped_shards() {
   if (!due.empty()) bump_version();
 }
 
+LookupReply ReplicaNode::resolve(std::string_view host,
+                                 std::string_view path) const {
+  // The version is read first: a write landing mid-lookup then shows up
+  // as a version change on the client's next miss, never the reverse.
+  LookupReply reply;
+  reply.version = version();
+  std::uint32_t shard;
+  {
+    MutexLock lock(mu_);
+    shard = map_.shard_of(host, path);
+    reply.epoch = map_.epoch;
+  }
+  reply.mapping = store_.lookup(shard, host, path);
+  return reply;
+}
+
 void ReplicaNode::register_handlers() {
-  // Same frame as gns::Method::kLookup so GnsClient works unchanged.
   rpc_.register_method(
       method_id(PeerMethod::kLookup),
       [this](const Buffer& request, const net::RpcContext&) -> Result<Buffer> {
         xdr::Decoder dec(request);
         GL_ASSIGN_OR_RETURN(const std::string host, dec.string());
         GL_ASSIGN_OR_RETURN(const std::string path, dec.string());
-        const std::uint32_t shard = map().shard_of(host, path);
-        const std::optional<FileMapping> mapping =
-            store_.lookup(shard, host, path);
+        const LookupReply reply = resolve(host, path);
         xdr::Encoder enc;
-        enc.put_u64(version());
-        enc.put_bool(mapping.has_value());
-        if (mapping) encode_mapping(enc, *mapping);
+        enc.put_u64(reply.version);
+        enc.put_u64(reply.epoch);
+        enc.put_bool(reply.mapping.has_value());
+        if (reply.mapping) encode_mapping(enc, *reply.mapping);
         return std::move(enc).finish();
       });
   rpc_.register_method(

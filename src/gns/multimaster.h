@@ -1,18 +1,15 @@
 // Multi-master GNS replica node and its peer RPC face.
 //
-// The old "replicated" GNS was N servers fronting ONE shared Database —
-// replica loss was survivable but replicas could never diverge, so
-// partition behaviour was untestable. A ReplicaNode owns its OWN
-// ReplicaStore: writes coordinate on one owner (vector-clock bump +
-// Lamport priority), replicate synchronously to the shard's co-owners,
-// and tolerate replication failure — a partitioned or dead peer simply
-// misses the write and anti-entropy repairs it after the fault heals.
+// A ReplicaNode owns its OWN ReplicaStore, so replicas can diverge
+// under partition and converge again: writes coordinate on one owner
+// (vector-clock bump + Lamport priority), replicate synchronously to the
+// shard's co-owners, and tolerate replication failure — a partitioned or
+// dead peer simply misses the write and anti-entropy repairs it after
+// the fault heals.
 //
-// Wire compatibility: method id 1 (kLookup) answers the exact frame
-// GnsClient speaks against a single-master GnsServer, so the
-// ReplicatedNameService client reuses GnsClient for reads and the
-// version-bump cache invalidation keeps working. The multi-master verbs
-// (put/replicate/digest/exchange/map install) use new ids.
+// kLookup replies carry the node's lookup version (clients flush their
+// cache when it moves) and its map epoch (clients routing by another
+// epoch refetch the map and re-walk before accepting the answer).
 //
 // Fault surface (consulted BEFORE any peer RPC, sender side, so the
 // injection schedule is deterministic per message):
@@ -36,9 +33,10 @@
 #include <vector>
 
 #include "src/common/thread_annotations.h"
-#include "src/gns/service.h"
+#include "src/gns/mapping.h"
 #include "src/gns/shard_map.h"
 #include "src/gns/store.h"
+#include "src/net/rpc.h"
 
 namespace griddles::gns {
 
@@ -47,10 +45,9 @@ namespace griddles::gns {
 /// both directions regardless of which side initiates.
 std::string sync_pair_key(std::string_view a, std::string_view b);
 
-/// Multi-master RPC method ids. kLookup deliberately shares id 1 and
-/// frame layout with gns::Method::kLookup (GnsClient compatibility).
+/// GNS RPC method ids.
 enum class PeerMethod : std::uint16_t {
-  kLookup = 1,
+  kLookup = 1,      // resolve one key; reply carries version + epoch
   kPut = 6,         // coordinate a client write (may forward to owner)
   kReplicate = 7,   // owner -> co-owner push of one versioned entry
   kDigests = 8,     // per-shard digests of the callee's store
@@ -65,12 +62,22 @@ struct ReplicaAddress {
   net::Endpoint endpoint;
 };
 
-/// Typed client for the multi-master verbs. Thread-safe (the underlying
+/// A replica's answer to kLookup.
+struct LookupReply {
+  std::optional<FileMapping> mapping;  // nullopt = plain local IO
+  std::uint64_t version = 0;           // the node's lookup version
+  std::uint64_t epoch = 0;             // the node's map epoch
+};
+
+/// Typed client for the GNS verbs. Thread-safe (the underlying
 /// RpcClient serialises calls).
 class PeerClient {
  public:
   PeerClient(net::Transport& transport, net::Endpoint server,
              net::WireFormat format = net::WireFormat::kBinary);
+
+  Result<LookupReply> lookup(const std::string& host,
+                             const std::string& path);
 
   /// Coordinates a write. `allow_forward` lets the callee relay to the
   /// shard owner when it no longer owns the key (stale client map);
@@ -142,7 +149,7 @@ class ReplicaNode {
   void gc_dropped_shards();
 
   /// Monotonic lookup version: bumped on every store change or map
-  /// install, echoed by kLookup — GnsClient's cache invalidation key.
+  /// install, echoed by kLookup — the client cache's flush key.
   std::uint64_t version() const noexcept {
     return version_.load(std::memory_order_relaxed);
   }
@@ -152,6 +159,7 @@ class ReplicaNode {
 
  private:
   void register_handlers();
+  LookupReply resolve(std::string_view host, std::string_view path) const;
   void bump_version() noexcept {
     version_.fetch_add(1, std::memory_order_relaxed);
   }

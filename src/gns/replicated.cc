@@ -15,7 +15,7 @@ namespace {
 /// Handles cached once; see src/obs/metrics.h naming scheme.
 struct GnsMetrics {
   obs::Counter& failover;        // lookups that survived a replica loss
-  obs::Counter& lease_served;    // lookups served from a lease (outage)
+  obs::Counter& lease_served;    // stale cached answers served (outage)
   obs::Counter& breaker_opened;  // closed -> open transitions
   obs::Counter& breaker_recovered;  // half-open -> closed transitions
   obs::Counter& breaker_probe;      // half-open probe slots claimed
@@ -61,15 +61,6 @@ bool replica_alive(const std::string& replica) {
 }
 }  // namespace
 
-std::string_view breaker_state_name(BreakerState state) noexcept {
-  switch (state) {
-    case BreakerState::kClosed: return "closed";
-    case BreakerState::kOpen: return "open";
-    case BreakerState::kHalfOpen: return "half-open";
-  }
-  return "?";
-}
-
 ReplicatedNameService::ReplicatedNameService(net::Transport& transport,
                                              Options options)
     : transport_(transport), options_(options) {}
@@ -78,11 +69,8 @@ void ReplicatedNameService::add_replica_locked(std::string name,
                                                net::Endpoint endpoint) {
   auto replica = std::make_unique<Replica>();
   replica->name = std::move(name);
-  replica->endpoint = endpoint;
-  replica->client = std::make_unique<GnsClient>(
-      transport_, endpoint, options_.format, options_.client_cache_ttl);
-  replica->control = std::make_unique<PeerClient>(transport_, endpoint,
-                                                  options_.format);
+  replica->peer = std::make_unique<PeerClient>(transport_, std::move(endpoint),
+                                               options_.format);
   replicas_.push_back(std::move(replica));
 }
 
@@ -101,110 +89,61 @@ ReplicatedNameService::replicas_snapshot() const {
   return result;
 }
 
-std::size_t ReplicatedNameService::replica_count() const {
-  MutexLock lock(mu_);
-  return replicas_.size();
-}
-
 std::uint64_t ReplicatedNameService::map_epoch() const {
   MutexLock lock(mu_);
-  return have_map_ ? map_.epoch : 0;
+  return map_.epoch;
 }
 
-namespace {
-/// Owners-first candidate order shared by lookups and writes.
-template <typename Replicas>
-std::vector<typename Replicas::value_type::element_type*> order_for(
-    const Replicas& replicas, const std::vector<std::string>& owners) {
-  using Ptr = typename Replicas::value_type::element_type*;
-  std::vector<Ptr> result;
-  result.reserve(replicas.size());
-  for (const std::string& owner : owners) {
-    for (const auto& replica : replicas) {
+ReplicatedNameService::Walk ReplicatedNameService::walk_for(
+    std::uint32_t shard) const {
+  Walk walk;
+  walk.epoch = map_.epoch;
+  walk.order.reserve(replicas_.size());
+  for (const std::string& owner : map_.owners(shard)) {
+    for (const auto& replica : replicas_) {
       if (replica->name == owner) {
-        result.push_back(replica.get());
+        walk.order.push_back(replica.get());
         break;
       }
     }
   }
-  for (const auto& replica : replicas) {
-    if (std::find(result.begin(), result.end(), replica.get()) ==
-        result.end()) {
-      result.push_back(replica.get());
+  for (const auto& replica : replicas_) {
+    if (std::find(walk.order.begin(), walk.order.end(), replica.get()) ==
+        walk.order.end()) {
+      walk.order.push_back(replica.get());
     }
   }
-  return result;
+  return walk;
 }
-}  // namespace
 
-std::vector<ReplicatedNameService::Replica*>
-ReplicatedNameService::walk_order(const std::string& host,
-                                  const std::string& path) const {
+ReplicatedNameService::Walk ReplicatedNameService::lookup_walk(
+    const std::string& host, const std::string& path) const {
   MutexLock lock(mu_);
-  if (!have_map_) {
-    std::vector<Replica*> result;
-    result.reserve(replicas_.size());
-    for (const auto& replica : replicas_) result.push_back(replica.get());
-    return result;
-  }
-  return order_for(replicas_, map_.owners(map_.shard_of(host, path)));
+  return walk_for(map_.shard_of(host, path));
 }
 
-std::vector<ReplicatedNameService::Replica*>
-ReplicatedNameService::rule_order(const MappingRule& rule) const {
+ReplicatedNameService::Walk ReplicatedNameService::rule_walk(
+    const MappingRule& rule) const {
   MutexLock lock(mu_);
-  if (!have_map_) {
-    std::vector<Replica*> result;
-    result.reserve(replicas_.size());
-    for (const auto& replica : replicas_) result.push_back(replica.get());
-    return result;
-  }
-  return order_for(replicas_,
-                   map_.owners(map_.shard_of_rule(rule.host_pattern,
-                                                  rule.path_pattern)));
+  return walk_for(map_.shard_of_rule(rule.host_pattern, rule.path_pattern));
 }
 
-void ReplicatedNameService::refresh_map(bool force) {
-  {
-    MutexLock lock(mu_);
-    if (map_unsupported_ || replicas_.empty()) return;
-    if (!force && have_map_ && options_.map_refresh.count() > 0 &&
-        WallClock::now() - map_fetched_at_ < options_.map_refresh) {
-      return;
-    }
-    // Stamp the attempt so a down cluster is retried once per window,
-    // not once per lookup.
-    map_fetched_at_ = WallClock::now();
-  }
+void ReplicatedNameService::refresh_map() {
   for (Replica* replica : replicas_snapshot()) {
     if (!replica_alive(replica->name)) continue;
     Result<std::pair<ShardMap, std::vector<ReplicaAddress>>> fetched =
-        replica->control->get_map();
-    if (fetched.is_ok()) {
-      ShardMap& fresh = fetched->first;
-      MutexLock lock(mu_);
-      for (const ReplicaAddress& address : fetched->second) {
-        const bool known = std::any_of(
-            replicas_.begin(), replicas_.end(), [&](const auto& known) {
-              return known->name == address.name;
-            });
-        if (!known) add_replica_locked(address.name, address.endpoint);
-      }
-      if (!have_map_ || fresh.epoch >= map_.epoch) {
-        map_ = std::move(fresh);
-        have_map_ = true;
-      }
-      map_fetched_at_ = WallClock::now();
-      return;
+        replica->peer->get_map();
+    if (!fetched.is_ok()) continue;
+    MutexLock lock(mu_);
+    for (const ReplicaAddress& address : fetched->second) {
+      const bool known = std::any_of(
+          replicas_.begin(), replicas_.end(), [&](const auto& member) {
+            return member->name == address.name;
+          });
+      if (!known) add_replica_locked(address.name, address.endpoint);
     }
-    const ErrorCode code = fetched.status().code();
-    if (code != ErrorCode::kUnavailable && code != ErrorCode::kTimeout) {
-      // The replica answered but does not speak kGetMap: a plain
-      // single-master GnsServer deployment. Remember, don't re-ask.
-      MutexLock lock(mu_);
-      map_unsupported_ = true;
-      return;
-    }
+    if (fetched->first.epoch > map_.epoch) map_ = std::move(fetched->first);
+    return;
   }
 }
 
@@ -276,31 +215,27 @@ void ReplicatedNameService::record_failure(Replica& replica) {
   }
 }
 
-void ReplicatedNameService::store_lease(
-    const std::string& host, const std::string& path,
-    const std::optional<FileMapping>& mapping) {
-  if (options_.lease_ttl <= std::chrono::milliseconds::zero()) return;
+void ReplicatedNameService::note_version(Replica& replica,
+                                         std::uint64_t version) {
+  const std::uint64_t before = replica.version.exchange(version);
+  if (before == 0 || before == version) return;
   MutexLock lock(mu_);
-  leases_[{host, path}] = Lease{mapping, WallClock::now()};
-}
-
-std::optional<std::optional<FileMapping>> ReplicatedNameService::fresh_lease(
-    const std::string& host, const std::string& path) const {
-  if (options_.lease_ttl <= std::chrono::milliseconds::zero()) {
-    return std::nullopt;
-  }
-  MutexLock lock(mu_);
-  const auto it = leases_.find({host, path});
-  if (it == leases_.end()) return std::nullopt;
-  if (WallClock::now() - it->second.stored_at > options_.lease_ttl) {
-    return std::nullopt;
-  }
-  return it->second.mapping;
+  cache_.clear();
 }
 
 Result<std::optional<FileMapping>> ReplicatedNameService::lookup(
     const std::string& host, const std::string& path) {
-  refresh_map(/*force=*/false);
+  auto key = std::make_pair(host, path);
+  {
+    MutexLock lock(mu_);
+    const auto it = cache_.find(key);
+    if (it != cache_.end() &&
+        WallClock::now() - it->second.stored_at < kFreshFor) {
+      return it->second.mapping;
+    }
+  }
+  if (map_epoch() == 0) refresh_map();
+
   Status last = unavailable("gns: no replicas registered");
   bool degraded = false;  // some replica was skipped or failed first
   // Opened when the first replica fails or is skipped; covers the rest
@@ -313,15 +248,14 @@ Result<std::optional<FileMapping>> ReplicatedNameService::lookup(
                             strings::cat("gns.failover:", replica_name));
     }
   };
-  const auto attempt = [&](const std::vector<Replica*>& order)
-      -> std::optional<Result<std::optional<FileMapping>>> {
-    for (Replica* replica_ptr : order) {
+  const auto attempt = [&](const Walk& walk)
+      -> std::optional<Result<LookupReply>> {
+    for (Replica* replica_ptr : walk.order) {
       Replica& replica = *replica_ptr;
       // An expired budget ends the failover walk: trying yet another
       // replica only delays an answer the caller can no longer use.
       if (deadline_expired()) {
-        return Result<std::optional<FileMapping>>(
-            check_deadline("gns failover walk"));
+        return Result<LookupReply>(check_deadline("gns failover walk"));
       }
       if (!replica_alive(replica.name)) {
         last = unavailable(
@@ -334,11 +268,11 @@ Result<std::optional<FileMapping>> ReplicatedNameService::lookup(
         note_degraded(replica.name);
         continue;
       }
-      auto result = replica.client->lookup(host, path);
+      Result<LookupReply> result = replica.peer->lookup(host, path);
       if (result.is_ok()) {
         record_success(replica);
         if (degraded) GnsMetrics::get().failover.add();
-        store_lease(host, path, *result);
+        note_version(replica, result->version);
         return result;
       }
       if (result.status().code() != ErrorCode::kUnavailable) {
@@ -354,42 +288,59 @@ Result<std::optional<FileMapping>> ReplicatedNameService::lookup(
     return std::nullopt;
   };
 
-  if (auto answered = attempt(walk_order(host, path)); answered) {
-    return std::move(*answered);
+  const Walk walk = lookup_walk(host, path);
+  std::optional<Result<LookupReply>> answered = attempt(walk);
+  // An answer from a node on another map epoch may come from an owner
+  // that has handed the shard off, and an unanswered walk may have
+  // missed the roster's new members: refetch the map once and re-walk
+  // under the new epoch before accepting an answer or giving up.
+  if (!answered || (answered->is_ok() && (*answered)->epoch != walk.epoch)) {
+    refresh_map();
+    const Walk rewalk = lookup_walk(host, path);
+    if (rewalk.epoch != walk.epoch) answered = attempt(rewalk);
   }
-  // Every candidate failed. The map may be stale (mid-reconfiguration):
-  // revalidate once and re-walk under the new epoch before giving up.
-  const std::uint64_t stale_epoch = map_epoch();
-  refresh_map(/*force=*/true);
-  if (map_epoch() != stale_epoch) {
-    if (auto answered = attempt(walk_order(host, path)); answered) {
-      return std::move(*answered);
-    }
+  if (answered) {
+    if (!answered->is_ok()) return answered->status();
+    MutexLock lock(mu_);
+    cache_[std::move(key)] = Cached{(*answered)->mapping, WallClock::now()};
+    return std::move((*answered)->mapping);
   }
-  // Total outage: a warm lease keeps in-flight opens on their last known
-  // route; a cold lookup fails typed so callers can recover.
-  if (auto lease = fresh_lease(host, path); lease.has_value()) {
+  // Total outage: a recent answer keeps in-flight opens on their last
+  // known route; a cold lookup fails typed so callers can recover.
+  MutexLock lock(mu_);
+  const auto it = cache_.find(key);
+  if (it != cache_.end() &&
+      WallClock::now() - it->second.stored_at <= kStaleIfErrorFor) {
     GnsMetrics::get().lease_served.add();
-    return *lease;
+    return it->second.mapping;
   }
   return last;
 }
 
-Status ReplicatedNameService::write_mapped(const MappingRule& rule,
-                                           bool tombstone) {
+Status ReplicatedNameService::write(const MappingRule& rule,
+                                    bool tombstone) {
   Status last = unavailable("gns: no replicas registered");
-  for (Replica* replica_ptr : rule_order(rule)) {
+  for (Replica* replica_ptr : rule_walk(rule).order) {
     Replica& replica = *replica_ptr;
     if (!replica_alive(replica.name)) {
       last = unavailable(strings::cat("injected fault: gns ", replica.name));
       continue;
     }
     if (!admit(replica)) continue;
+    // A non-owner (the client's map is missing or stale) forwards the
+    // write to the shard's owner and replies with its own epoch.
     const Result<std::uint64_t> put_result =
-        replica.control->put(rule, tombstone, /*allow_forward=*/true);
+        replica.peer->put(rule, tombstone, /*allow_forward=*/true);
     if (put_result.is_ok()) {
       record_success(replica);
-      if (*put_result != map_epoch()) refresh_map(/*force=*/true);
+      if (*put_result != map_epoch()) refresh_map();
+      // Write-through invalidation: without it this client's own remap
+      // would stay invisible until its cached answer went stale.
+      MutexLock lock(mu_);
+      std::erase_if(cache_, [&](const auto& entry) {
+        return strings::glob_match(rule.host_pattern, entry.first.first) &&
+               strings::glob_match(rule.path_pattern, entry.first.second);
+      });
       return Status::ok();
     }
     if (put_result.status().code() == ErrorCode::kUnavailable) {
@@ -401,64 +352,15 @@ Status ReplicatedNameService::write_mapped(const MappingRule& rule,
 }
 
 Status ReplicatedNameService::add_rule(const MappingRule& rule) {
-  refresh_map(/*force=*/false);
-  Status written;
-  if (map_epoch() != 0) {
-    written = write_mapped(rule, /*tombstone=*/false);
-  } else {
-    // Single-master fallback: any healthy replica edits the shared db.
-    written = unavailable("gns: no replicas registered");
-    for (Replica* replica : replicas_snapshot()) {
-      if (!replica_alive(replica->name)) continue;
-      written = replica->client->add_rule(rule);
-      if (written.is_ok()) break;
-    }
-  }
-  if (written.is_ok()) {
-    invalidate_after_write(rule.host_pattern, rule.path_pattern);
-  }
-  return written;
+  return write(rule, /*tombstone=*/false);
 }
 
 Status ReplicatedNameService::remove_rule(const std::string& host_pattern,
                                           const std::string& path_pattern) {
-  refresh_map(/*force=*/false);
-  Status written;
-  if (map_epoch() != 0) {
-    MappingRule rule;
-    rule.host_pattern = host_pattern;
-    rule.path_pattern = path_pattern;
-    written = write_mapped(rule, /*tombstone=*/true);
-  } else {
-    written = unavailable("gns: no replicas registered");
-    for (Replica* replica : replicas_snapshot()) {
-      if (!replica_alive(replica->name)) continue;
-      const Result<std::size_t> removed =
-          replica->client->remove_rules(host_pattern, path_pattern);
-      written = removed.is_ok() ? Status::ok() : removed.status();
-      if (written.is_ok()) break;
-    }
-  }
-  if (written.is_ok()) invalidate_after_write(host_pattern, path_pattern);
-  return written;
-}
-
-void ReplicatedNameService::invalidate_after_write(
-    const std::string& host_pattern, const std::string& path_pattern) {
-  // Write-through invalidation: without this, a remap stayed invisible
-  // until every per-replica cache TTL expired — the stale-read window.
-  for (Replica* replica : replicas_snapshot()) {
-    replica->client->invalidate_cache();
-  }
-  MutexLock lock(mu_);
-  for (auto it = leases_.begin(); it != leases_.end();) {
-    if (strings::glob_match(host_pattern, it->first.first) &&
-        strings::glob_match(path_pattern, it->first.second)) {
-      it = leases_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  MappingRule rule;
+  rule.host_pattern = host_pattern;
+  rule.path_pattern = path_pattern;
+  return write(rule, /*tombstone=*/true);
 }
 
 BreakerState ReplicatedNameService::breaker_state(
@@ -473,9 +375,9 @@ BreakerState ReplicatedNameService::breaker_state(
   return BreakerState::kClosed;
 }
 
-std::size_t ReplicatedNameService::lease_count() const {
+std::size_t ReplicatedNameService::cache_size() const {
   MutexLock lock(mu_);
-  return leases_.size();
+  return cache_.size();
 }
 
 }  // namespace griddles::gns

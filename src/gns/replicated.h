@@ -1,33 +1,32 @@
-// Replicated GNS client face: one NameService over a replica set.
+// The GNS client: one name service over a GnsCluster's replicas.
 //
-// Against a multi-master deployment (gns::ReplicaNode / GnsCluster) the
-// service is shard-aware: it caches the cluster's ShardMap and walks
-// each key's rendezvous preference list (primary first), so reads land
-// on the replica that coordinated the latest write for that shard.
-// Against plain single-master GnsServers (which do not speak kGetMap)
-// it degrades to the old behaviour — replicas walked in registration
-// order over one shared database.
+// The service is shard-aware: it caches the cluster's ShardMap and walks
+// each key's rendezvous preference list (primary first, then every
+// other replica), so reads land on the replica that coordinated the
+// latest write for that shard. Every kLookup reply carries the
+// answering node's map epoch; when it differs from the epoch the walk
+// was routed by, the client refetches the map (kGetMap) once and
+// re-walks before it accepts an answer — so a client routing by an old
+// epoch never takes "no mapping" from an owner that has handed the
+// shard off and dropped it. A walk that nobody answers refetches the
+// map once too (the roster may have moved).
 //
-// Resilience per replica attempt (unchanged machinery):
+// Resilience per replica attempt:
 //   - circuit breakers: closed -> open after `failure_threshold`
 //     consecutive kUnavailable lookups, open -> half-open after a fixed
 //     `cooldown` (exactly ONE probe is admitted, counted by
 //     gns.breaker.probe), half-open -> closed on success;
 //   - failover: any replica's transient failure moves the walk to the
-//     next candidate (`gns.failover` counts lookups that survived);
-//   - mapping leases: every success is cached with a wall TTL and
-//     served only when every candidate is down (`gns.lease.served`).
+//     next candidate (`gns.failover` counts lookups that survived).
 //
-// Writes (add_rule/remove_rule) route to the shard's owner and then
-// WRITE-THROUGH INVALIDATE: every per-replica client cache is flushed
-// and matching leases are dropped, closing the stale-read window where
-// a remap was observable only after the client TTL expired.
-//
-// The cached shard map refreshes on a TTL shorter than the cluster's
-// handoff lease, and once more on a total walk failure — so runtime
-// replica add/remove never loses a lookup: stale-map reads hit the old
-// owner (still serving its lease), refreshed-map reads hit the primed
-// new owner.
+// One cache, keyed (host, path) and checked before any RPC:
+//   - an answer is served fresh for kFreshFor without asking a replica;
+//   - after that it is served only when every candidate replica fails,
+//     for at most kStaleIfErrorFor (`gns.lease.served`);
+//   - the whole table is flushed when a replica reports a lookup version
+//     other than the one it last reported (dynamic remapping, §3.1);
+//   - writes through this client drop the entries the rule shadows
+//     (write-through invalidation), so its own remaps show at once.
 #pragma once
 
 #include <atomic>
@@ -43,7 +42,6 @@
 
 #include "src/common/thread_annotations.h"
 #include "src/gns/multimaster.h"
-#include "src/gns/service.h"
 
 namespace griddles::gns {
 
@@ -51,9 +49,7 @@ namespace griddles::gns {
 /// machine (see DESIGN.md "Control-plane resilience").
 enum class BreakerState : std::uint8_t { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
 
-std::string_view breaker_state_name(BreakerState state) noexcept;
-
-class ReplicatedNameService final : public NameService {
+class ReplicatedNameService {
  public:
   struct Options {
     /// Consecutive kUnavailable lookups that open a replica's breaker.
@@ -61,55 +57,48 @@ class ReplicatedNameService final : public NameService {
     /// Wall time an open breaker waits before admitting the half-open
     /// probe lookup. Fixed, so schedules replay deterministically.
     std::chrono::milliseconds cooldown{250};
-    /// Wall-clock lifetime of a cached mapping lease; leases are served
-    /// only when every replica is down or skipped. Zero disables them.
-    std::chrono::milliseconds lease_ttl{30000};
-    /// Per-replica client cache TTL (see GnsClient).
-    std::chrono::milliseconds client_cache_ttl{200};
-    /// How long a cached ShardMap is trusted before revalidation; must
-    /// stay below the cluster's handoff lease so reconfiguration never
-    /// strands a client on a dropped shard. Zero refetches every lookup.
-    std::chrono::milliseconds map_refresh{500};
     net::WireFormat format = net::WireFormat::kBinary;
   };
+
+  /// How long a cached answer is served without asking a replica.
+  static constexpr std::chrono::milliseconds kFreshFor{200};
+  /// How long a cached answer may stand in when every replica fails.
+  static constexpr std::chrono::milliseconds kStaleIfErrorFor{30000};
 
   ReplicatedNameService(net::Transport& transport, Options options);
   explicit ReplicatedNameService(net::Transport& transport)
       : ReplicatedNameService(transport, Options{}) {}
 
   /// Registers a replica; `name` doubles as the fault-plan site key
-  /// (`die@gns:<name>`). Multi-master deployments may grow the roster
-  /// later via map refresh; single-master walks follow this order.
+  /// (`die@gns:<name>`). The roster also grows with the replicas a map
+  /// fetch reports.
   void add_replica(std::string name, net::Endpoint endpoint);
 
-  /// Resolves via the key's owner preference list (or registration
-  /// order without a map), failing over on transient errors; under
-  /// total outage serves a fresh lease or the last typed error.
-  Result<std::optional<FileMapping>> lookup(
-      const std::string& host, const std::string& path) override;
+  /// Resolves (host, path); nullopt = no mapping, use plain local IO.
+  /// Serves a fresh cached answer, else walks the key's owners, failing
+  /// over on transient errors; under total outage serves a cached
+  /// answer up to kStaleIfErrorFor old, or the last typed error.
+  Result<std::optional<FileMapping>> lookup(const std::string& host,
+                                            const std::string& path);
 
-  /// Coordinates a rule write on the shard's owner, then invalidates
-  /// every replica client cache and the leases the rule shadows
-  /// (multi-master; falls back to GnsClient::add_rule without a map).
+  /// Coordinates a rule write on the shard's first healthy owner, then
+  /// drops the cached answers the rule shadows.
   Status add_rule(const MappingRule& rule);
 
   /// Tombstones the rule keyed (host_pattern, path_pattern).
   Status remove_rule(const std::string& host_pattern,
                      const std::string& path_pattern);
 
-  std::size_t replica_count() const;
   BreakerState breaker_state(std::string_view name) const;
-  /// Leases currently held (tests).
-  std::size_t lease_count() const;
+  /// Cached (host, path) answers currently held (tests).
+  std::size_t cache_size() const;
   /// The cached map's epoch, 0 before any fetch (tests).
   std::uint64_t map_epoch() const;
 
  private:
   struct Replica {
     std::string name;
-    net::Endpoint endpoint;
-    std::unique_ptr<GnsClient> client;   // lookups (kLookup-compatible)
-    std::unique_ptr<PeerClient> control; // writes + map fetch
+    std::unique_ptr<PeerClient> peer;
     // lint: not-a-metric (breaker state machine, exported via gauges)
     std::atomic<std::uint8_t> state{
         static_cast<std::uint8_t>(BreakerState::kClosed)};
@@ -117,61 +106,57 @@ class ReplicatedNameService final : public NameService {
     std::atomic<int> failures{0};
     // lint: not-a-metric (wall timestamp of the open transition)
     std::atomic<std::int64_t> opened_at_ns{0};
+    // lint: not-a-metric (last lookup version reported; 0 = none yet)
+    std::atomic<std::uint64_t> version{0};
   };
 
-  struct Lease {
+  struct Cached {
     std::optional<FileMapping> mapping;
     WallClock::time_point stored_at{};
   };
 
-  /// Breaker gate: may this lookup attempt hit `replica`? Claims the
-  /// half-open probe slot when the cooldown has elapsed.
+  /// Candidate replicas in preference order, and the map epoch that
+  /// ordered them.
+  struct Walk {
+    std::vector<Replica*> order;
+    std::uint64_t epoch = 0;
+  };
+
+  /// Breaker gate: may this attempt hit `replica`? Claims the half-open
+  /// probe slot when the cooldown has elapsed.
   bool admit(Replica& replica);
   void record_success(Replica& replica);
   void record_failure(Replica& replica);
 
-  void store_lease(const std::string& host, const std::string& path,
-                   const std::optional<FileMapping>& mapping);
-  /// A still-fresh lease for (host, path), if any.
-  std::optional<std::optional<FileMapping>> fresh_lease(
-      const std::string& host, const std::string& path) const;
-
-  /// Revalidates the cached shard map when missing, expired, or
-  /// `force`d; grows the roster with replicas the cluster added. A
-  /// deployment that does not speak kGetMap is remembered and never
-  /// asked again (single-master mode).
-  void refresh_map(bool force);
+  /// Fetches the cluster's map from the first replica that answers,
+  /// keeps it when its epoch is newer, and grows the roster with the
+  /// replicas it names.
+  void refresh_map();
 
   std::vector<Replica*> replicas_snapshot() const;
-  /// Candidate order for (host, path): the shard's map owners first
-  /// (preference order), then every remaining replica as a stale-map
-  /// fallback; without a map, registration order.
-  std::vector<Replica*> walk_order(const std::string& host,
-                                   const std::string& path) const;
-  /// Candidate order for a rule write (shard_of_rule instead of
-  /// shard_of; glob rules route to the broadcast shard's owners).
-  std::vector<Replica*> rule_order(const MappingRule& rule) const;
+  /// The owners of `shard` under the cached map first, then every other
+  /// replica as a stale-map fallback.
+  Walk walk_for(std::uint32_t shard) const REQUIRES(mu_);
+  Walk lookup_walk(const std::string& host, const std::string& path) const;
+  Walk rule_walk(const MappingRule& rule) const;
   void add_replica_locked(std::string name, net::Endpoint endpoint)
       REQUIRES(mu_);
-  /// Multi-master write: coordinate on the first healthy owner.
-  Status write_mapped(const MappingRule& rule, bool tombstone);
 
-  /// Flushes every replica client cache and drops the leases matched
-  /// by (host_pattern, path_pattern) — the write-through invalidation.
-  void invalidate_after_write(const std::string& host_pattern,
-                              const std::string& path_pattern);
+  /// Flushes the whole cache when `replica` reports a lookup version
+  /// other than the one it last reported.
+  void note_version(Replica& replica, std::uint64_t version);
+
+  /// Coordinates a write (or tombstone) on the first healthy owner.
+  Status write(const MappingRule& rule, bool tombstone);
 
   net::Transport& transport_;
   const Options options_;
 
   mutable Mutex mu_;
   std::vector<std::unique_ptr<Replica>> replicas_ GUARDED_BY(mu_);
-  std::map<std::pair<std::string, std::string>, Lease> leases_
+  std::map<std::pair<std::string, std::string>, Cached> cache_
       GUARDED_BY(mu_);
   ShardMap map_ GUARDED_BY(mu_);
-  bool have_map_ GUARDED_BY(mu_) = false;
-  bool map_unsupported_ GUARDED_BY(mu_) = false;
-  WallClock::time_point map_fetched_at_ GUARDED_BY(mu_){};
 };
 
 }  // namespace griddles::gns

@@ -1,7 +1,6 @@
 // Per-replica versioned rule store for the multi-master GNS.
 //
-// Unlike gns::Database (one shared rule list, insertion-ordered), every
-// multi-master replica owns a ReplicaStore: shard buckets of
+// Every GNS replica owns a ReplicaStore: shard buckets of
 // (host_pattern, path_pattern) -> VersionedRule entries, where each
 // entry carries a vector clock, the coordinating replica's id, and a
 // Lamport priority used for rule precedence ("latest write wins" across

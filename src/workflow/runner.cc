@@ -12,7 +12,6 @@
 #include "src/core/tailing_client.h"
 #include "src/gns/antientropy.h"
 #include "src/gns/replicated.h"
-#include "src/gns/service.h"
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
 #include "src/remote/copier.h"
@@ -223,7 +222,6 @@ Result<WorkflowReport> WorkflowRunner::run(const WorkflowSpec& spec,
   gns::GnsCluster::Options cluster_options;
   cluster_options.num_shards =
       static_cast<std::uint32_t>(std::max(1, options.gns_shards));
-  cluster_options.ae_interval = std::chrono::milliseconds(100);
   ctx.gns = std::make_unique<gns::GnsCluster>(*ctx.service_transport,
                                               cluster_options);
   const int replicas = std::max(1, options.gns_replicas);
@@ -689,9 +687,7 @@ Result<TaskResult> WorkflowRunner::run_task(const WorkflowSpec& spec,
   GL_ASSIGN_OR_RETURN(testbed::MachineRuntime* machine,
                       testbed_.machine(task.machine));
   auto transport = testbed_.transport(task.machine);
-  gns::ReplicatedNameService::Options ns_options;
-  ns_options.client_cache_ttl = std::chrono::milliseconds(200);
-  gns::ReplicatedNameService name_service(*transport, ns_options);
+  gns::ReplicatedNameService name_service(*transport);
   for (const auto& [name, endpoint] : ctx.gns_endpoints) {
     name_service.add_replica(name, endpoint);
   }

@@ -3,7 +3,6 @@
 
 #include "src/apps/paper_apps.h"
 #include "src/common/tempfile.h"
-#include "src/gns/service.h"
 #include "src/net/inproc.h"
 
 namespace griddles::apps {

@@ -14,6 +14,7 @@
 #include "src/core/staged_client.h"
 #include "src/core/tailing_client.h"
 #include "src/core/transcode_client.h"
+#include "src/gns/antientropy.h"
 #include "src/gridbuffer/server.h"
 #include "src/net/inproc.h"
 #include "src/remote/file_server.h"
@@ -38,15 +39,17 @@ class FmTest : public ::testing::Test {
   FmTest()
       : dir_(*TempDir::create("fm-test")), network_(clock_),
         services_transport_(network_.transport("dione")),
-        gns_server_(db_, *services_transport_,
-                    net::inproc_endpoint("dione", "gns")),
+        gns_(*services_transport_, gns::GnsCluster::Options{}),
         buffer_server_(dir_.file("gbuf").string(), *services_transport_,
                        net::inproc_endpoint("dione", "gbuf")),
         file_server_(dir_.file("export"), *services_transport_,
                      net::inproc_endpoint("dione", "fs")),
         catalog_server_(catalog_, *services_transport_,
                         net::inproc_endpoint("dione", "rc")) {
-    EXPECT_TRUE(gns_server_.start().is_ok());
+    EXPECT_TRUE(
+        gns_.add_replica("gns-0", net::inproc_endpoint("dione", "gns"))
+            .is_ok());
+    EXPECT_TRUE(gns_.start().is_ok());
     EXPECT_TRUE(buffer_server_.start().is_ok());
     EXPECT_TRUE(file_server_.start().is_ok());
     EXPECT_TRUE(catalog_server_.start().is_ok());
@@ -57,13 +60,13 @@ class FmTest : public ::testing::Test {
     buffer_server_.stop();
     file_server_.stop();
     catalog_server_.stop();
-    gns_server_.stop();
+    gns_.stop();
   }
 
   /// Builds an FM for an application on `host`.
   struct Fm {
     std::unique_ptr<net::Transport> transport;
-    std::unique_ptr<gns::GnsClient> gns;
+    std::unique_ptr<gns::ReplicatedNameService> gns;
     std::unique_ptr<FileMultiplexer> fm;
     FileMultiplexer* operator->() { return fm.get(); }
     FileMultiplexer& operator*() { return *fm; }
@@ -72,8 +75,10 @@ class FmTest : public ::testing::Test {
   Fm make_fm(const std::string& host) {
     Fm out;
     out.transport = network_.transport(host);
-    out.gns = std::make_unique<gns::GnsClient>(*out.transport,
-                                               gns_server_.endpoint());
+    out.gns = std::make_unique<gns::ReplicatedNameService>(*out.transport);
+    for (const gns::ReplicaAddress& replica : gns_.endpoints()) {
+      out.gns->add_replica(replica.name, replica.endpoint);
+    }
     FileMultiplexer::Options options;
     options.host = host;
     options.local_root = dir_.file("root-" + host).string();
@@ -91,7 +96,7 @@ class FmTest : public ::testing::Test {
     rule.host_pattern = host;
     rule.path_pattern = path;
     rule.mapping = std::move(mapping);
-    db_.add_rule(rule);
+    ASSERT_TRUE(gns_.add_rule(std::move(rule)).is_ok());
   }
 
   /// Writes `data` via one FM fd and reads it back via another.
@@ -139,8 +144,7 @@ class FmTest : public ::testing::Test {
   RealClock clock_;
   net::InProcNetwork network_;
   std::unique_ptr<net::Transport> services_transport_;
-  gns::Database db_;
-  gns::GnsServer gns_server_;
+  gns::GnsCluster gns_;
   gridbuffer::GridBufferServer buffer_server_;
   remote::FileServer file_server_;
   replica::Catalog catalog_;

@@ -14,6 +14,7 @@
 #include "src/core/multiplexer.h"
 #include "src/fault/plan.h"
 #include "src/fault/retry.h"
+#include "src/gns/antientropy.h"
 #include "src/gridbuffer/server.h"
 #include "src/net/inproc.h"
 #include "src/obs/metrics.h"
@@ -252,8 +253,7 @@ class FaultFmTest : public ::testing::Test {
       : dir_(*TempDir::create("fault-fm")), network_(clock_),
         dione_transport_(network_.transport("dione")),
         vpac_transport_(network_.transport("vpac27")),
-        gns_server_(db_, *dione_transport_,
-                    net::inproc_endpoint("dione", "gns")),
+        gns_(*dione_transport_, gns::GnsCluster::Options{}),
         file_server_(dir_.file("export"), *dione_transport_,
                      net::inproc_endpoint("dione", "fs")),
         vpac_server_(dir_.file("export2"), *vpac_transport_,
@@ -261,7 +261,10 @@ class FaultFmTest : public ::testing::Test {
         catalog_server_(catalog_, *dione_transport_,
                         net::inproc_endpoint("dione", "rc")) {
     obs::MetricsRegistry::global().reset();
-    EXPECT_TRUE(gns_server_.start().is_ok());
+    EXPECT_TRUE(
+        gns_.add_replica("gns-0", net::inproc_endpoint("dione", "gns"))
+            .is_ok());
+    EXPECT_TRUE(gns_.start().is_ok());
     EXPECT_TRUE(file_server_.start().is_ok());
     EXPECT_TRUE(vpac_server_.start().is_ok());
     EXPECT_TRUE(catalog_server_.start().is_ok());
@@ -274,12 +277,12 @@ class FaultFmTest : public ::testing::Test {
     catalog_server_.stop();
     vpac_server_.stop();
     file_server_.stop();
-    gns_server_.stop();
+    gns_.stop();
   }
 
   struct Fm {
     std::unique_ptr<net::Transport> transport;
-    std::unique_ptr<gns::GnsClient> gns;
+    std::unique_ptr<gns::ReplicatedNameService> gns;
     std::unique_ptr<core::FileMultiplexer> fm;
     core::FileMultiplexer* operator->() { return fm.get(); }
   };
@@ -287,8 +290,10 @@ class FaultFmTest : public ::testing::Test {
   Fm make_fm(const std::string& host) {
     Fm out;
     out.transport = network_.transport(host);
-    out.gns = std::make_unique<gns::GnsClient>(*out.transport,
-                                               gns_server_.endpoint());
+    out.gns = std::make_unique<gns::ReplicatedNameService>(*out.transport);
+    for (const gns::ReplicaAddress& replica : gns_.endpoints()) {
+      out.gns->add_replica(replica.name, replica.endpoint);
+    }
     core::FileMultiplexer::Options options;
     options.host = host;
     options.local_root = dir_.file("root-" + host).string();
@@ -306,7 +311,7 @@ class FaultFmTest : public ::testing::Test {
     rule.host_pattern = host;
     rule.path_pattern = path;
     rule.mapping = std::move(mapping);
-    db_.add_rule(rule);
+    ASSERT_TRUE(gns_.add_rule(std::move(rule)).is_ok());
   }
 
   Bytes read_all(Fm& fm, const std::string& path) {
@@ -331,8 +336,7 @@ class FaultFmTest : public ::testing::Test {
   net::InProcNetwork network_;
   std::unique_ptr<net::Transport> dione_transport_;
   std::unique_ptr<net::Transport> vpac_transport_;
-  gns::Database db_;
-  gns::GnsServer gns_server_;
+  gns::GnsCluster gns_;
   remote::FileServer file_server_;
   remote::FileServer vpac_server_;
   replica::Catalog catalog_;
@@ -351,7 +355,7 @@ TEST_F(FaultFmTest, ProxyReadRetriesDroppedRpc) {
   mapping.remote_path = "p.bin";
   add_rule("jagan", "*proxy.dat", mapping);
 
-  ArmedPlan armed("seed=5;drop@rpc:jagan>dione:nth=2,count=1");
+  ArmedPlan armed("seed=5;drop@rpc:jagan>dione:nth=3,count=1");
   auto fm = make_fm("jagan");
   EXPECT_EQ(read_all(fm, "proxy.dat"), data);
   EXPECT_EQ(counter_value("fault.injected.drop"), 1u);

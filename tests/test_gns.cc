@@ -1,11 +1,15 @@
-// Tests for the GriddLeS Name Service: mapping model, database
-// semantics, config loading, server/client, cache behaviour, dynamic
-// remapping.
+// Tests for the GriddLeS Name Service: mapping model, rule semantics,
+// config loading, the client over a 1-node cluster, cache behaviour,
+// dynamic remapping.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "src/common/clock.h"
-#include "src/gns/service.h"
+#include "src/gns/antientropy.h"
+#include "src/gns/replicated.h"
 #include "src/net/inproc.h"
+#include "src/obs/metrics.h"
 
 namespace griddles::gns {
 namespace {
@@ -56,47 +60,90 @@ TEST(MappingTest, RuleMatching) {
   EXPECT_TRUE(rule.matches("anything", "/work/JOB.TH"));
 }
 
-TEST(DatabaseTest, LaterRulesWin) {
-  Database db;
-  MappingRule broad;
-  broad.host_pattern = "*";
-  broad.path_pattern = "*";
-  broad.mapping.mode = IoMode::kLocal;
-  db.add_rule(broad);
-  MappingRule specific;
-  specific.host_pattern = "jagan";
-  specific.path_pattern = "*JOB.SF";
-  specific.mapping.mode = IoMode::kGridBuffer;
-  db.add_rule(specific);
-
-  EXPECT_EQ(db.lookup("jagan", "/w/JOB.SF")->mode, IoMode::kGridBuffer);
-  EXPECT_EQ(db.lookup("jagan", "/w/other")->mode, IoMode::kLocal);
-  EXPECT_EQ(db.lookup("dione", "/w/JOB.SF")->mode, IoMode::kLocal);
+TEST(ConfigTest, RejectsMissingFields) {
+  auto config = Config::parse("[mapping:x]\nhost = jagan\n");
+  ASSERT_TRUE(config.is_ok());
+  EXPECT_FALSE(rules_from_config(*config).is_ok());
 }
 
-TEST(DatabaseTest, MissMeansNoMapping) {
-  Database db;
-  EXPECT_FALSE(db.lookup("jagan", "/x").has_value());
+/// The single-master deployment: a started 1-node GnsCluster on "dione"
+/// and a name-service client on "jagan".
+class GnsTest : public ::testing::Test {
+ protected:
+  GnsTest()
+      : network_(clock_), server_transport_(network_.transport("dione")),
+        client_transport_(network_.transport("jagan")),
+        cluster_(*server_transport_, GnsCluster::Options{}) {
+    EXPECT_TRUE(
+        cluster_.add_replica("gns-0", net::inproc_endpoint("dione", "gns"))
+            .is_ok());
+    EXPECT_TRUE(cluster_.start().is_ok());
+  }
+  ~GnsTest() override { cluster_.stop(); }
+
+  std::unique_ptr<ReplicatedNameService> make_service() {
+    auto service = std::make_unique<ReplicatedNameService>(*client_transport_);
+    for (const ReplicaAddress& replica : cluster_.endpoints()) {
+      service->add_replica(replica.name, replica.endpoint);
+    }
+    return service;
+  }
+
+  void add_rule(const std::string& host, const std::string& path,
+                FileMapping mapping) {
+    MappingRule rule;
+    rule.host_pattern = host;
+    rule.path_pattern = path;
+    rule.mapping = std::move(mapping);
+    ASSERT_TRUE(cluster_.add_rule(std::move(rule)).is_ok());
+  }
+
+  std::optional<FileMapping> lookup(const std::string& host,
+                                    const std::string& path) {
+    auto found = make_service()->lookup(host, path);
+    EXPECT_TRUE(found.is_ok()) << found.status();
+    return found.is_ok() ? *found : std::nullopt;
+  }
+
+  RealClock clock_;
+  net::InProcNetwork network_;
+  std::unique_ptr<net::Transport> server_transport_;
+  std::unique_ptr<net::Transport> client_transport_;
+  GnsCluster cluster_;
+};
+
+FileMapping mode_mapping(IoMode mode) {
+  FileMapping mapping;
+  mapping.mode = mode;
+  return mapping;
 }
 
-TEST(DatabaseTest, VersionBumpsOnEveryMutation) {
-  Database db;
-  const auto v0 = db.version();
-  MappingRule rule;
-  rule.host_pattern = "a";
-  rule.path_pattern = "b";
-  db.add_rule(rule);
-  const auto v1 = db.version();
+TEST_F(GnsTest, LaterRulesWin) {
+  add_rule("*", "*", mode_mapping(IoMode::kLocal));
+  add_rule("jagan", "*JOB.SF", mode_mapping(IoMode::kGridBuffer));
+
+  EXPECT_EQ(lookup("jagan", "/w/JOB.SF")->mode, IoMode::kGridBuffer);
+  EXPECT_EQ(lookup("jagan", "/w/other")->mode, IoMode::kLocal);
+  EXPECT_EQ(lookup("dione", "/w/JOB.SF")->mode, IoMode::kLocal);
+}
+
+TEST_F(GnsTest, MissMeansNoMapping) {
+  EXPECT_FALSE(lookup("jagan", "/x").has_value());
+}
+
+TEST_F(GnsTest, VersionBumpsOnEveryPut) {
+  const std::shared_ptr<ReplicaNode> node = cluster_.node("gns-0");
+  ASSERT_NE(node, nullptr);
+  const std::uint64_t v0 = node->version();
+  add_rule("a", "b", FileMapping{});
+  const std::uint64_t v1 = node->version();
   EXPECT_GT(v1, v0);
-  EXPECT_EQ(db.remove_rules("a", "b"), 1u);
-  EXPECT_GT(db.version(), v1);
-  // Removing nothing does not bump.
-  const auto v2 = db.version();
-  EXPECT_EQ(db.remove_rules("a", "b"), 0u);
-  EXPECT_EQ(db.version(), v2);
+  // A removal is a tombstone put: it versions like any write.
+  ASSERT_TRUE(cluster_.remove_rule("a", "b").is_ok());
+  EXPECT_GT(node->version(), v1);
 }
 
-TEST(DatabaseTest, LoadsFromConfig) {
+TEST_F(GnsTest, LoadsFromConfig) {
   auto config = Config::parse(R"(
 [mapping:sf]
 host = jagan
@@ -117,124 +164,83 @@ remote_path = data.bin
 access_fraction = 0.1
 )");
   ASSERT_TRUE(config.is_ok());
-  Database db;
-  ASSERT_TRUE(db.load_config(*config).is_ok());
-  const auto sf = db.lookup("jagan", "/work/JOB.SF");
+  auto rules = rules_from_config(*config);
+  ASSERT_TRUE(rules.is_ok()) << rules.status();
+  auto service = make_service();
+  for (const MappingRule& rule : *rules) {
+    ASSERT_TRUE(service->add_rule(rule).is_ok());
+  }
+  const auto sf = lookup("jagan", "/work/JOB.SF");
   ASSERT_TRUE(sf.has_value());
   EXPECT_EQ(sf->mode, IoMode::kGridBuffer);
   EXPECT_EQ(sf->block_size, 8192u);
   EXPECT_EQ(sf->reader_count, 2u);
   EXPECT_FALSE(sf->cache_enabled);
-  const auto remote = db.lookup("vpac27", "/data/input.nc");
+  const auto remote = lookup("vpac27", "/data/input.nc");
   ASSERT_TRUE(remote.has_value());
   EXPECT_EQ(remote->mode, IoMode::kRemoteProxy);
   EXPECT_DOUBLE_EQ(remote->access_fraction, 0.1);
 }
 
-TEST(ConfigTest, RejectsMissingFields) {
-  auto config = Config::parse("[mapping:x]\nhost = jagan\n");
-  ASSERT_TRUE(config.is_ok());
-  EXPECT_FALSE(rules_from_config(*config).is_ok());
-}
-
-class GnsServiceTest : public ::testing::Test {
- protected:
-  GnsServiceTest()
-      : network_(clock_), server_transport_(network_.transport("dione")),
-        client_transport_(network_.transport("jagan")),
-        server_(db_, *server_transport_,
-                net::inproc_endpoint("dione", "gns")) {
-    EXPECT_TRUE(server_.start().is_ok());
-  }
-  ~GnsServiceTest() override { server_.stop(); }
-
-  RealClock clock_;
-  net::InProcNetwork network_;
-  std::unique_ptr<net::Transport> server_transport_;
-  std::unique_ptr<net::Transport> client_transport_;
-  Database db_;
-  GnsServer server_;
-};
-
-TEST_F(GnsServiceTest, LookupThroughRpc) {
-  MappingRule rule;
-  rule.host_pattern = "jagan";
-  rule.path_pattern = "*";
-  rule.mapping = sample_mapping();
-  db_.add_rule(rule);
-
-  GnsClient client(*client_transport_, server_.endpoint());
-  auto found = client.lookup("jagan", "/anything");
+TEST_F(GnsTest, LookupThroughRpc) {
+  add_rule("jagan", "*", sample_mapping());
+  auto service = make_service();
+  auto found = service->lookup("jagan", "/anything");
   ASSERT_TRUE(found.is_ok());
   ASSERT_TRUE(found->has_value());
   EXPECT_EQ(**found, sample_mapping());
 
-  auto miss = client.lookup("dione", "/anything");
+  auto miss = service->lookup("dione", "/anything");
   ASSERT_TRUE(miss.is_ok());
   EXPECT_FALSE(miss->has_value());
 }
 
-TEST_F(GnsServiceTest, ClientEditsRules) {
-  GnsClient client(*client_transport_, server_.endpoint());
+TEST_F(GnsTest, ClientEditsRules) {
+  auto service = make_service();
   MappingRule rule;
   rule.host_pattern = "h";
   rule.path_pattern = "p";
   rule.mapping.mode = IoMode::kRemoteCopy;
-  ASSERT_TRUE(client.add_rule(rule).is_ok());
-  auto rules = client.list_rules();
-  ASSERT_TRUE(rules.is_ok());
-  ASSERT_EQ(rules->size(), 1u);
-  EXPECT_EQ((*rules)[0], rule);
-  auto removed = client.remove_rules("h", "p");
-  ASSERT_TRUE(removed.is_ok());
-  EXPECT_EQ(*removed, 1u);
-  EXPECT_EQ(client.list_rules()->size(), 0u);
+  ASSERT_TRUE(service->add_rule(rule).is_ok());
+  auto added = service->lookup("h", "p");
+  ASSERT_TRUE(added.is_ok()) << added.status();
+  ASSERT_TRUE(added->has_value());
+  EXPECT_EQ(**added, rule.mapping);
+
+  ASSERT_TRUE(service->remove_rule("h", "p").is_ok());
+  auto removed = service->lookup("h", "p");
+  ASSERT_TRUE(removed.is_ok()) << removed.status();
+  EXPECT_FALSE(removed->has_value());
 }
 
-TEST_F(GnsServiceTest, CacheServesRepeatLookups) {
-  GnsClient client(*client_transport_, server_.endpoint(),
-                   net::WireFormat::kBinary,
-                   std::chrono::milliseconds(10000));
-  ASSERT_TRUE(client.lookup("jagan", "/x").is_ok());
-  const auto hits_before = client.cache_hits();
-  ASSERT_TRUE(client.lookup("jagan", "/x").is_ok());
-  ASSERT_TRUE(client.lookup("jagan", "/x").is_ok());
-  EXPECT_EQ(client.cache_hits(), hits_before + 2);
+TEST_F(GnsTest, CacheServesRepeatLookups) {
+  auto service = make_service();
+  ASSERT_TRUE(service->lookup("jagan", "/x").is_ok());
+  // Counted server-side: a repeat inside the fresh window sends no RPC.
+  obs::Counter& requests =
+      obs::MetricsRegistry::global().counter("rpc.server.requests");
+  const std::uint64_t before = requests.value();
+  ASSERT_TRUE(service->lookup("jagan", "/x").is_ok());
+  ASSERT_TRUE(service->lookup("jagan", "/x").is_ok());
+  EXPECT_EQ(requests.value(), before);
 }
 
-TEST_F(GnsServiceTest, DynamicRemapInvalidatesCache) {
-  GnsClient client(*client_transport_, server_.endpoint(),
-                   net::WireFormat::kBinary,
-                   std::chrono::milliseconds(0));  // no caching
-  auto before = client.lookup("jagan", "/f");
+TEST_F(GnsTest, RemapVisibleOnceFreshWindowPasses) {
+  auto service = make_service();
+  auto before = service->lookup("jagan", "/f");
   ASSERT_TRUE(before.is_ok());
   EXPECT_FALSE(before->has_value());
 
   // Reconfigure mid-run — the paper's "changing some parameters in the
-  // GNS" with no application change.
-  MappingRule rule;
-  rule.host_pattern = "jagan";
-  rule.path_pattern = "/f";
-  rule.mapping.mode = IoMode::kGridBuffer;
-  db_.add_rule(rule);
+  // GNS" with no application change — from outside this client.
+  add_rule("jagan", "/f", mode_mapping(IoMode::kGridBuffer));
+  std::this_thread::sleep_for(ReplicatedNameService::kFreshFor +
+                              std::chrono::milliseconds(50));
 
-  auto after = client.lookup("jagan", "/f");
+  auto after = service->lookup("jagan", "/f");
   ASSERT_TRUE(after.is_ok());
   ASSERT_TRUE(after->has_value());
   EXPECT_EQ((*after)->mode, IoMode::kGridBuffer);
-}
-
-TEST_F(GnsServiceTest, VersionVisibleOverRpc) {
-  GnsClient client(*client_transport_, server_.endpoint());
-  const auto v0 = client.version();
-  ASSERT_TRUE(v0.is_ok());
-  MappingRule rule;
-  rule.host_pattern = "a";
-  rule.path_pattern = "b";
-  db_.add_rule(rule);
-  const auto v1 = client.version();
-  ASSERT_TRUE(v1.is_ok());
-  EXPECT_GT(*v1, *v0);
 }
 
 }  // namespace

@@ -369,7 +369,6 @@ TEST_F(GnsClusterTest, ReplicaAddAndRemoveLoseNoLookups) {
   }
 
   ReplicatedNameService::Options service_options;
-  service_options.map_refresh = std::chrono::milliseconds(100);
   auto service = make_service(*cluster, service_options);
 
   std::atomic<bool> stop{false};
@@ -390,9 +389,10 @@ TEST_F(GnsClusterTest, ReplicaAddAndRemoveLoseNoLookups) {
     }
   });
 
-  // Live reconfiguration under the reader: grow, then shrink. The map
-  // refresh TTL (100ms) sits well inside the handoff lease (1500ms), so
-  // stale-map reads still land on an owner that serves the shard.
+  // Live reconfiguration under the reader: grow, then shrink. A reply
+  // from a node on the new epoch makes the client refetch the map and
+  // re-walk; within the handoff lease (1500ms) even stale-map reads
+  // still land on an owner that serves the shard.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   ASSERT_TRUE(
       cluster->add_replica("gns-3", net::inproc_endpoint("gh", "gns-3"))
@@ -417,23 +417,111 @@ TEST_F(GnsClusterTest, ReplicaAddAndRemoveLoseNoLookups) {
   EXPECT_TRUE(late->has_value());
 }
 
+TEST_F(GnsClusterTest, StaleEpochClientRewalksAfterOwnerDropsShard) {
+  GnsCluster::Options options;
+  options.num_shards = 8;
+  options.replication = 1;  // one owner per shard: a handoff moves it
+  options.handoff_lease = std::chrono::milliseconds(20);
+  auto cluster = make_cluster(2, options);
+  auto service = make_service(*cluster);
+  ASSERT_TRUE(service->lookup("jagan", "/epoch/warm.dat").is_ok());
+  const ShardMap old_map = cluster->map();
+  ASSERT_EQ(service->map_epoch(), old_map.epoch);
+
+  // A key whose shard the joining gns-2 takes over from its old owner.
+  ShardMap new_map = old_map;
+  new_map.replicas.push_back("gns-2");
+  new_map.epoch = old_map.epoch + 1;
+  std::string path;
+  for (int i = 0; path.empty(); ++i) {
+    const std::string candidate = strings::cat("/epoch/f", i, ".dat");
+    if (new_map.owners(new_map.shard_of("jagan", candidate)).front() ==
+        "gns-2") {
+      path = candidate;
+    }
+  }
+  const std::uint32_t shard = old_map.shard_of("jagan", path);
+  const std::string old_owner = old_map.owners(shard).front();
+  ASSERT_TRUE(
+      cluster->add_rule(make_rule("jagan", path, IoMode::kGridBuffer))
+          .is_ok());
+  ASSERT_TRUE(
+      cluster->add_replica("gns-2", net::inproc_endpoint("gh", "gns-2"))
+          .is_ok());
+  ASSERT_EQ(cluster->map(), new_map);
+
+  // Past the handoff lease the next tick drops the shard on its old
+  // owner, which now answers "no mapping" for the key.
+  std::this_thread::sleep_for(options.handoff_lease +
+                              std::chrono::milliseconds(30));
+  cluster->run_antientropy_round();
+  EXPECT_FALSE(
+      cluster->node(old_owner)->store().lookup(shard, "jagan", path));
+
+  // The client still routes by the old epoch, so it asks the old owner
+  // first. Its reply carries the new epoch: the client must refetch the
+  // map and re-walk to gns-2 rather than accept "no mapping".
+  EXPECT_EQ(service->map_epoch(), old_map.epoch);
+  auto found = service->lookup("jagan", path);
+  ASSERT_TRUE(found.is_ok()) << found.status();
+  ASSERT_TRUE(found->has_value());
+  EXPECT_EQ((*found)->mode, IoMode::kGridBuffer);
+  EXPECT_EQ(service->map_epoch(), new_map.epoch);
+}
+
+TEST_F(GnsClusterTest, AntiEntropyLoopRunsOnlyWithAPairToSync) {
+  // Default options: a 100 ms background anti-entropy period.
+  GnsCluster cluster(*transport_, GnsCluster::Options{});
+  ASSERT_TRUE(
+      cluster.add_replica("solo-0", net::inproc_endpoint("gh", "solo-0"))
+          .is_ok());
+  ASSERT_TRUE(cluster.start().is_ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_EQ(counter_value("gns.antientropy.rounds"), 0u);
+
+  const auto rounds_rise = [](std::uint64_t from) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (counter_value("gns.antientropy.rounds") == from &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return counter_value("gns.antientropy.rounds") > from;
+  };
+
+  // Growing the live cluster to two members starts the loop.
+  ASSERT_TRUE(
+      cluster.add_replica("solo-1", net::inproc_endpoint("gh", "solo-1"))
+          .is_ok());
+  EXPECT_TRUE(rounds_rise(0));
+  cluster.stop();
+
+  // So does starting a cluster that already has two.
+  GnsCluster pair(*transport_, GnsCluster::Options{});
+  for (const char* name : {"pair-0", "pair-1"}) {
+    ASSERT_TRUE(
+        pair.add_replica(name, net::inproc_endpoint("gh", name)).is_ok());
+  }
+  const std::uint64_t before = counter_value("gns.antientropy.rounds");
+  ASSERT_TRUE(pair.start().is_ok());
+  EXPECT_TRUE(rounds_rise(before));
+  pair.stop();
+}
+
 TEST_F(GnsClusterTest, WriteThroughInvalidationClosesStaleReadWindow) {
   auto cluster = make_cluster(3);
   ASSERT_TRUE(
       cluster->add_rule(make_rule("jagan", "/inv/k.dat", IoMode::kLocal))
           .is_ok());
 
-  // Long client cache + lease TTLs: without write-through invalidation
-  // the remap below would stay invisible for the full 30s TTL.
-  ReplicatedNameService::Options options;
-  options.client_cache_ttl = std::chrono::seconds(30);
-  options.lease_ttl = std::chrono::seconds(30);
-  auto service = make_service(*cluster, options);
+  // Without write-through invalidation the remap below would stay
+  // invisible while the cached answer is fresh.
+  auto service = make_service(*cluster);
   auto before = service->lookup("jagan", "/inv/k.dat");
   ASSERT_TRUE(before.is_ok()) << before.status();
   ASSERT_TRUE(before->has_value());
   EXPECT_EQ((*before)->mode, IoMode::kLocal);
-  EXPECT_EQ(service->lease_count(), 1u);
+  EXPECT_EQ(service->cache_size(), 1u);
 
   ASSERT_TRUE(
       service->add_rule(make_rule("jagan", "/inv/k.dat",

@@ -10,7 +10,8 @@
 #include "src/common/tempfile.h"
 #include "src/core/multiplexer.h"
 #include "src/core/staged_client.h"
-#include "src/gns/service.h"
+#include "src/gns/antientropy.h"
+#include "src/gns/replicated.h"
 #include "src/gridbuffer/server.h"
 #include "src/net/tcp.h"
 #include "src/remote/file_server.h"
@@ -26,10 +27,10 @@ TEST(TcpIntegrationTest, FmRoutesOverRealSockets) {
   auto dir = TempDir::create("tcp-integration");
   net::TcpTransport transport;
 
-  gns::Database db;
-  gns::GnsServer gns_server(db, transport,
-                            net::tcp_endpoint("127.0.0.1", 0));
-  ASSERT_TRUE(gns_server.start().is_ok());
+  gns::GnsCluster gns(transport, gns::GnsCluster::Options{});
+  ASSERT_TRUE(
+      gns.add_replica("gns-0", net::tcp_endpoint("127.0.0.1", 0)).is_ok());
+  ASSERT_TRUE(gns.start().is_ok());
   gridbuffer::GridBufferServer buffer_server(
       dir->file("gbuf").string(), transport,
       net::tcp_endpoint("127.0.0.1", 0));
@@ -46,17 +47,20 @@ TEST(TcpIntegrationTest, FmRoutesOverRealSockets) {
     rule.mapping.mode = gns::IoMode::kGridBuffer;
     rule.mapping.channel = "tcp/stream";
     rule.mapping.buffer_endpoint = buffer_server.endpoint().to_string();
-    db.add_rule(rule);
+    ASSERT_TRUE(gns.add_rule(rule).is_ok());
     rule.path_pattern = "*remote.dat";
     rule.mapping.mode = gns::IoMode::kRemoteCopy;
     rule.mapping.channel.clear();
     rule.mapping.buffer_endpoint.clear();
     rule.mapping.remote_endpoint = file_server.endpoint().to_string();
     rule.mapping.remote_path = "remote.dat";
-    db.add_rule(rule);
+    ASSERT_TRUE(gns.add_rule(rule).is_ok());
   }
 
-  gns::GnsClient gns_client(transport, gns_server.endpoint());
+  gns::ReplicatedNameService gns_client(transport);
+  for (const gns::ReplicaAddress& replica : gns.endpoints()) {
+    gns_client.add_replica(replica.name, replica.endpoint);
+  }
   core::FileMultiplexer::Options options;
   options.host = "localhost";
   options.local_root = dir->file("work").string();
@@ -108,7 +112,7 @@ TEST(TcpIntegrationTest, FmRoutesOverRealSockets) {
 
   buffer_server.stop();
   file_server.stop();
-  gns_server.stop();
+  gns.stop();
 }
 
 // ---- Paper pipelines, small scale, all modes ---------------------------
@@ -288,8 +292,8 @@ TEST(FaultTest, GnsDownMakesOpensFailCleanly) {
   RealClock clock;
   net::InProcNetwork network(clock);
   auto transport = network.transport("jagan");
-  gns::GnsClient gns_client(*transport,
-                            net::inproc_endpoint("jagan", "nope"));
+  gns::ReplicatedNameService gns_client(*transport);
+  gns_client.add_replica("gns-0", net::inproc_endpoint("jagan", "nope"));
   core::FileMultiplexer::Options options;
   options.host = "jagan";
   options.local_root = dir->path().string();

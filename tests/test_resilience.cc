@@ -14,8 +14,8 @@
 #include "src/common/strings.h"
 #include "src/common/tempfile.h"
 #include "src/fault/plan.h"
+#include "src/gns/antientropy.h"
 #include "src/gns/replicated.h"
-#include "src/gns/service.h"
 #include "src/net/inproc.h"
 #include "src/nws/monitor.h"
 #include "src/obs/metrics.h"
@@ -60,50 +60,76 @@ class ReplicatedGnsTest : public ::testing::Test {
   ReplicatedGnsTest()
       : network_(clock_),
         server_transport_(network_.transport("dione")),
-        client_transport_(network_.transport("jagan")) {
+        client_transport_(network_.transport("jagan")),
+        cluster_(*server_transport_, cluster_options()) {
     obs::MetricsRegistry::global().reset();
     for (int i = 0; i < 2; ++i) {
-      servers_.push_back(std::make_unique<gns::GnsServer>(
-          db_, *server_transport_,
-          net::inproc_endpoint("dione", strings::cat("gns-", i))));
-      EXPECT_TRUE(servers_.back()->start().is_ok());
+      const std::string name = strings::cat("gns-", i);
+      EXPECT_TRUE(
+          cluster_.add_replica(name, net::inproc_endpoint("dione", name))
+              .is_ok());
     }
+    EXPECT_TRUE(cluster_.start().is_ok());
     gns::MappingRule rule;
     rule.host_pattern = "jagan";
     rule.path_pattern = "*";
     rule.mapping.mode = gns::IoMode::kLocal;
-    db_.add_rule(rule);
+    EXPECT_TRUE(cluster_.add_rule(rule).is_ok());
   }
   ~ReplicatedGnsTest() override {
     fault::disarm();
-    for (auto& server : servers_) server->stop();
+    cluster_.stop();
+  }
+
+  /// Every replica owns every shard; anti-entropy runs on manual ticks
+  /// only, so no background sync consults the armed fault plans.
+  static gns::GnsCluster::Options cluster_options() {
+    gns::GnsCluster::Options options;
+    options.replication = 0;
+    options.ae_interval = std::chrono::milliseconds(0);
+    return options;
   }
 
   std::unique_ptr<gns::ReplicatedNameService> make_service(
       gns::ReplicatedNameService::Options options) {
     auto service = std::make_unique<gns::ReplicatedNameService>(
         *client_transport_, options);
-    service->add_replica("gns-0", servers_[0]->endpoint());
-    service->add_replica("gns-1", servers_[1]->endpoint());
+    for (const gns::ReplicaAddress& replica : cluster_.endpoints()) {
+      service->add_replica(replica.name, replica.endpoint);
+    }
     return service;
   }
   std::unique_ptr<gns::ReplicatedNameService> make_service() {
     return make_service(gns::ReplicatedNameService::Options{});
   }
 
+  /// The `n`-th path whose shard's preference list starts with gns-0,
+  /// so a lookup of it tries gns-0 first. Each call site uses its own
+  /// `n`: a path looked up once is served from the client cache for
+  /// the fresh window and would not reach the replicas again.
+  std::string gns0_path(int n) const {
+    const gns::ShardMap map = cluster_.map();
+    for (int i = 0;; ++i) {
+      std::string path = strings::cat("/work/f", i, ".dat");
+      if (map.owners(map.shard_of("jagan", path)).front() == "gns-0" &&
+          n-- == 0) {
+        return path;
+      }
+    }
+  }
+
   RealClock clock_;
   net::InProcNetwork network_;
   std::unique_ptr<net::Transport> server_transport_;
   std::unique_ptr<net::Transport> client_transport_;
-  gns::Database db_;
-  std::vector<std::unique_ptr<gns::GnsServer>> servers_;
+  gns::GnsCluster cluster_;
 };
 
 TEST_F(ReplicatedGnsTest, LookupFailsOverWhenFirstReplicaDies) {
   ArmedPlan armed("seed=1;die@gns:gns-0");
   auto service = make_service();
 
-  auto result = service->lookup("jagan", "/work/a.dat");
+  auto result = service->lookup("jagan", gns0_path(0));
   ASSERT_TRUE(result.is_ok()) << result.status();
   ASSERT_TRUE(result->has_value());
   EXPECT_EQ((*result)->mode, gns::IoMode::kLocal);
@@ -112,8 +138,8 @@ TEST_F(ReplicatedGnsTest, LookupFailsOverWhenFirstReplicaDies) {
 
   // Enough consecutive failures open the dead replica's breaker; the
   // healthy one stays closed and keeps answering.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(service->lookup("jagan", "/work/a.dat").is_ok());
+  for (int i = 1; i <= 3; ++i) {
+    EXPECT_TRUE(service->lookup("jagan", gns0_path(i)).is_ok());
   }
   EXPECT_EQ(service->breaker_state("gns-0"), gns::BreakerState::kOpen);
   EXPECT_EQ(service->breaker_state("gns-1"), gns::BreakerState::kClosed);
@@ -123,12 +149,16 @@ TEST_F(ReplicatedGnsTest, LookupFailsOverWhenFirstReplicaDies) {
 
 TEST_F(ReplicatedGnsTest, WarmLeaseSurvivesTotalOutageColdLookupFails) {
   auto service = make_service();
-  // Warm the lease while the service is healthy.
+  // Warm the cache while the service is healthy.
   auto warm = service->lookup("jagan", "/work/warm.dat");
   ASSERT_TRUE(warm.is_ok());
   ASSERT_TRUE(warm->has_value());
-  EXPECT_EQ(service->lease_count(), 1u);
+  EXPECT_EQ(service->cache_size(), 1u);
 
+  // Past the fresh window the lookup must reach the replicas, which are
+  // all down: the cached answer stands in as a stale-if-error lease.
+  std::this_thread::sleep_for(gns::ReplicatedNameService::kFreshFor +
+                              std::chrono::milliseconds(50));
   ArmedPlan armed("seed=1;die@gns:*");
   auto leased = service->lookup("jagan", "/work/warm.dat");
   ASSERT_TRUE(leased.is_ok()) << leased.status();
@@ -149,33 +179,30 @@ TEST_F(ReplicatedGnsTest, OpenBreakerRecoversThroughHalfOpenProbe) {
   auto service = make_service(options);
   {
     ArmedPlan armed("seed=1;die@gns:gns-0");
-    ASSERT_TRUE(service->lookup("jagan", "/work/a.dat").is_ok());
+    ASSERT_TRUE(service->lookup("jagan", gns0_path(0)).is_ok());
     EXPECT_EQ(service->breaker_state("gns-0"), gns::BreakerState::kOpen);
   }
   // Replica is healthy again; after the cooldown one probe lookup is
   // admitted and a success closes the breaker.
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  EXPECT_TRUE(service->lookup("jagan", "/work/a.dat").is_ok());
+  EXPECT_TRUE(service->lookup("jagan", gns0_path(1)).is_ok());
   EXPECT_EQ(service->breaker_state("gns-0"), gns::BreakerState::kClosed);
   EXPECT_EQ(counter_value("gns.breaker.recovered"), 1u);
   EXPECT_EQ(gauge_value("gns.breaker.open"), 0);
 }
 
 TEST_F(ReplicatedGnsTest, WriteThroughInvalidationBeatsClientCacheTtl) {
-  // TTLs far beyond the test's lifetime: without write-through
-  // invalidation every remap below would stay invisible until the
-  // client cache expired (the stale-read window this closes).
-  gns::ReplicatedNameService::Options options;
-  options.client_cache_ttl = std::chrono::seconds(30);
-  options.lease_ttl = std::chrono::seconds(30);
-  auto service = make_service(options);
+  // The fresh window outlives the steps below: without write-through
+  // invalidation every remap would stay invisible until the cached
+  // answer went stale (the stale-read window this closes).
+  auto service = make_service();
 
   auto before = service->lookup("jagan", "/work/w.dat");
   ASSERT_TRUE(before.is_ok()) << before.status();
   ASSERT_TRUE(before->has_value());
   EXPECT_EQ((*before)->mode, gns::IoMode::kLocal);
 
-  // Remap the file while the old mapping is cached and leased.
+  // Remap the file while the old mapping is cached.
   gns::MappingRule remap;
   remap.host_pattern = "jagan";
   remap.path_pattern = "/work/w.dat";
@@ -202,21 +229,22 @@ TEST_F(ReplicatedGnsTest, HalfOpenAdmitsExactlyOneProbe) {
   auto service = make_service(options);
   {
     ArmedPlan armed("seed=1;die@gns:gns-0");
-    ASSERT_TRUE(service->lookup("jagan", "/work/a.dat").is_ok());
+    ASSERT_TRUE(service->lookup("jagan", gns0_path(0)).is_ok());
     EXPECT_EQ(service->breaker_state("gns-0"), gns::BreakerState::kOpen);
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
 
-  // Many concurrent lookups race for the half-open slot. The
-  // open->half-open transition is a single CAS, so exactly one caller
-  // wins the probe; the losers observe kHalfOpen and fail over to
-  // gns-1 instead of piling onto the recovering replica.
+  // Many concurrent lookups of a path not yet cached race for the
+  // half-open slot. The open->half-open transition is a single CAS, so
+  // exactly one caller wins the probe; the losers observe kHalfOpen and
+  // fail over to gns-1 instead of piling onto the recovering replica.
+  const std::string path = gns0_path(1);
   const std::uint64_t probes_before = counter_value("gns.breaker.probe");
   std::vector<std::thread> lookups;
   std::atomic<int> failures{0};
   for (int i = 0; i < 8; ++i) {
-    lookups.emplace_back([&service, &failures] {
-      auto result = service->lookup("jagan", "/work/a.dat");
+    lookups.emplace_back([&service, &failures, &path] {
+      auto result = service->lookup("jagan", path);
       if (!result.is_ok() || !result->has_value()) failures.fetch_add(1);
     });
   }

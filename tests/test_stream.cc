@@ -5,7 +5,8 @@
 
 #include "src/common/tempfile.h"
 #include "src/core/stream.h"
-#include "src/gns/service.h"
+#include "src/gns/antientropy.h"
+#include "src/gns/replicated.h"
 #include "src/gridbuffer/server.h"
 #include "src/net/inproc.h"
 
@@ -129,10 +130,10 @@ TEST(StreamBufferTest, LinesThroughAGridBufferChannel) {
   RealClock clock;
   net::InProcNetwork network(clock);
   auto service_transport = network.transport("dione");
-  gns::Database db;
-  gns::GnsServer gns_server(db, *service_transport,
-                            net::inproc_endpoint("dione", "gns"));
-  ASSERT_TRUE(gns_server.start().is_ok());
+  gns::GnsCluster gns(*service_transport, gns::GnsCluster::Options{});
+  ASSERT_TRUE(
+      gns.add_replica("gns-0", net::inproc_endpoint("dione", "gns")).is_ok());
+  ASSERT_TRUE(gns.start().is_ok());
   gridbuffer::GridBufferServer buffer_server(
       dir->file("gbuf").string(), *service_transport,
       net::inproc_endpoint("dione", "gbuf"));
@@ -143,10 +144,13 @@ TEST(StreamBufferTest, LinesThroughAGridBufferChannel) {
   rule.mapping.mode = gns::IoMode::kGridBuffer;
   rule.mapping.channel = "stream/feed";
   rule.mapping.buffer_endpoint = buffer_server.endpoint().to_string();
-  db.add_rule(rule);
+  ASSERT_TRUE(gns.add_rule(rule).is_ok());
 
   auto transport = network.transport("jagan");
-  gns::GnsClient gns_client(*transport, gns_server.endpoint());
+  gns::ReplicatedNameService gns_client(*transport);
+  for (const gns::ReplicaAddress& replica : gns.endpoints()) {
+    gns_client.add_replica(replica.name, replica.endpoint);
+  }
   FileMultiplexer::Options options;
   options.host = "jagan";
   options.local_root = dir->file("work").string();
@@ -177,7 +181,7 @@ TEST(StreamBufferTest, LinesThroughAGridBufferChannel) {
   producer.join();
   EXPECT_EQ(count, kLines);
   buffer_server.stop();
-  gns_server.stop();
+  gns.stop();
 }
 
 }  // namespace

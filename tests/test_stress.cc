@@ -7,7 +7,8 @@
 #include <thread>
 
 #include "src/common/tempfile.h"
-#include "src/gns/service.h"
+#include "src/gns/antientropy.h"
+#include "src/gns/replicated.h"
 #include "src/gridbuffer/client.h"
 #include "src/gridbuffer/server.h"
 #include "src/net/inproc.h"
@@ -163,22 +164,33 @@ TEST(StressTest, GnsUnderConcurrentLookupsAndEdits) {
   RealClock clock;
   net::InProcNetwork network(clock);
   auto server_transport = network.transport("dione");
-  gns::Database db;
-  gns::GnsServer server(db, *server_transport,
-                        net::inproc_endpoint("dione", "gns"));
-  ASSERT_TRUE(server.start().is_ok());
+  gns::GnsCluster cluster(*server_transport, gns::GnsCluster::Options{});
+  ASSERT_TRUE(
+      cluster.add_replica("gns-0", net::inproc_endpoint("dione", "gns"))
+          .is_ok());
+  ASSERT_TRUE(cluster.start().is_ok());
+  const auto make_service = [&](net::Transport& transport) {
+    auto service = std::make_unique<gns::ReplicatedNameService>(transport);
+    for (const gns::ReplicaAddress& replica : cluster.endpoints()) {
+      service->add_replica(replica.name, replica.endpoint);
+    }
+    return service;
+  };
 
+  // 100 edits over 10 keys: key h<k> is written by edits k, k+10, ...,
+  // each with its own block size, so the last edit's mapping must win.
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
   std::thread editor([&] {
     auto transport = network.transport("brecca");
-    gns::GnsClient client(*transport, server.endpoint());
+    auto client = make_service(*transport);
     for (int i = 0; i < 100; ++i) {
       gns::MappingRule rule;
       rule.host_pattern = "h" + std::to_string(i % 10);
       rule.path_pattern = "*";
       rule.mapping.mode = gns::IoMode::kGridBuffer;
-      if (!client.add_rule(rule).is_ok()) ++failures;
+      rule.mapping.block_size = static_cast<std::uint32_t>(1000 + i);
+      if (!client->add_rule(rule).is_ok()) ++failures;
     }
     stop = true;
   });
@@ -186,10 +198,10 @@ TEST(StressTest, GnsUnderConcurrentLookupsAndEdits) {
   for (int r = 0; r < 4; ++r) {
     readers.emplace_back([&, r] {
       auto transport = network.transport("jagan");
-      gns::GnsClient client(*transport, server.endpoint());
+      auto client = make_service(*transport);
       while (!stop) {
         auto mapping =
-            client.lookup("h" + std::to_string(r), "/some/file");
+            client->lookup("h" + std::to_string(r), "/some/file");
         if (!mapping.is_ok()) ++failures;
       }
     });
@@ -197,8 +209,20 @@ TEST(StressTest, GnsUnderConcurrentLookupsAndEdits) {
   editor.join();
   for (auto& reader : readers) reader.join();
   EXPECT_EQ(failures, 0);
-  EXPECT_EQ(db.rules().size(), 100u);
-  server.stop();
+
+  // The store keys rules by pattern pair: one live rule per key.
+  const std::shared_ptr<gns::ReplicaNode> node = cluster.node("gns-0");
+  ASSERT_NE(node, nullptr);
+  EXPECT_EQ(node->store().live_count(), 10u);
+  auto transport = network.transport("jagan");
+  auto fresh = make_service(*transport);
+  for (int k = 0; k < 10; ++k) {
+    auto mapping = fresh->lookup("h" + std::to_string(k), "/some/file");
+    ASSERT_TRUE(mapping.is_ok()) << mapping.status();
+    ASSERT_TRUE(mapping->has_value()) << k;
+    EXPECT_EQ((*mapping)->block_size, static_cast<std::uint32_t>(1090 + k));
+  }
+  cluster.stop();
 }
 
 TEST(StressTest, ManyHandlesOnOneFileServer) {
