@@ -62,7 +62,8 @@ struct TableConfig {
 inline bool write_spans(const TableConfig& config) {
   if (config.spans_path.empty()) return true;
   const Status wrote = obs::write_text_file(
-      config.spans_path, obs::SpanCollector::global().drain_chrome_json());
+      config.spans_path,
+      obs::to_chrome_json(obs::SpanCollector::global().drain()));
   if (!wrote.is_ok()) {
     std::fprintf(stderr, "cannot write spans: %s\n",
                  wrote.to_string().c_str());

@@ -8,11 +8,15 @@
 //
 // Telemetry (see DESIGN.md "Observability" and §11 "Causal tracing"):
 //   --metrics=<file|->   dump a JSON metrics snapshot after the run
-//   --trace=<file|->     record per-file IO spans, dump as JSON lines
-//   --spans=<file|->     record causal spans, dump as Chrome
+//   --trace=<file|->     per-file IO trace: record causal spans, dump
+//                        each descriptor's `file` span (open to close,
+//                        with byte and call counts) as one Chrome
+//                        trace-event JSON line
+//   --spans=<file|->     record causal spans, dump all of them as Chrome
 //                        trace-event/Perfetto JSON (load in
 //                        chrome://tracing, or analyze with
 //                        tools/tracepath.py)
+// Both views come from one drain of the same span records.
 //
 // Telemetry output paths are probed up front (a bad path exits 2 before
 // any work runs), reports are dumped even when the run itself fails
@@ -75,7 +79,6 @@
 #include "src/fault/plan.h"
 #include "src/obs/export.h"
 #include "src/obs/span.h"
-#include "src/obs/trace.h"
 #include "src/sched/scheduler.h"
 #include "src/workflow/runner.h"
 
@@ -211,8 +214,9 @@ Result<int> run_from_config(const Config& config, const CliOptions& cli) {
     }
   }
   testbed::TestbedRuntime testbed(1.0 / scale, scratch_root, byte_scale);
-  // With --spans= active, stamp spans with model time from this run's
-  // testbed clock; the guard unhooks it before the testbed dies.
+  // With --spans= or --trace= active, stamp spans with model time from
+  // this run's testbed clock; the guard unhooks it before the testbed
+  // dies.
   struct ModelClockScope {
     explicit ModelClockScope(const Clock* clock) {
       if (obs::SpanCollector::global().enabled()) {
@@ -331,13 +335,19 @@ Status dump_telemetry(const std::string& metrics_path,
   if (!metrics_path.empty()) {
     note(obs::write_json_file(metrics_path, obs::snapshot()));
   }
+  if (trace_path.empty() && spans_path.empty()) return first;
+  const auto spans = obs::SpanCollector::global().drain();
   if (!trace_path.empty()) {
-    note(obs::write_text_file(trace_path,
-                              obs::IoTracer::global().drain_json_lines()));
+    std::string lines;
+    for (const auto& span : spans) {
+      if (span.kind != obs::SpanKind::kFile) continue;
+      lines += obs::to_chrome_event(span);
+      lines.push_back('\n');
+    }
+    note(obs::write_text_file(trace_path, lines));
   }
   if (!spans_path.empty()) {
-    note(obs::write_text_file(
-        spans_path, obs::SpanCollector::global().drain_chrome_json()));
+    note(obs::write_text_file(spans_path, obs::to_chrome_json(spans)));
   }
   return first;
 }
@@ -397,8 +407,9 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (!trace_path.empty()) obs::IoTracer::global().enable(true);
-  if (!spans_path.empty()) obs::SpanCollector::global().enable(true);
+  if (!trace_path.empty() || !spans_path.empty()) {
+    obs::SpanCollector::global().enable(true);
+  }
 
   Result<Config> config = invalid_argument("unset");
   if (input == "--demo") {

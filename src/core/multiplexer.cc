@@ -8,7 +8,7 @@
 #include "src/core/tailing_client.h"
 #include "src/core/transcode_client.h"
 #include "src/gridbuffer/file_client.h"
-#include "src/obs/span.h"
+#include "src/obs/export.h"
 #include "src/remote/remote_client.h"
 #include "src/replica/replicated_client.h"
 #include "src/vfs/local_client.h"
@@ -128,15 +128,18 @@ Result<int> FileMultiplexer::open(const std::string& path,
   FmMetrics::get().open_latency_s.observe(
       to_seconds_d(WallClock::now() - decision_start));
 
-  OpenFile file;
-  file.span.host = options_.host;
-  file.span.path = canonical;
-  file.span.mode = built.mode;
-  file.span.open_s = to_seconds_d(clock().now());
-  file.span.wall_open_s = obs::SpanCollector::global().wall_now_s();
-  file.client = std::move(built.client);
   open_span.add_attr("host", options_.host);
   open_span.add_attr("mode", built.mode);
+  open_span.end();  // the file span is the caller's child, not the open's
+
+  OpenFile file;
+  file.client = std::move(built.client);
+  file.span = obs::Span::detached(obs::SpanKind::kFile,
+                                  strings::cat("file:", canonical));
+  if (file.span != nullptr) {
+    file.span->add_attr("host", options_.host);
+    file.span->add_attr("mode", built.mode);
+  }
 
   MutexLock lock(mu_);
   const int fd = next_fd_++;
@@ -347,7 +350,7 @@ Result<std::size_t> FileMultiplexer::read(int fd, MutableByteSpan out) {
     }
     file = it->second.client.get();
   }
-  const bool tracing = obs::IoTracer::global().enabled();
+  const bool tracing = obs::SpanCollector::global().enabled();
   const WallClock::time_point start =
       tracing ? WallClock::now() : WallClock::time_point{};
   auto got = file->read(out);
@@ -359,16 +362,16 @@ Result<std::size_t> FileMultiplexer::read(int fd, MutableByteSpan out) {
       MutexLock lock(mu_);
       const auto it = files_.find(fd);
       if (it != files_.end()) {
-        it->second.span.reads += 1;
-        it->second.span.bytes_read += *got;
-        it->second.span.read_wait_s += waited;
+        it->second.reads += 1;
+        it->second.bytes_read += *got;
+        it->second.read_wait_s += waited;
       }
     }
   } else if (tracing && (got.status().code() == ErrorCode::kUnavailable ||
                          got.status().code() == ErrorCode::kDataLoss)) {
     MutexLock lock(mu_);
     const auto it = files_.find(fd);
-    if (it != files_.end()) it->second.span.faults += 1;
+    if (it != files_.end()) it->second.faults += 1;
   }
   return got;
 }
@@ -383,24 +386,24 @@ Result<std::size_t> FileMultiplexer::write(int fd, ByteSpan data) {
     }
     file = it->second.client.get();
   }
+  const bool tracing = obs::SpanCollector::global().enabled();
   auto put = file->write(data);
   if (put.is_ok()) {
     counters_.bytes_written.add(*put);
     FmMetrics::get().bytes_written.add(*put);
-    if (obs::IoTracer::global().enabled()) {
+    if (tracing) {
       MutexLock lock(mu_);
       const auto it = files_.find(fd);
       if (it != files_.end()) {
-        it->second.span.writes += 1;
-        it->second.span.bytes_written += *put;
+        it->second.writes += 1;
+        it->second.bytes_written += *put;
       }
     }
-  } else if (obs::IoTracer::global().enabled() &&
-             (put.status().code() == ErrorCode::kUnavailable ||
-              put.status().code() == ErrorCode::kDataLoss)) {
+  } else if (tracing && (put.status().code() == ErrorCode::kUnavailable ||
+                         put.status().code() == ErrorCode::kDataLoss)) {
     MutexLock lock(mu_);
     const auto it = files_.find(fd);
-    if (it != files_.end()) it->second.span.faults += 1;
+    if (it != files_.end()) it->second.faults += 1;
   }
   return put;
 }
@@ -413,7 +416,7 @@ Result<std::uint64_t> FileMultiplexer::seek(int fd, std::int64_t offset,
     return invalid_argument(strings::cat("bad descriptor ", fd));
   }
   vfs::FileClient* file = it->second.client.get();
-  it->second.span.seeks += 1;
+  it->second.seeks += 1;
   lock.unlock();  // seeks on buffer streams can block awaiting EOF
   return file->seek(offset, whence);
 }
@@ -452,9 +455,17 @@ Status FileMultiplexer::flush(int fd) {
 Status FileMultiplexer::finish_file(OpenFile file) {
   // Closing outside the lock: staged files copy back, buffers drain.
   const Status closed = file.client->close();
-  file.span.close_s = to_seconds_d(clock().now());
-  file.span.wall_close_s = obs::SpanCollector::global().wall_now_s();
-  obs::IoTracer::global().record(std::move(file.span));
+  if (file.span != nullptr) {
+    obs::Span& span = *file.span;
+    span.add_attr("bytes_read", std::to_string(file.bytes_read));
+    span.add_attr("bytes_written", std::to_string(file.bytes_written));
+    span.add_attr("reads", std::to_string(file.reads));
+    span.add_attr("writes", std::to_string(file.writes));
+    span.add_attr("seeks", std::to_string(file.seeks));
+    span.add_attr("read_wait_s", obs::json_number(file.read_wait_s));
+    span.add_attr("faults", std::to_string(file.faults));
+    span.end();
+  }
   return closed;
 }
 

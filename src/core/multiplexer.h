@@ -20,7 +20,7 @@
 #include "src/common/thread_annotations.h"
 #include "src/gns/replicated.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/span.h"
 #include "src/gridbuffer/file_client.h"
 #include "src/net/transport.h"
 #include "src/nws/forecast.h"
@@ -115,10 +115,21 @@ class FileMultiplexer {
     std::unique_ptr<vfs::FileClient> client;
     const char* mode = "local";
   };
-  /// An open descriptor: the client and its in-progress trace span.
+  /// An open descriptor: the client, its `file` span (null while the
+  /// span collector is off) and the IO counts that span reports at
+  /// close. Reads and writes are counted only while the collector is on.
   struct OpenFile {
     std::unique_ptr<vfs::FileClient> client;
-    obs::IoSpan span;
+    std::unique_ptr<obs::Span> span;
+    std::uint64_t bytes_read = 0;
+    std::uint64_t bytes_written = 0;
+    std::uint64_t reads = 0;
+    std::uint64_t writes = 0;
+    std::uint64_t seeks = 0;
+    double read_wait_s = 0;  // wall seconds blocked inside read calls
+    /// Reads/writes that surfaced a fault-class Status (kUnavailable or
+    /// kDataLoss), injected or real.
+    std::uint64_t faults = 0;
   };
   /// This multiplexer's routing counters (atomic, lock-free); stats()
   /// snapshots them. The same increments also land in the process-wide
@@ -148,7 +159,7 @@ class FileMultiplexer {
   /// fallback when both are set, otherwise whichever one exists (null
   /// if neither).
   nws::LinkEstimator* link_estimator() const;
-  /// Closes the client and emits its trace span (caller dropped it from
+  /// Closes the client and ends its `file` span (caller dropped it from
   /// files_ already).
   Status finish_file(OpenFile file);
 

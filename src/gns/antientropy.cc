@@ -77,8 +77,7 @@ void GnsCluster::install(const ShardMap& map) {
 }
 
 Status GnsCluster::add_replica(std::string name, net::Endpoint bind) {
-  auto joining = std::make_shared<ReplicaNode>(name, transport_, bind,
-                                               options_.format);
+  auto joining = std::make_shared<ReplicaNode>(name, transport_, bind);
   ShardMap old_map;
   ShardMap new_map;
   std::vector<std::shared_ptr<ReplicaNode>> peers;

@@ -42,7 +42,6 @@ class GnsCluster {
     std::uint32_t num_shards = 8;
     /// Owners per shard; 0 = every replica owns every shard.
     std::uint32_t replication = 0;
-    net::WireFormat format = net::WireFormat::kBinary;
     /// Background anti-entropy period while the cluster has two or more
     /// members; zero means manual ticks only (tests drive
     /// run_antientropy_round() themselves).

@@ -40,9 +40,8 @@ std::string sync_pair_key(std::string_view a, std::string_view b) {
 // ---------------------------------------------------------------------------
 // PeerClient
 
-PeerClient::PeerClient(net::Transport& transport, net::Endpoint server,
-                       net::WireFormat format)
-    : rpc_(transport, std::move(server), format) {}
+PeerClient::PeerClient(net::Transport& transport, net::Endpoint server)
+    : rpc_(transport, std::move(server)) {}
 
 Result<LookupReply> PeerClient::lookup(const std::string& host,
                                        const std::string& path) {
@@ -116,16 +115,6 @@ Status PeerClient::replicate(std::uint32_t shard,
   return Status::ok();
 }
 
-Status PeerClient::install_map(const ShardMap& map) {
-  xdr::Encoder enc;
-  map.encode(enc);
-  GL_ASSIGN_OR_RETURN(
-      const Buffer reply,
-      rpc_.call(method_id(PeerMethod::kInstallMap), enc.buffer()));
-  (void)reply;
-  return Status::ok();
-}
-
 Result<std::pair<ShardMap, std::vector<ReplicaAddress>>>
 PeerClient::get_map() {
   GL_ASSIGN_OR_RETURN(const Buffer reply,
@@ -150,12 +139,11 @@ PeerClient::get_map() {
 // ReplicaNode
 
 ReplicaNode::ReplicaNode(std::string name, net::Transport& transport,
-                         net::Endpoint bind, net::WireFormat format)
+                         net::Endpoint bind)
     : name_(std::move(name)),
       transport_(transport),
-      format_(format),
       store_(name_),
-      rpc_(transport, std::move(bind), format) {
+      rpc_(transport, std::move(bind)) {
   register_handlers();
 }
 
@@ -201,8 +189,8 @@ std::shared_ptr<PeerClient> ReplicaNode::peer_client(
   const auto it = peers_.find(peer);
   if (it == peers_.end()) return nullptr;
   if (it->second.client == nullptr) {
-    it->second.client = std::make_shared<PeerClient>(
-        transport_, it->second.endpoint, format_);
+    it->second.client =
+        std::make_shared<PeerClient>(transport_, it->second.endpoint);
   }
   return it->second.client;
 }
@@ -469,14 +457,6 @@ void ReplicaNode::register_handlers() {
                          encode_versioned(e, entry);
                        });
         return std::move(enc).finish();
-      });
-  rpc_.register_method(
-      method_id(PeerMethod::kInstallMap),
-      [this](const Buffer& request, const net::RpcContext&) -> Result<Buffer> {
-        xdr::Decoder dec(request);
-        GL_ASSIGN_OR_RETURN(ShardMap map, ShardMap::decode(dec));
-        set_map(std::move(map));
-        return Buffer{};
       });
   rpc_.register_method(
       method_id(PeerMethod::kGetMap),

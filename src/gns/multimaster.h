@@ -52,7 +52,6 @@ enum class PeerMethod : std::uint16_t {
   kReplicate = 7,   // owner -> co-owner push of one versioned entry
   kDigests = 8,     // per-shard digests of the callee's store
   kExchange = 9,    // bidirectional entry swap for one divergent shard
-  kInstallMap = 10, // push a higher-epoch ShardMap
   kGetMap = 11,     // current map + (name, endpoint) roster
 };
 
@@ -73,8 +72,7 @@ struct LookupReply {
 /// RpcClient serialises calls).
 class PeerClient {
  public:
-  PeerClient(net::Transport& transport, net::Endpoint server,
-             net::WireFormat format = net::WireFormat::kBinary);
+  PeerClient(net::Transport& transport, net::Endpoint server);
 
   Result<LookupReply> lookup(const std::string& host,
                              const std::string& path);
@@ -94,7 +92,6 @@ class PeerClient {
       std::uint32_t shard, const std::vector<VersionedRule>& mine);
 
   Status replicate(std::uint32_t shard, const VersionedRule& entry);
-  Status install_map(const ShardMap& map);
   Result<std::pair<ShardMap, std::vector<ReplicaAddress>>> get_map();
 
  private:
@@ -106,8 +103,7 @@ class PeerClient {
 class ReplicaNode {
  public:
   ReplicaNode(std::string name, net::Transport& transport,
-              net::Endpoint bind,
-              net::WireFormat format = net::WireFormat::kBinary);
+              net::Endpoint bind);
 
   Status start() { return rpc_.start(); }
   void stop() { rpc_.stop(); }
@@ -179,7 +175,6 @@ class ReplicaNode {
 
   const std::string name_;
   net::Transport& transport_;
-  const net::WireFormat format_;
   ReplicaStore store_;
   net::RpcServer rpc_;
 

@@ -69,8 +69,7 @@ void ReplicatedNameService::add_replica_locked(std::string name,
                                                net::Endpoint endpoint) {
   auto replica = std::make_unique<Replica>();
   replica->name = std::move(name);
-  replica->peer = std::make_unique<PeerClient>(transport_, std::move(endpoint),
-                                               options_.format);
+  replica->peer = std::make_unique<PeerClient>(transport_, std::move(endpoint));
   replicas_.push_back(std::move(replica));
 }
 

@@ -57,7 +57,6 @@ class ReplicatedNameService {
     /// Wall time an open breaker waits before admitting the half-open
     /// probe lookup. Fixed, so schedules replay deterministically.
     std::chrono::milliseconds cooldown{250};
-    net::WireFormat format = net::WireFormat::kBinary;
   };
 
   /// How long a cached answer is served without asking a replica.

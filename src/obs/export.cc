@@ -1,6 +1,5 @@
 #include "src/obs/export.h"
 
-#include <cctype>
 #include <charconv>
 #include <cstdio>
 #include <fstream>
@@ -132,210 +131,6 @@ std::string to_json(const MetricsSnapshot& snapshot) {
       });
   out.push_back('}');
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Strict recursive-descent parser over the exporter's own grammar.
-
-namespace {
-
-class JsonReader {
- public:
-  explicit JsonReader(std::string_view text) : text_(text) {}
-
-  Status expect(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      return invalid_argument(
-          strings::cat("metrics json: expected '", c, "' at offset ", pos_));
-    }
-    ++pos_;
-    return Status::ok();
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  Result<std::string> string() {
-    GL_RETURN_IF_ERROR(expect('"'));
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case 'n': c = '\n'; break;
-          case 'r': c = '\r'; break;
-          case 't': c = '\t'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              return invalid_argument("metrics json: truncated \\u escape");
-            }
-            unsigned code = 0;
-            const auto [end, ec] = std::from_chars(
-                text_.data() + pos_, text_.data() + pos_ + 4, code, 16);
-            if (ec != std::errc{} || end != text_.data() + pos_ + 4) {
-              return invalid_argument("metrics json: bad \\u escape");
-            }
-            pos_ += 4;
-            c = static_cast<char>(code);  // exporter only escapes < 0x20
-            break;
-          }
-          default:
-            return invalid_argument(
-                strings::cat("metrics json: unknown escape \\", esc));
-        }
-      }
-      out.push_back(c);
-    }
-    GL_RETURN_IF_ERROR(expect('"'));
-    return out;
-  }
-
-  Result<double> number() {
-    skip_ws();
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    double value = 0;
-    const auto [end, ec] = std::from_chars(text_.data() + start,
-                                           text_.data() + pos_, value);
-    if (ec != std::errc{} || end != text_.data() + pos_ || start == pos_) {
-      return invalid_argument(
-          strings::cat("metrics json: bad number at offset ", start));
-    }
-    return value;
-  }
-
-  Status at_end() {
-    skip_ws();
-    if (pos_ != text_.size()) {
-      return invalid_argument(
-          strings::cat("metrics json: trailing data at offset ", pos_));
-    }
-    return Status::ok();
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-/// Parses `"key":{"name":<value>,...}` via `value(reader)` per entry.
-template <typename ValueFn>
-Status parse_section(JsonReader& reader, const char* key, ValueFn value) {
-  GL_ASSIGN_OR_RETURN(const std::string got, reader.string());
-  if (got != key) {
-    return invalid_argument(
-        strings::cat("metrics json: expected section '", key, "', got '",
-                     got, "'"));
-  }
-  GL_RETURN_IF_ERROR(reader.expect(':'));
-  GL_RETURN_IF_ERROR(reader.expect('{'));
-  if (reader.consume('}')) return Status::ok();
-  do {
-    GL_ASSIGN_OR_RETURN(const std::string name, reader.string());
-    GL_RETURN_IF_ERROR(reader.expect(':'));
-    GL_RETURN_IF_ERROR(value(name, reader));
-  } while (reader.consume(','));
-  return reader.expect('}');
-}
-
-Result<std::vector<double>> parse_number_array(JsonReader& reader) {
-  GL_RETURN_IF_ERROR(reader.expect('['));
-  std::vector<double> out;
-  if (reader.consume(']')) return out;
-  do {
-    GL_ASSIGN_OR_RETURN(const double value, reader.number());
-    out.push_back(value);
-  } while (reader.consume(','));
-  GL_RETURN_IF_ERROR(reader.expect(']'));
-  return out;
-}
-
-}  // namespace
-
-Result<MetricsSnapshot> parse_snapshot(std::string_view json) {
-  JsonReader reader(json);
-  MetricsSnapshot snap;
-  GL_RETURN_IF_ERROR(reader.expect('{'));
-  GL_RETURN_IF_ERROR(parse_section(
-      reader, "counters", [&](const std::string& name, JsonReader& r) {
-        GL_ASSIGN_OR_RETURN(const double value, r.number());
-        snap.counters[name] = static_cast<std::uint64_t>(value);
-        return Status::ok();
-      }));
-  GL_RETURN_IF_ERROR(reader.expect(','));
-  GL_RETURN_IF_ERROR(parse_section(
-      reader, "gauges", [&](const std::string& name, JsonReader& r) {
-        GL_ASSIGN_OR_RETURN(const double value, r.number());
-        snap.gauges[name] = static_cast<std::int64_t>(value);
-        return Status::ok();
-      }));
-  GL_RETURN_IF_ERROR(reader.expect(','));
-  GL_RETURN_IF_ERROR(parse_section(
-      reader, "histograms", [&](const std::string& name, JsonReader& r) {
-        MetricsSnapshot::HistogramData data;
-        GL_RETURN_IF_ERROR(r.expect('{'));
-        GL_ASSIGN_OR_RETURN(std::string key, r.string());
-        if (key != "bounds") {
-          return invalid_argument("metrics json: histogram missing bounds");
-        }
-        GL_RETURN_IF_ERROR(r.expect(':'));
-        GL_ASSIGN_OR_RETURN(data.bounds, parse_number_array(r));
-        GL_RETURN_IF_ERROR(r.expect(','));
-        GL_ASSIGN_OR_RETURN(key, r.string());
-        if (key != "counts") {
-          return invalid_argument("metrics json: histogram missing counts");
-        }
-        GL_RETURN_IF_ERROR(r.expect(':'));
-        GL_ASSIGN_OR_RETURN(const std::vector<double> counts,
-                            parse_number_array(r));
-        for (const double c : counts) {
-          data.counts.push_back(static_cast<std::uint64_t>(c));
-        }
-        GL_RETURN_IF_ERROR(r.expect(','));
-        GL_ASSIGN_OR_RETURN(key, r.string());
-        if (key != "count") {
-          return invalid_argument("metrics json: histogram missing count");
-        }
-        GL_RETURN_IF_ERROR(r.expect(':'));
-        GL_ASSIGN_OR_RETURN(const double count, r.number());
-        data.count = static_cast<std::uint64_t>(count);
-        GL_RETURN_IF_ERROR(r.expect(','));
-        GL_ASSIGN_OR_RETURN(key, r.string());
-        if (key != "sum") {
-          return invalid_argument("metrics json: histogram missing sum");
-        }
-        GL_RETURN_IF_ERROR(r.expect(':'));
-        GL_ASSIGN_OR_RETURN(data.sum, r.number());
-        GL_RETURN_IF_ERROR(r.expect('}'));
-        snap.histograms[name] = std::move(data);
-        return Status::ok();
-      }));
-  GL_RETURN_IF_ERROR(reader.expect('}'));
-  GL_RETURN_IF_ERROR(reader.at_end());
-  return snap;
 }
 
 Status write_text_file(const std::string& path, std::string_view content) {

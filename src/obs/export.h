@@ -1,6 +1,6 @@
-// Snapshot/ToJson exporter for the metrics registry, plus the strict
-// mini-parser that reads the exporter's own output back (bench
-// comparison tooling, round-trip tests).
+// Snapshot/ToJson exporter for the metrics registry, plus the JSON and
+// file-writing helpers the span exporters share. The tools that read
+// these files back (tools/, perfbench/) are Python.
 #pragma once
 
 #include <cstdint>
@@ -38,10 +38,6 @@ MetricsSnapshot snapshot(
 ///    "histograms":{"name":{"bounds":[...],"counts":[...],
 ///                          "count":N,"sum":S}, ...}}
 std::string to_json(const MetricsSnapshot& snapshot);
-
-/// Parses to_json() output back into a snapshot (strict: accepts exactly
-/// the exporter's shape plus arbitrary whitespace).
-Result<MetricsSnapshot> parse_snapshot(std::string_view json);
 
 /// `"..."` with the JSON escapes the exporter needs (quote, backslash,
 /// control characters).

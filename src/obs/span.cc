@@ -94,6 +94,8 @@ std::string_view span_kind_name(SpanKind kind) noexcept {
       return "deadline_expired";
     case SpanKind::kConflict:
       return "conflict";
+    case SpanKind::kFile:
+      return "file";
     case SpanKind::kOther:
       return "other";
   }
@@ -203,11 +205,10 @@ std::string to_chrome_event(const SpanRecord& record) {
   return out;
 }
 
-std::string SpanCollector::drain_chrome_json() {
-  std::vector<SpanRecord> spans = drain();
+std::string to_chrome_json(const std::vector<SpanRecord>& records) {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
-  for (const SpanRecord& record : spans) {
+  for (const SpanRecord& record : records) {
     if (!first) out += ",\n";
     first = false;
     out += to_chrome_event(record);
@@ -235,7 +236,15 @@ Span::Span(SpanKind kind, std::string_view name, TraceContext parent) {
   start(kind, name, parent);
 }
 
-void Span::start(SpanKind kind, std::string_view name, TraceContext parent) {
+std::unique_ptr<Span> Span::detached(SpanKind kind, std::string_view name) {
+  if (!SpanCollector::global().enabled()) return nullptr;
+  std::unique_ptr<Span> span(new Span());
+  span->start(kind, name, g_current_context, /*install=*/false);
+  return span;
+}
+
+void Span::start(SpanKind kind, std::string_view name, TraceContext parent,
+                 bool install) {
   SpanCollector& collector = SpanCollector::global();
   active_ = true;
   record_.kind = kind;
@@ -250,6 +259,7 @@ void Span::start(SpanKind kind, std::string_view name, TraceContext parent) {
   }
   record_.wall_start_s = collector.wall_now_s();
   record_.model_start_s = collector.model_now_s();
+  if (!install) return;
   saved_ = g_current_context;
   g_current_context = TraceContext{record_.trace_id, record_.span_id};
   installed_ = true;

@@ -1,13 +1,15 @@
 // Causal tracing: per-workflow span trees with cross-thread and
 // cross-RPC context propagation (see DESIGN.md §11 "Causal tracing").
 //
-// Where the IoTracer (trace.h) answers "what did this descriptor do",
-// spans answer "why did the run take this long": every span carries a
-// (trace_id, span_id, parent_id) triple, so an exported run reassembles
-// into the tree workflow -> stage -> open/copy/rpc/buffer-wait/retry,
-// and tools/tracepath.py can walk the tree backwards from the end of the
-// run to name the critical path and attribute wall time to compute,
-// buffer waits, network transfers and fault retries.
+// Spans are the one tracing model. Every span carries a (trace_id,
+// span_id, parent_id) triple, so an exported run reassembles into the
+// tree workflow -> stage -> open/copy/rpc/buffer-wait/retry, and
+// tools/tracepath.py can walk the tree backwards from the end of the run
+// to name the critical path and attribute wall time to compute, buffer
+// waits, network transfers and fault retries. The per-file IO trace is a
+// view over the same records: the File Multiplexer keeps one detached
+// `file` span per descriptor (open to close, with byte and call counts
+// as attributes), and `workflow_cli --trace=` writes just those.
 //
 // Overhead contract: tracing is off by default, and a disabled hook is
 // ONE relaxed atomic load (Span's constructor checks and records
@@ -34,6 +36,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -64,6 +67,7 @@ enum class SpanKind : std::uint8_t {
   kConflict,    // one divergent GNS write pair joined deterministically
   kShed,        // a request rejected by admission control (overload)
   kDeadlineExpired,  // work abandoned because its budget ran out
+  kFile,        // one FileMultiplexer descriptor, open to close (detached)
   kOther,
 };
 
@@ -78,7 +82,7 @@ struct TraceContext {
 };
 
 /// One finished span. Carries both clocks: model seconds (testbed time,
-/// comparable with IoSpan/TaskResult numbers) and wall seconds since the
+/// comparable with TaskResult numbers) and wall seconds since the
 /// collector's process-wide origin (what the Chrome trace timeline and
 /// the critical path use).
 struct SpanRecord {
@@ -128,8 +132,8 @@ class SpanCollector {
   /// Current model seconds (0 when no clock is registered).
   double model_now_s() const noexcept;
 
-  /// Wall seconds since the collector's origin (shared with IoSpan's
-  /// wall stamps so both exports align on one timeline).
+  /// Wall seconds since the collector's origin (the timeline every
+  /// span's wall stamps share).
   double wall_now_s() const noexcept {
     return to_seconds_d(WallClock::now() - wall_origin_);
   }
@@ -148,10 +152,6 @@ class SpanCollector {
   /// their next batch boundary or thread exit, so drain after joining
   /// the workers whose spans matter.
   std::vector<SpanRecord> drain();
-
-  /// Drains and renders everything as a Chrome trace-event / Perfetto
-  /// JSON object (load the file in chrome://tracing or ui.perfetto.dev).
-  std::string drain_chrome_json();
 
   /// Spans dropped on central-store overflow since construction (also
   /// mirrored into the `obs.span.dropped` counter).
@@ -184,8 +184,12 @@ class SpanCollector {
   std::size_t capacity_ GUARDED_BY(mu_) = kDefaultCapacity;
 };
 
-/// Renders one span as a Chrome trace-event object (exposed for tests).
+/// Renders one span as a Chrome trace-event object (one line, no \n).
 std::string to_chrome_event(const SpanRecord& record);
+
+/// Renders spans as a Chrome trace-event / Perfetto JSON document (load
+/// the file in chrome://tracing or ui.perfetto.dev).
+std::string to_chrome_json(const std::vector<SpanRecord>& records);
 
 /// The calling thread's current trace context (invalid when none).
 TraceContext current_context() noexcept;
@@ -222,6 +226,12 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
+  /// A child of the thread's current context that is NOT installed as
+  /// the current context, so it may outlive the scope that opened it and
+  /// end on any thread without disturbing the stack of spans opened
+  /// meanwhile. Null when the collector is disabled.
+  static std::unique_ptr<Span> detached(SpanKind kind, std::string_view name);
+
   /// Attaches a key=value attribute (no-op when inactive).
   void add_attr(std::string_view key, std::string_view value);
 
@@ -237,7 +247,9 @@ class Span {
   TraceContext context() const noexcept;
 
  private:
-  void start(SpanKind kind, std::string_view name, TraceContext parent);
+  Span() = default;
+  void start(SpanKind kind, std::string_view name, TraceContext parent,
+             bool install = true);
 
   bool active_ = false;
   bool ended_ = false;

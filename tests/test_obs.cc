@@ -1,17 +1,20 @@
 // Tests for src/obs: registry counters under contention, histogram
-// bucket edges, JSON export round-trip, tracer spans, and an end-to-end
-// check that workflow runs feed the expected per-mode FM counters.
+// bucket edges, the exact JSON export, the File Multiplexer's per-file
+// `file` spans, and an end-to-end check that workflow runs feed the
+// expected per-mode FM counters and file spans.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/apps/paper_apps.h"
 #include "src/common/tempfile.h"
+#include "src/core/multiplexer.h"
 #include "src/obs/export.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/span.h"
 #include "src/workflow/runner.h"
 #include "tests/test_scaling.h"
 
@@ -131,7 +134,7 @@ TEST(RegistryTest, ConcurrentRegistrationAndIncrement) {
   }
 }
 
-TEST(ExportTest, JsonRoundTrip) {
+TEST(ExportTest, JsonIsExact) {
   obs::MetricsRegistry registry;
   registry.counter("fm.open.local").add(42);
   registry.counter("weird \"name\"\n").add(7);
@@ -142,74 +145,115 @@ TEST(ExportTest, JsonRoundTrip) {
   histogram.observe(0.05);
   histogram.observe(5.0);
 
-  const obs::MetricsSnapshot before = obs::snapshot(registry);
-  const std::string json = obs::to_json(before);
-  auto parsed = obs::parse_snapshot(json);
-  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
-
-  EXPECT_EQ(parsed->counters, before.counters);
-  EXPECT_EQ(parsed->gauges, before.gauges);
-  ASSERT_EQ(parsed->histograms.size(), 1u);
-  const auto& h = parsed->histograms.at("fm.open.latency_s");
-  EXPECT_EQ(h.bounds, std::vector<double>({0.001, 0.1}));
-  EXPECT_EQ(h.counts, std::vector<std::uint64_t>({1, 1, 1}));
-  EXPECT_EQ(h.count, 3u);
-  EXPECT_NEAR(h.sum, 5.0505, 1e-9);
+  const std::string json = obs::to_json(obs::snapshot(registry));
+  EXPECT_EQ(json,
+            "{\"counters\":{\"fm.open.local\":42,"
+            "\"weird \\\"name\\\"\\n\":7},"
+            "\"gauges\":{\"gridbuffer.bytes.buffered\":-12},"
+            "\"histograms\":{\"fm.open.latency_s\":{"
+            "\"bounds\":[0.001,0.1],\"counts\":[1,1,1],"
+            "\"count\":3,\"sum\":5.0505}}}");
 }
 
-TEST(ExportTest, ParserRejectsMalformedInput) {
-  EXPECT_FALSE(obs::parse_snapshot("").is_ok());
-  EXPECT_FALSE(obs::parse_snapshot("{}").is_ok());
-  EXPECT_FALSE(obs::parse_snapshot("{\"counters\":{").is_ok());
-  const std::string valid = obs::to_json(obs::MetricsSnapshot{});
-  EXPECT_TRUE(obs::parse_snapshot(valid).is_ok());
-  EXPECT_FALSE(obs::parse_snapshot(valid + "trailing").is_ok());
+/// The `file` spans among drained records.
+std::vector<obs::SpanRecord> file_spans(std::vector<obs::SpanRecord> spans) {
+  std::erase_if(spans, [](const obs::SpanRecord& span) {
+    return span.kind != obs::SpanKind::kFile;
+  });
+  return spans;
 }
 
-TEST(TracerTest, DisabledTracerRecordsNothing) {
-  obs::IoTracer& tracer = obs::IoTracer::global();
-  tracer.enable(false);
-  (void)tracer.drain();
-  obs::IoSpan span;
-  span.path = "/ignored";
-  tracer.record(span);
-  EXPECT_TRUE(tracer.drain().empty());
+/// A span attribute's value ("" when absent).
+std::string attr(const obs::SpanRecord& span, std::string_view key) {
+  for (const auto& [name, value] : span.attrs) {
+    if (name == key) return value;
+  }
+  return "";
 }
 
-TEST(TracerTest, SpanJsonLineHasEveryField) {
-  obs::IoSpan span;
-  span.host = "jagan";
-  span.path = "/data/OUT.DAT";
-  span.mode = "buffer";
-  span.open_s = 1.5;
-  span.close_s = 9.25;
-  span.wall_open_s = 0.25;
-  span.wall_close_s = 0.75;
-  span.bytes_read = 10;
-  span.bytes_written = 20;
-  span.reads = 1;
-  span.writes = 2;
-  span.seeks = 3;
-  span.read_wait_s = 0.5;
-  span.faults = 4;
-  const std::string line = obs::to_json_line(span);
-  EXPECT_EQ(line,
-            "{\"host\":\"jagan\",\"path\":\"/data/OUT.DAT\","
-            "\"mode\":\"buffer\",\"open_s\":1.5,\"close_s\":9.25,"
-            "\"wall_open_s\":0.25,\"wall_close_s\":0.75,"
-            "\"bytes_read\":10,\"bytes_written\":20,\"reads\":1,"
-            "\"writes\":2,\"seeks\":3,\"read_wait_s\":0.5,\"faults\":4}");
+std::uint64_t count_attr(const obs::SpanRecord& span, std::string_view key) {
+  return std::stoull(attr(span, key));
+}
+
+/// Opens one local file through a File Multiplexer, writes three chunks,
+/// seeks back once, reads twice and closes; returns the spans drained
+/// afterwards.
+std::vector<obs::SpanRecord> run_local_file_io() {
+  auto scratch = TempDir::create("obs-file-span");
+  EXPECT_TRUE(scratch.is_ok());
+  core::FileMultiplexer::Options options;
+  options.host = "jagan";
+  options.local_root = scratch->path().string();
+  core::FileMultiplexer fm(options);
+  auto fd = fm.open("OUT.DAT", {.read = true,
+                                .write = true,
+                                .create = true,
+                                .truncate = true});
+  EXPECT_TRUE(fd.is_ok()) << fd.status().to_string();
+  if (!fd.is_ok()) return {};
+  const Bytes chunk(250, std::byte{7});
+  for (const std::size_t n : {100, 250, 150}) {
+    EXPECT_TRUE(fm.write(*fd, ByteSpan(chunk.data(), n)).is_ok());
+  }
+  EXPECT_TRUE(fm.seek(*fd, 0, vfs::Whence::kSet).is_ok());
+  Bytes out(200);
+  for (int i = 0; i < 2; ++i) {
+    auto got = fm.read(*fd, MutableByteSpan(out.data(), out.size()));
+    EXPECT_TRUE(got.is_ok() && *got == out.size());
+  }
+  EXPECT_TRUE(fm.close(*fd).is_ok());
+  return obs::SpanCollector::global().drain();
+}
+
+TEST(FileSpanTest, DisabledCollectorRecordsNoFileSpan) {
+  obs::SpanCollector& collector = obs::SpanCollector::global();
+  collector.enable(false);
+  (void)collector.drain();
+  EXPECT_TRUE(file_spans(run_local_file_io()).empty());
+}
+
+TEST(FileSpanTest, LocalFileCountsAreExact) {
+  obs::SpanCollector& collector = obs::SpanCollector::global();
+  collector.enable(true);
+  (void)collector.drain();
+  const std::vector<obs::SpanRecord> spans = file_spans(run_local_file_io());
+  collector.enable(false);
+
+  ASSERT_EQ(spans.size(), 1u);
+  const obs::SpanRecord& span = spans[0];
+  EXPECT_NE(span.name.find("file:/"), std::string::npos) << span.name;
+  EXPECT_NE(span.name.find("/OUT.DAT"), std::string::npos) << span.name;
+  EXPECT_EQ(attr(span, "host"), "jagan");
+  EXPECT_EQ(attr(span, "mode"), "local");
+  EXPECT_EQ(count_attr(span, "writes"), 3u);
+  EXPECT_EQ(count_attr(span, "bytes_written"), 500u);
+  EXPECT_EQ(count_attr(span, "seeks"), 1u);
+  EXPECT_EQ(count_attr(span, "reads"), 2u);
+  EXPECT_EQ(count_attr(span, "bytes_read"), 400u);
+  EXPECT_EQ(count_attr(span, "faults"), 0u);
+  EXPECT_GE(std::stod(attr(span, "read_wait_s")), 0.0);
+  EXPECT_GE(span.wall_end_s, span.wall_start_s);
+
+  // The --trace view is this record's Chrome event: every count is there.
+  const std::string line = obs::to_chrome_event(span);
+  EXPECT_NE(line.find("\"cat\":\"file\""), std::string::npos) << line;
+  for (const char* key : {"host", "mode", "bytes_read", "bytes_written",
+                          "reads", "writes", "seeks", "read_wait_s",
+                          "faults"}) {
+    EXPECT_NE(line.find(obs::json_quote(key) + ":"), std::string::npos)
+        << key << " missing from " << line;
+  }
 }
 
 // End-to-end: the same pipeline run with staged files and with Grid
 // Buffers must land its opens in the matching per-mode counters, and the
-// tracer must see the spans.
+// span collector must see one `file` span per descriptor.
 class WorkflowTelemetryTest : public ::testing::Test {
  protected:
   struct ModeDeltas {
     std::uint64_t local = 0;
     std::uint64_t buffer = 0;
-    std::vector<obs::IoSpan> spans;
+    std::vector<obs::SpanRecord> spans;  // the run's `file` spans
   };
 
   static ModeDeltas run_pipeline(workflow::CouplingMode mode) {
@@ -218,15 +262,16 @@ class WorkflowTelemetryTest : public ::testing::Test {
         registry.counter("fm.open.local").value();
     const std::uint64_t buffer_before =
         registry.counter("fm.open.buffer").value();
-    obs::IoTracer& tracer = obs::IoTracer::global();
-    tracer.enable(true);
-    (void)tracer.drain();
+    obs::SpanCollector& collector = obs::SpanCollector::global();
+    collector.enable(true);
+    (void)collector.drain();
 
     auto scratch = TempDir::create("obs-telemetry");
     EXPECT_TRUE(scratch.is_ok());
     testbed::TestbedRuntime testbed(
         test_support::kClockScale / 4000.0, scratch->path().string(),
         256.0);
+    collector.set_model_clock(&testbed.clock());
     workflow::WorkflowRunner runner(testbed);
     auto spec = workflow::WorkflowSpec::from_pipeline(
         "obs-telemetry", apps::climate_pipeline(256.0), {"jagan"});
@@ -234,21 +279,24 @@ class WorkflowTelemetryTest : public ::testing::Test {
     workflow::WorkflowRunner::Options options;
     options.mode = mode;
     auto report = runner.run(*spec, options);
+    collector.set_model_clock(nullptr);
     EXPECT_TRUE(report.is_ok()) << report.status().to_string();
 
     ModeDeltas deltas;
     deltas.local = registry.counter("fm.open.local").value() - local_before;
     deltas.buffer =
         registry.counter("fm.open.buffer").value() - buffer_before;
-    deltas.spans = tracer.drain();
-    tracer.enable(false);
+    deltas.spans = file_spans(collector.drain());
+    collector.enable(false);
     return deltas;
   }
 
-  static std::uint64_t spans_in_mode(const std::vector<obs::IoSpan>& spans,
-                                     const std::string& mode) {
+  static std::uint64_t spans_in_mode(
+      const std::vector<obs::SpanRecord>& spans, const std::string& mode) {
     std::uint64_t n = 0;
-    for (const obs::IoSpan& span : spans) n += span.mode == mode ? 1 : 0;
+    for (const obs::SpanRecord& span : spans) {
+      n += attr(span, "mode") == mode ? 1 : 0;
+    }
     return n;
   }
 };
@@ -260,12 +308,16 @@ TEST_F(WorkflowTelemetryTest, StagedRunUsesLocalFiles) {
   EXPECT_GT(deltas.local, 0u);
   EXPECT_EQ(deltas.buffer, 0u);
   ASSERT_FALSE(deltas.spans.empty());
-  EXPECT_GT(spans_in_mode(deltas.spans, "local"), 0u);
+  EXPECT_EQ(spans_in_mode(deltas.spans, "local"), deltas.spans.size());
   EXPECT_EQ(spans_in_mode(deltas.spans, "buffer"), 0u);
-  for (const obs::IoSpan& span : deltas.spans) {
-    EXPECT_EQ(span.host, "jagan");
-    EXPECT_GE(span.close_s, span.open_s);
-    EXPECT_GT(span.bytes_read + span.bytes_written, 0u) << span.path;
+  for (const obs::SpanRecord& span : deltas.spans) {
+    EXPECT_EQ(attr(span, "host"), "jagan");
+    EXPECT_GE(span.model_end_s, span.model_start_s);
+    EXPECT_GE(span.wall_end_s, span.wall_start_s);
+    EXPECT_GT(count_attr(span, "bytes_read") +
+                  count_attr(span, "bytes_written"),
+              0u)
+        << span.name;
   }
 }
 
@@ -278,8 +330,9 @@ TEST_F(WorkflowTelemetryTest, BufferRunOpensGridBufferStreams) {
   const std::uint64_t buffer_spans = spans_in_mode(deltas.spans, "buffer");
   EXPECT_EQ(buffer_spans, deltas.buffer);
   bool saw_buffer_writer = false;
-  for (const obs::IoSpan& span : deltas.spans) {
-    if (span.mode == "buffer" && span.bytes_written > 0) {
+  for (const obs::SpanRecord& span : deltas.spans) {
+    if (attr(span, "mode") == "buffer" &&
+        count_attr(span, "bytes_written") > 0) {
       saw_buffer_writer = true;
     }
   }

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -118,6 +119,33 @@ TEST_F(SpanTest, NestingEstablishesParentChildAndRestoresContext) {
   ASSERT_EQ(leaf->attrs.size(), 1u);
   EXPECT_EQ(leaf->attrs[0].first, "peer");
   EXPECT_EQ(leaf->attrs[0].second, "dione");
+}
+
+TEST_F(SpanTest, DetachedSpanParentsToContextWithoutInstalling) {
+  std::unique_ptr<Span> file;
+  std::uint64_t stage_id = 0;
+  {
+    Span stage(SpanKind::kStage, "stage:a");
+    stage_id = stage.context().span_id;
+    file = Span::detached(SpanKind::kFile, "file:/d/OUT.DAT");
+    ASSERT_NE(file, nullptr);
+    // Not installed: spans opened meanwhile still parent to the stage.
+    EXPECT_EQ(obs::current_context().span_id, stage_id);
+    Span rpc(SpanKind::kRpc, "rpc:write");
+  }
+  // It outlives the stage and may end on another thread.
+  std::thread([&file] { file->end(); }).join();
+  file.reset();
+  EXPECT_FALSE(obs::current_context().valid());
+
+  const std::vector<SpanRecord> spans = drain();
+  ASSERT_EQ(spans.size(), 3u);
+  expect_tree_integrity(spans);
+  EXPECT_EQ(find(spans, SpanKind::kFile)->parent_id, stage_id);
+  EXPECT_EQ(find(spans, SpanKind::kRpc)->parent_id, stage_id);
+
+  collector().enable(false);
+  EXPECT_EQ(Span::detached(SpanKind::kFile, "file:/off"), nullptr);
 }
 
 TEST_F(SpanTest, ScopedTraceContextCarriesAcrossThreads) {
@@ -293,7 +321,7 @@ TEST_F(SpanTest, ChromeExportRendersIdsAsStringsAndEscapes) {
     root.add_attr("mode", "grid_buffers");
     Span child(SpanKind::kBufferWait, "gbuf.read_wait:pipe");
   }
-  std::vector<SpanRecord> spans = drain();
+  const std::vector<SpanRecord> spans = drain();
   ASSERT_EQ(spans.size(), 2u);
 
   const SpanRecord& child =
@@ -307,15 +335,13 @@ TEST_F(SpanTest, ChromeExportRendersIdsAsStringsAndEscapes) {
   EXPECT_NE(event.find("\"cat\":\"buffer_wait\""), std::string::npos);
   EXPECT_NE(event.find("\"ph\":\"X\""), std::string::npos);
 
-  // Re-record and render the full document. lint: span-raii (drained
-  // records re-enter the collector for the export round-trip test)
-  for (SpanRecord& span : spans) collector().record(std::move(span));
-  const std::string json = collector().drain_chrome_json();
+  // Render the full document from the drained records.
+  const std::string json = obs::to_chrome_json(spans);
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(json.find("\"displayTimeUnit\""), std::string::npos);
   EXPECT_NE(json.find("workflow:\\\"quoted\\\""), std::string::npos);
   EXPECT_NE(json.find("\"mode\":\"grid_buffers\""), std::string::npos);
-  // Drained twice: nothing left behind.
+  // The one drain took everything.
   EXPECT_TRUE(drain().empty());
 }
 

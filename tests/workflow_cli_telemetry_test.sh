@@ -30,8 +30,23 @@ grep -q "no-such-dir/m.json" "$tmp/err" \
 for f in m.json t.jsonl s.json; do
   [ -s "$tmp/$f" ] || fail "$f missing or empty"
 done
-python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$tmp/m.json" \
-    || fail "metrics json does not parse"
+python3 -c "
+import json, sys
+counters = json.load(open(sys.argv[1]))['counters']
+opens = {k: v for k, v in counters.items() if k.startswith('fm.open.')}
+assert any(v > 0 for v in opens.values()), f'no fm.open.* counter > 0: {opens}'
+" "$tmp/m.json" || fail "metrics json malformed or records no FM opens"
+# The IO trace is a view over the spans: one Chrome event line per
+# descriptor's file span, carrying its byte counts.
+python3 -c "
+import json, sys
+lines = open(sys.argv[1]).read().splitlines()
+assert lines, 'no file spans in demo run'
+for line in lines:
+    event = json.loads(line)
+    assert event['cat'] == 'file', event
+    assert 'bytes_read' in event['args'], event
+" "$tmp/t.jsonl" || fail "trace jsonl malformed"
 python3 -c "
 import json, sys
 doc = json.load(open(sys.argv[1]))

@@ -26,6 +26,11 @@ which answers the §5 question directly: of the run's wall time, how much
 was computation, how much was blocked on Grid Buffer backpressure, how
 much was moving bytes, and how much was burned on fault recovery.
 
+`file` spans (one per File Multiplexer descriptor, open to close) are
+counted but never walked: a descriptor's lifetime overlaps the rpc and
+buffer-wait spans of the reads and writes made through it, so walking it
+would hide them.
+
 Usage:
     python3 tools/tracepath.py SPANS.json [--top K] [--json] [--trace ID]
     python3 tools/tracepath.py --self-test
@@ -42,8 +47,9 @@ import json
 import sys
 
 # Span kind -> wall-time bucket. Must cover every name produced by
-# span_kind_name() in src/obs/span.h; unknown kinds land in compute so
-# new instrumentation degrades the attribution, not the tool.
+# span_kind_name() in src/obs/span.h except "file", which is left out of
+# the critical path (see link_children); unknown kinds land in compute
+# so new instrumentation degrades the attribution, not the tool.
 KIND_BUCKET = {
     "workflow": "compute",
     "stage": "compute",
@@ -116,9 +122,15 @@ def build_traces(events):
 
 
 def link_children(spans):
-    """Wires up children lists; returns the roots (no parent in-trace)."""
+    """Wires up children lists; returns the roots (no parent in-trace).
+
+    A `file` span is neither a child nor a root: it is a descriptor's
+    lifetime, overlapping the work done through it.
+    """
     roots = []
     for span in spans.values():
+        if span.kind == "file":
+            continue
         parent = spans.get(span.parent_id)
         if parent is not None and parent is not span:
             parent.children.append(span)
@@ -275,6 +287,20 @@ def self_test():
     roots2 = link_children(spans2)
     report2 = analyze(spans2, roots2[0])
     assert report2 == report, "JSON round-trip changed the report"
+
+    # A descriptor's file span over the whole run, and one over stage B's
+    # wait, must leave the critical path and every bucket unchanged.
+    with_files = SELF_TEST_EVENTS + [
+        _event("file:/d/IN.DAT", "file", 0, 1000, 17, 10),
+        _event("file:/d/OUT.DAT", "file", 420, 560, 18, 14, tid=2),
+    ]
+    spans3 = build_traces(with_files)["1"]
+    roots3 = link_children(spans3)
+    assert [r.name for r in roots3] == ["workflow:selftest"], roots3
+    report3 = analyze(spans3, roots3[0])
+    assert report3["span_count"] == len(spans) + 2
+    for key in ("critical_path_s", "wall_s", "buckets_s", "top"):
+        assert report3[key] == report[key], f"file span changed {key}"
 
     # An untraced event (trace_id 0) must be ignored, not crash.
     noisy = SELF_TEST_EVENTS + [_event("orphan", "rpc", 0, 10, 0, 0)]
