@@ -1,6 +1,8 @@
 #include "src/apps/kernel.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "src/common/strings.h"
 
@@ -14,24 +16,36 @@ std::uint64_t mix64(std::uint64_t x) {
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
 }
+
+/// Byte `index` of the stream whose path hashes to `seed`: one mix per
+/// 8-byte lane keeps generation fast while staying byte-addressable.
+std::uint8_t stream_byte_of(std::uint64_t seed, std::uint64_t index) {
+  const std::uint64_t lane = mix64(seed ^ (index / 8));
+  return static_cast<std::uint8_t>(lane >> ((index % 8) * 8));
+}
 }  // namespace
 
 std::uint8_t stream_byte(const std::string& path, std::uint64_t index) {
-  const std::uint64_t seed = fnv1a(as_bytes_view(path));
-  // One mix per 8-byte lane keeps generation fast while staying
-  // byte-addressable.
-  const std::uint64_t lane = mix64(seed ^ (index / 8));
-  return static_cast<std::uint8_t>(lane >> ((index % 8) * 8));
+  return stream_byte_of(fnv1a(as_bytes_view(path)), index);
 }
 
 void fill_stream(const std::string& path, std::uint64_t offset,
                  MutableByteSpan out) {
   const std::uint64_t seed = fnv1a(as_bytes_view(path));
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const std::uint64_t index = offset + i;
-    const std::uint64_t lane = mix64(seed ^ (index / 8));
-    out[i] = static_cast<std::byte>(
-        static_cast<std::uint8_t>(lane >> ((index % 8) * 8)));
+  std::size_t i = 0;
+  // Byte-wise up to a lane boundary, whole lanes, then a byte-wise tail.
+  for (; i < out.size() && (offset + i) % 8 != 0; ++i) {
+    out[i] = static_cast<std::byte>(stream_byte_of(seed, offset + i));
+  }
+  for (; out.size() - i >= 8; i += 8) {
+    std::uint64_t lane = mix64(seed ^ ((offset + i) / 8));
+    if constexpr (std::endian::native == std::endian::big) {
+      lane = __builtin_bswap64(lane);
+    }
+    std::memcpy(out.data() + i, &lane, 8);
+  }
+  for (; i < out.size(); ++i) {
+    out[i] = static_cast<std::byte>(stream_byte_of(seed, offset + i));
   }
 }
 

@@ -105,7 +105,7 @@ Result<int> FileMultiplexer::open(const std::string& path,
   const WallClock::time_point decision_start = WallClock::now();
   const std::string canonical = canonical_path(path);
   obs::Span open_span(obs::SpanKind::kOpen,
-                      strings::cat("open:", canonical));
+                      [&] { return strings::cat("open:", canonical); });
 
   gns::FileMapping mapping;  // defaults to plain local IO
   if (options_.gns != nullptr) {
@@ -134,8 +134,8 @@ Result<int> FileMultiplexer::open(const std::string& path,
 
   OpenFile file;
   file.client = std::move(built.client);
-  file.span = obs::Span::detached(obs::SpanKind::kFile,
-                                  strings::cat("file:", canonical));
+  file.span = obs::Span::detached(
+      obs::SpanKind::kFile, [&] { return strings::cat("file:", canonical); });
   if (file.span != nullptr) {
     file.span->add_attr("host", options_.host);
     file.span->add_attr("mode", built.mode);

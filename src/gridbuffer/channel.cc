@@ -44,12 +44,25 @@ struct GbMetrics {
     return metrics;
   }
 };
+
+/// Creates a channel's cache file; -1 when the cache is off or the file
+/// cannot be made (the channel's writes then fail).
+int open_cache(const std::string& path, bool enabled) {
+  if (!enabled) return -1;
+  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) {
+    GL_LOG(kWarn, "grid buffer cache ", path, ": ",
+           strings::errno_message(errno));
+  }
+  return fd;
+}
 }  // namespace
 
 Channel::Channel(std::string name, ChannelConfig config,
                  std::string cache_path)
     : name_(std::move(name)), config_(config),
-      cache_path_(std::move(cache_path)) {}
+      cache_path_(std::move(cache_path)),
+      cache_fd_(open_cache(cache_path_, config_.cache_enabled)) {}
 
 Channel::~Channel() {
   if (cache_fd_ >= 0) {
@@ -123,14 +136,10 @@ bool Channel::spill_oldest_locked() {
   return false;
 }
 
-Status Channel::cache_write_locked(std::uint64_t offset, ByteSpan data) {
+Status Channel::cache_write(std::uint64_t offset, ByteSpan data) const {
   if (cache_fd_ < 0) {
-    cache_fd_ = ::open(cache_path_.c_str(), O_RDWR | O_CREAT | O_TRUNC,
-                       0644);
-    if (cache_fd_ < 0) {
-      return io_error(strings::cat("grid buffer cache ", cache_path_, ": ",
-                                   strings::errno_message(errno)));
-    }
+    return io_error(strings::cat("grid buffer cache ", cache_path_,
+                                 " could not be created"));
   }
   std::size_t put = 0;
   while (put < data.size()) {
@@ -147,8 +156,8 @@ Status Channel::cache_write_locked(std::uint64_t offset, ByteSpan data) {
   return Status::ok();
 }
 
-Result<std::size_t> Channel::cache_read_locked(std::uint64_t offset,
-                                               MutableByteSpan out) const {
+Result<std::size_t> Channel::cache_read(std::uint64_t offset,
+                                        MutableByteSpan out) const {
   if (cache_fd_ < 0) {
     return out_of_range(
         strings::cat("channel ", name_, ": block evicted and no cache file"));
@@ -169,35 +178,37 @@ Result<std::size_t> Channel::cache_read_locked(std::uint64_t offset,
 }
 
 Status Channel::write(std::uint64_t offset, const Buffer& data) {
-  // Lazily opened on the first backpressure stall (see read()).
-  std::optional<obs::Span> wait_span;
-  MutexLock lock(mu_);
-  if (shutdown_) return aborted_error("grid buffer shutting down");
-  if (writer_failed_) {
-    return data_loss(
-        strings::cat("channel ", name_, ": writer died mid-stream"));
-  }
-  if (writer_closed_) {
-    return failed_precondition(
-        strings::cat("channel ", name_, ": writer already closed"));
-  }
   const std::uint64_t bs = config_.block_size;
   if (offset % bs != 0) {
     return invalid_argument("grid buffer write not block-aligned");
   }
-  const std::uint64_t end = offset + data.size();
-  for (auto it = block_sizes_.lower_bound(offset);
-       it != block_sizes_.end() && it->first < end; ++it) {
-    if (std::min(bs, end - it->first) < it->second) {
-      return invalid_argument(
-          "grid buffer block rewrite must extend the block");
-    }
-  }
   // The pin rule (DESIGN.md §15) applies to the run as a whole; its
   // blocks are slices of it.
   const Buffer run = data.compact();
+  const std::uint64_t end = offset + run.size();
+  {
+    MutexLock lock(mu_);
+    if (shutdown_) return aborted_error("grid buffer shutting down");
+    if (writer_failed_) {
+      return data_loss(
+          strings::cat("channel ", name_, ": writer died mid-stream"));
+    }
+    if (writer_closed_) {
+      return failed_precondition(
+          strings::cat("channel ", name_, ": writer already closed"));
+    }
+    for (auto it = block_sizes_.lower_bound(offset);
+         it != block_sizes_.end() && it->first < end; ++it) {
+      if (std::min(bs, end - it->first) < it->second) {
+        return invalid_argument(
+            "grid buffer block rewrite must extend the block");
+      }
+    }
+  }
+  // Into the file before any block is published, so every block a
+  // reader or a spill can see is already there.
   if (config_.cache_enabled && !run.empty()) {
-    GL_RETURN_IF_ERROR(cache_write_locked(offset, run));
+    GL_RETURN_IF_ERROR(cache_write(offset, run));
   }
   // Any blocked stall below is additionally bounded by the ambient
   // end-to-end budget (src/common/deadline.h): an expired writer gives
@@ -208,6 +219,9 @@ Status Channel::write(std::uint64_t offset, const Buffer& data) {
           ? std::min(config_.max_buffered_bytes, kCachedResidentBytes)
           : config_.max_buffered_bytes;
 
+  // Lazily opened on the first backpressure stall (see read()).
+  std::optional<obs::Span> wait_span;
+  MutexLock lock(mu_);
   for (std::uint64_t at = offset; at < end; at += bs) {
     const Buffer block = run.slice(at - offset, bs);
     // Injected peer death: the producer "dies" once the stream frontier
@@ -276,6 +290,9 @@ Status Channel::write(std::uint64_t offset, const Buffer& data) {
     }
 
     auto [size_it, added] = block_sizes_.try_emplace(at, 0);
+    // A concurrent run published at least these bytes (an extending
+    // rewrite resends the same prefix): keep the longer block.
+    if (!added && size_it->second >= block.size()) continue;
     if (!added) {
       const auto existing = blocks_.find(at);
       if (existing != blocks_.end()) {
@@ -357,8 +374,16 @@ Result<ReadResult> Channel::read(std::uint64_t reader_id,
     if (covered) {
       // Serve as much contiguous data as is already available, crossing
       // block boundaries, up to `length` — one RPC can drain a whole
-      // run of blocks instead of one block per round trip.
-      // Copied once, straight into the buffer the reply is framed in.
+      // run of blocks instead of one block per round trip. Copied once,
+      // straight into the buffer the reply is framed in: resident blocks
+      // now, spilled extents after mu_ is released, one read each (a
+      // published block is in the file, and an extending rewrite resends
+      // the same bytes, so the read sees no torn data).
+      struct Extent {
+        std::size_t at;  // into out; the stream offset is offset + at
+        std::size_t length;
+      };
+      std::vector<Extent> spilled;
       MutableByteSpan out;
       Buffer data = Buffer::uninitialized(
           static_cast<std::size_t>(
@@ -382,13 +407,11 @@ Result<ReadResult> Channel::read(std::uint64_t reader_id,
           std::memcpy(out.data() + filled, block->second.data() + in_block,
                       take);
         } else if (config_.cache_enabled) {
-          GL_ASSIGN_OR_RETURN(
-              const std::size_t cached,
-              cache_read_locked(position, out.subspan(filled, take)));
-          GbMetrics::get().cache_hits.add();
-          if (cached < take) {  // short cache read: stop here
-            filled += cached;
-            break;
+          if (!spilled.empty() &&
+              spilled.back().at + spilled.back().length == filled) {
+            spilled.back().length += take;
+          } else {
+            spilled.push_back({filled, take});
           }
         } else {
           if (filled != 0) break;  // serve what we have
@@ -400,10 +423,25 @@ Result<ReadResult> Channel::read(std::uint64_t reader_id,
         filled += take;
         position += take;
       }
+      if (!spilled.empty()) {
+        lock.unlock();
+        for (const Extent& extent : spilled) {
+          GL_ASSIGN_OR_RETURN(
+              const std::size_t cached,
+              cache_read(offset + extent.at,
+                         out.subspan(extent.at, extent.length)));
+          GbMetrics::get().cache_hits.add();
+          if (cached < extent.length) {  // short cache read: stop here
+            filled = extent.at + cached;
+            break;
+          }
+        }
+        lock.lock();
+      }
       ReadResult result{data.slice(0, filled), false, frontier_};
       // Re-find: remove_reader may have erased this reader while the loop
-      // waited on cv_ (operator[] here would silently resurrect it and
-      // stall eviction forever).
+      // waited on cv_ or the cache was read (operator[] here would
+      // silently resurrect it and stall eviction forever).
       const auto reader_it = readers_.find(reader_id);
       if (reader_it == readers_.end()) {
         return not_found(

@@ -71,12 +71,13 @@ class Channel {
 
   /// Stores a run of blocks: `offset` must be block-aligned; every block
   /// of `data` is whole but the last. Rewriting a block with more data
-  /// extends it. Under one lock, with one cache-file write and one
-  /// wakeup; the table keeps per-block slices of data.compact(), so a
-  /// run received in a request message is shared rather than copied.
-  /// Injected peer death and backpressure are checked at every block
-  /// boundary. When the table is full and nothing can spill, the write
-  /// waits, with the blocks before the wait already stored.
+  /// extends it. One cache-file write without the lock, then the blocks
+  /// are published under one lock with one wakeup; the table keeps
+  /// per-block slices of data.compact(), so a run received in a request
+  /// message is shared rather than copied. Injected peer death and
+  /// backpressure are checked at every block boundary. When the table is
+  /// full and nothing can spill, the write waits, with the blocks before
+  /// the wait already published.
   Status write(std::uint64_t offset, const Buffer& data);
 
   /// Declares end-of-stream; wakes blocked readers.
@@ -126,18 +127,19 @@ class Channel {
   void drop_locked(std::unordered_map<std::uint64_t, Buffer>::iterator block)
       REQUIRES(mu_);
 
-  /// Appends `data` at `offset` in the cache file.
-  Status cache_write_locked(std::uint64_t offset, ByteSpan data)
-      REQUIRES(mu_);
+  /// Writes `data` at `offset` in the cache file.
+  Status cache_write(std::uint64_t offset, ByteSpan data) const
+      EXCLUDES(mu_);
   /// Reads up to out.size() bytes at `offset` from the cache file into
   /// `out`; returns how many (short at the file's end).
-  Result<std::size_t> cache_read_locked(std::uint64_t offset,
-                                        MutableByteSpan out) const
-      REQUIRES(mu_);
+  Result<std::size_t> cache_read(std::uint64_t offset,
+                                 MutableByteSpan out) const EXCLUDES(mu_);
 
   const std::string name_;
   const ChannelConfig config_;
   const std::string cache_path_;
+  // Opened with the channel when the cache is on, so it needs no lock.
+  const int cache_fd_;
 
   // Held while consulting the armed fault plan on the write path; never
   // acquire Channel::mu_ from inside fault-plan machinery.
@@ -159,8 +161,6 @@ class Channel {
   std::map<std::uint64_t, Reader> readers_ GUARDED_BY(mu_);
   std::uint64_t next_reader_id_ GUARDED_BY(mu_) = 1;
   std::uint32_t readers_seen_ GUARDED_BY(mu_) = 0;
-
-  mutable int cache_fd_ GUARDED_BY(mu_) = -1;  // lazily opened
 };
 
 /// The channel registry a Grid Buffer server owns.

@@ -258,9 +258,11 @@ void GridBufferServer::register_handlers() {
         GL_ASSIGN_OR_RETURN(const Buffer data, dec.bytes());
 
         const std::string host = rpc_.endpoint().host;
-        obs::Span span(obs::SpanKind::kRelay, strings::cat("relay:", host));
+        obs::Span span(obs::SpanKind::kRelay,
+                       [&] { return strings::cat("relay:", host); });
         span.add_attr("channel", node.path);
-        span.add_attr("children", strings::cat(node.children.size()));
+        span.add_attr("children",
+                      [&] { return strings::cat(node.children.size()); });
 
         const std::uint64_t cumulative =
             relayed_bytes_.fetch_add(data.size(),

@@ -39,6 +39,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -221,6 +222,15 @@ class Span {
   /// Explicit parent (cross-thread handoff without ScopedTraceContext).
   /// An invalid `parent` starts a new root trace.
   Span(SpanKind kind, std::string_view name, TraceContext parent);
+  /// As Span(kind, name), with the name built by `make_name()` only when
+  /// the collector is enabled, so a disabled span allocates nothing.
+  template <typename MakeName>
+    requires std::is_invocable_r_v<std::string, MakeName&>
+  Span(SpanKind kind, MakeName&& make_name) {
+    if (SpanCollector::global().enabled()) {
+      start(kind, make_name(), current_context());
+    }
+  }
   ~Span();
 
   Span(const Span&) = delete;
@@ -231,9 +241,22 @@ class Span {
   /// end on any thread without disturbing the stack of spans opened
   /// meanwhile. Null when the collector is disabled.
   static std::unique_ptr<Span> detached(SpanKind kind, std::string_view name);
+  /// As above; `make_name()` runs only when the collector is enabled.
+  template <typename MakeName>
+    requires std::is_invocable_r_v<std::string, MakeName&>
+  static std::unique_ptr<Span> detached(SpanKind kind, MakeName&& make_name) {
+    if (!SpanCollector::global().enabled()) return nullptr;
+    return detached(kind, std::string_view(make_name()));
+  }
 
   /// Attaches a key=value attribute (no-op when inactive).
   void add_attr(std::string_view key, std::string_view value);
+  /// As above; `make_value()` runs only when the span is active.
+  template <typename MakeValue>
+    requires std::is_invocable_r_v<std::string, MakeValue&>
+  void add_attr(std::string_view key, MakeValue&& make_value) {
+    if (active_ && !ended_) add_attr(key, std::string_view(make_value()));
+  }
 
   /// Ends and records the span now (idempotent; the destructor then does
   /// nothing). Restores the previous thread context.

@@ -319,9 +319,10 @@ Status FileCopier::fetch_attempt(const net::Endpoint& server,
         const std::uint64_t offset = index * chunk;
         const std::uint32_t length = static_cast<std::uint32_t>(
             std::min<std::uint64_t>(chunk, size - offset));
-        obs::Span chunk_span(obs::SpanKind::kChunk,
-                             strings::cat("chunk.fetch:", remote_path));
-        chunk_span.add_attr("offset", strings::cat(offset));
+        obs::Span chunk_span(obs::SpanKind::kChunk, [&] {
+          return strings::cat("chunk.fetch:", remote_path);
+        });
+        chunk_span.add_attr("offset", [&] { return strings::cat(offset); });
         fault::RetryBudget::global().note_fresh(jitter_key);
         // Offset-resumable: a bad chunk is simply re-requested (while
         // the budget holds out and the peer's retry tokens last).
@@ -565,9 +566,10 @@ Result<MultiCopyStats> FileCopier::copy_to_many(
           got += static_cast<std::size_t>(n);
         }
         const ByteSpan data{buffer.data(), got};
-        obs::Span chunk_span(obs::SpanKind::kChunk,
-                             strings::cat("chunk.multicast:", local_path));
-        chunk_span.add_attr("offset", strings::cat(offset));
+        obs::Span chunk_span(obs::SpanKind::kChunk, [&] {
+          return strings::cat("chunk.multicast:", local_path);
+        });
+        chunk_span.add_attr("offset", [&] { return strings::cat(offset); });
         multicast::relay_block(
             forwarder, first_hops, method_id(Method::kRelayChunk),
             [&](const multicast::RelayNode& child) {
@@ -724,9 +726,10 @@ Status FileCopier::push_attempt(const std::string& local_path,
         const std::uint64_t offset = index * chunk;
         const std::size_t length = static_cast<std::size_t>(
             std::min<std::uint64_t>(chunk, size - offset));
-        obs::Span chunk_span(obs::SpanKind::kChunk,
-                             strings::cat("chunk.push:", remote_path));
-        chunk_span.add_attr("offset", strings::cat(offset));
+        obs::Span chunk_span(obs::SpanKind::kChunk, [&] {
+          return strings::cat("chunk.push:", remote_path);
+        });
+        chunk_span.add_attr("offset", [&] { return strings::cat(offset); });
         fault::RetryBudget::global().note_fresh(jitter_key);
         Status status = push_chunk(offset, length);
         for (int attempt = 1;

@@ -314,9 +314,11 @@ Result<Buffer> FileServer::handle_relay_chunk(const Buffer& request) {
   GL_ASSIGN_OR_RETURN(const Buffer data, dec.bytes());
 
   const std::string host = rpc_.endpoint().host;
-  obs::Span span(obs::SpanKind::kRelay, strings::cat("relay:", host));
+  obs::Span span(obs::SpanKind::kRelay,
+                 [&] { return strings::cat("relay:", host); });
   span.add_attr("path", node.path);
-  span.add_attr("children", strings::cat(node.children.size()));
+  span.add_attr("children",
+                [&] { return strings::cat(node.children.size()); });
 
   // An injected die@relay:<host> keys on the cumulative bytes this server
   // has relayed; once it fires the hop fails and the parent adopts.

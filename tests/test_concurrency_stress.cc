@@ -167,6 +167,85 @@ TEST_F(ChannelStressTest, ConcurrentReadersWithBackwardSeeksThroughCache) {
   EXPECT_EQ(channel->buffered_bytes(), 0u);
 }
 
+TEST_F(ChannelStressTest, ConcurrentWritersAndSeekingReadersAcrossSpills) {
+  // Writers write the cache file without the channel lock while readers
+  // read spilled extents without it: every byte must still match.
+  constexpr std::uint32_t kBlock = 512;
+  constexpr std::uint64_t kRunBlocks = 4;
+  constexpr std::uint64_t kRuns = 64;
+  constexpr std::uint64_t kTotal = kBlock * kRunBlocks * kRuns;
+  constexpr int kWriters = 4;
+  constexpr int kReaders = 2;
+
+  gridbuffer::ChannelConfig config;
+  config.block_size = kBlock;
+  config.expected_readers = kReaders;
+  config.max_buffered_bytes = 8 * kBlock;  // spills mid-stream
+  auto channel = std::make_shared<gridbuffer::Channel>(
+      "writers", config, dir_.file("writers.cache").string());
+
+  auto expected_byte = [](std::uint64_t offset) {
+    return static_cast<std::byte>((offset * 13 + offset / 251) & 0xFF);
+  };
+  std::vector<std::uint64_t> reader_ids;
+  for (int r = 0; r < kReaders; ++r) {
+    reader_ids.push_back(channel->add_reader());
+  }
+
+  // Writer w sends runs w, w + kWriters, ...: disjoint, out of order.
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      Bytes run(kBlock * kRunBlocks);
+      for (std::uint64_t r = static_cast<std::uint64_t>(w); r < kRuns;
+           r += kWriters) {
+        const std::uint64_t base = r * run.size();
+        for (std::size_t i = 0; i < run.size(); ++i) {
+          run[i] = expected_byte(base + i);
+        }
+        ASSERT_TRUE(channel->write(base, run).is_ok());
+      }
+    });
+  }
+  std::thread closer([&] {
+    for (auto& t : writers) t.join();
+    channel->close_writer();
+  });
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      const std::uint64_t id = reader_ids[static_cast<std::size_t>(r)];
+      std::uint64_t offset = 0;
+      while (true) {
+        auto result = channel->read(id, offset, 3 * kBlock, 0);
+        ASSERT_TRUE(result.is_ok()) << result.status();
+        for (std::size_t i = 0; i < result->data.size(); ++i) {
+          ASSERT_EQ(result->data[i], expected_byte(offset + i));
+        }
+        offset += result->data.size();
+        if (result->eof) break;
+        // Seek back across spilled blocks and re-read a long extent.
+        if (offset >= 24 * kBlock && (offset / kBlock) % (5 + r) == 0) {
+          const std::uint64_t back = offset - 24 * kBlock;
+          auto reread = channel->read(id, back, 16 * kBlock, 0);
+          ASSERT_TRUE(reread.is_ok()) << reread.status();
+          ASSERT_FALSE(reread->data.empty());
+          for (std::size_t i = 0; i < reread->data.size(); ++i) {
+            ASSERT_EQ(reread->data[i], expected_byte(back + i));
+          }
+        }
+      }
+      EXPECT_EQ(offset, kTotal);
+      channel->remove_reader(id);
+    });
+  }
+
+  closer.join();
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(channel->buffered_bytes(), 0u);
+}
+
 TEST_F(ChannelStressTest, RemoveReaderRacingBlockedReadErrorsCleanly) {
   gridbuffer::ChannelConfig config;
   config.block_size = 64;

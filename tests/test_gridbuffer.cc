@@ -425,6 +425,53 @@ TEST_F(ChannelTest, RunLargerThanTableSpillsItsOwnBlocks) {
   EXPECT_EQ(all->data, data);
 }
 
+std::uint64_t cache_reads() {
+  return obs::MetricsRegistry::global().counter("gridbuffer.cache.hits")
+      .value();
+}
+
+TEST_F(ChannelTest, SpilledExtentIsOneCacheRead) {
+  ChannelConfig config;
+  config.block_size = 4096;
+  auto channel = make_channel(config);
+  const auto reader = channel->add_reader();
+  // 16 blocks, the last one partial, consumed once: none stays resident.
+  const Bytes data = pattern(15 * 4096 + 2048, 3);
+  ASSERT_TRUE(channel->write(0, data).is_ok());
+  auto first = channel->read(reader, 0, 65536, 1000);
+  ASSERT_TRUE(first.is_ok());
+  EXPECT_EQ(first->data, data);
+  EXPECT_EQ(channel->buffered_blocks(), 0u);
+  // Seek back: the 64 KiB re-read spans all 16 spilled blocks.
+  const std::uint64_t before = cache_reads();
+  auto reread = channel->read(reader, 0, 65536, 1000);
+  ASSERT_TRUE(reread.is_ok());
+  EXPECT_EQ(reread->data, data);
+  EXPECT_EQ(cache_reads() - before, 1u);
+}
+
+TEST_F(ChannelTest, ReadMixesResidentAndSpilledBlocks) {
+  ChannelConfig config;
+  config.block_size = 4096;
+  config.max_buffered_bytes = 2 * 4096;  // two resident blocks
+  auto channel = make_channel(config);
+  const auto reader = channel->add_reader();
+  const Bytes data = pattern(4 * 4096, 5);
+  // Block 0 partial, then blocks 1-3: blocks 0 and 1 spill.
+  ASSERT_TRUE(channel->write(0, ByteSpan{data.data(), 100}).is_ok());
+  ASSERT_TRUE(
+      channel->write(4096, ByteSpan{data.data() + 4096, 3 * 4096}).is_ok());
+  // Extending block 0 makes it resident again and spills block 2, so the
+  // table holds blocks 0 and 3 around the spilled extent of 1 and 2.
+  ASSERT_TRUE(channel->write(0, ByteSpan{data.data(), 4096}).is_ok());
+  EXPECT_EQ(channel->buffered_blocks(), 2u);
+  const std::uint64_t before = cache_reads();
+  auto all = channel->read(reader, 0, 65536, 1000);
+  ASSERT_TRUE(all.is_ok());
+  EXPECT_EQ(all->data, data);
+  EXPECT_EQ(cache_reads() - before, 1u);
+}
+
 TEST_F(ChannelTest, StatWaitsForEof) {
   auto channel = make_channel(ChannelConfig{});
   std::atomic<bool> got_eof{false};

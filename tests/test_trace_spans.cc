@@ -84,6 +84,38 @@ TEST_F(SpanTest, DisabledHookRecordsNothing) {
   EXPECT_TRUE(drain().empty());
 }
 
+TEST_F(SpanTest, NameCallbackRunsOnlyWhenEnabled) {
+  int calls = 0;
+  auto name = [&calls] {
+    ++calls;
+    return std::string("stage:named");
+  };
+  collector().enable(false);
+  {
+    Span span(SpanKind::kStage, name);
+    EXPECT_FALSE(span.active());
+    span.add_attr("key", name);
+    EXPECT_EQ(Span::detached(SpanKind::kFile, name), nullptr);
+  }
+  EXPECT_EQ(calls, 0);  // a disabled span builds no name and no value
+
+  collector().enable(true);
+  {
+    Span span(SpanKind::kStage, name);
+    EXPECT_TRUE(span.active());
+    span.add_attr("key", name);
+    EXPECT_NE(Span::detached(SpanKind::kFile, name), nullptr);
+  }
+  EXPECT_EQ(calls, 3);
+  const std::vector<SpanRecord> spans = drain();
+  ASSERT_EQ(spans.size(), 2u);
+  const SpanRecord* stage = find(spans, SpanKind::kStage);
+  EXPECT_EQ(stage->name, "stage:named");
+  ASSERT_EQ(stage->attrs.size(), 1u);
+  EXPECT_EQ(stage->attrs[0].second, "stage:named");
+  EXPECT_EQ(find(spans, SpanKind::kFile)->name, "stage:named");
+}
+
 TEST_F(SpanTest, NestingEstablishesParentChildAndRestoresContext) {
   EXPECT_FALSE(obs::current_context().valid());
   std::uint64_t root_id = 0, mid_id = 0;
