@@ -7,8 +7,8 @@
 // buffer code that is less sensitive to network latency". This bench IS
 // that investigation: at the paper's 4 KiB block it streams a fixed
 // payload over modelled links while sweeping the writer's window (4
-// senders, each carrying window / 4 blocks per kWrite; DESIGN.md §16),
-// with the closed-form prediction alongside.
+// runs of window / 4 blocks on the wire, one kWrite each; DESIGN.md
+// §16), with the closed-form prediction alongside.
 //
 // It is also a relation gate: it exits nonzero unless, on AU-UK,
 //   - the paper window (one block per kWrite) measures at most 1.2x the
@@ -36,7 +36,7 @@ struct LinkCase {
 };
 
 constexpr std::uint32_t kBlock = 4096;  // the paper's block
-constexpr int kSenders = 4;
+constexpr int kSenders = gridbuffer::kRunsOnWire;
 constexpr std::size_t kPaperWindow = kSenders;  // one block per kWrite
 constexpr std::size_t kWideWindow = 16 * kSenders;  // 16-block runs
 
@@ -73,7 +73,6 @@ double measure(const LinkCase& link, std::size_t window,
   gridbuffer::GridBufferWriter::Options writer_options;
   writer_options.channel.block_size = block_real;
   writer_options.channel.cache_enabled = false;
-  writer_options.flusher_threads = kSenders;
   writer_options.window_blocks = window;
 
   const Duration start = clock.now();
@@ -137,8 +136,8 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\n=== Ablation C: buffer stream throughput vs run window ===\n"
-      "(5 MB stream, 4 KiB blocks, %d senders, each carrying window/%d "
-      "blocks per kWrite; measured = real Grid Buffer stack on the "
+      "(5 MB stream, 4 KiB blocks, %d runs of window/%d blocks on the "
+      "wire, one kWrite each; measured = real Grid Buffer stack on the "
       "modelled link; predicted = closed form; KB/s in model units. On "
       "links with sub-ms latency the measured column is bounded by the "
       "real RPC stack, not the model — compare trends, and the WAN rows, "
@@ -154,7 +153,7 @@ int main(int argc, char** argv) {
                 "predicted");
     for (const std::size_t window : windows) {
       const double predicted_bps =
-          desim::buffer_stream_bps(link.spec, kBlock, window, kSenders);
+          desim::buffer_stream_bps(link.spec, kBlock, window);
       const double measured_bps = measure(link, window, wall_per_model);
       std::printf("%-8zu %-11zu %10.0f/s %10.0f/s\n", window,
                   window / kSenders, measured_bps / 1000,

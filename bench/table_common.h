@@ -88,7 +88,6 @@ inline workflow::WorkflowRunner::Options paper_options(
   // regime, block size only sets the RPC/wakeup count, so this removes
   // measurement overhead without touching modelled time.
   options.buffer_block_fast_link = 65536;
-  options.flusher_threads = 4;
   options.writer_window = 4;
   options.read_deadline_ms = 120000;
   return options;
@@ -100,7 +99,6 @@ inline workflow::WorkflowRunner::Options predict_options(
   workflow::WorkflowRunner::Options options;
   options.mode = mode;
   options.buffer_block = 4096;
-  options.flusher_threads = 4;
   options.writer_window = 4;
   return options;
 }

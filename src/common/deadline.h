@@ -5,9 +5,9 @@
 // client stamps the remaining budget into each outgoing frame, and the
 // RPC server re-installs the (decremented) budget around the handler so
 // nested hops shrink it further. The context is thread-local — threads
-// spawned mid-operation (copier streams, Grid Buffer flushers, workflow
-// stages) must capture `current_deadline()` and re-install it, exactly
-// like the obs::TraceContext they already carry.
+// spawned mid-operation (copier streams, workflow stages) must capture
+// `current_deadline()` and re-install it, exactly like the
+// obs::TraceContext they already carry.
 #pragma once
 
 #include <optional>

@@ -74,7 +74,7 @@ class FileMultiplexer {
     std::function<void(Duration)> poll_wait;
     /// Poll period for tailing reads.
     Duration tail_poll_interval = std::chrono::milliseconds(200);
-    /// Grid Buffer client tuning (window, flusher streams, deadlines).
+    /// Grid Buffer client tuning (writer window, read deadline).
     gridbuffer::GridBufferFileClient::Tuning buffer;
   };
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/common/strings.h"
+#include "src/gridbuffer/client.h"
 #include "src/obs/metrics.h"
 
 namespace griddles::desim {
@@ -19,22 +20,21 @@ constexpr double kEps = 1e-9;
 }  // namespace
 
 double buffer_stream_bps(const testbed::LinkSpec& link,
-                         std::uint32_t block_size, std::size_t window_blocks,
-                         int flusher_threads) {
+                         std::uint32_t block_size, std::size_t window_blocks) {
   if (link.mb_per_s <= 0 && link.latency_s <= 0) return 1e18;  // loopback
   const double bw = link.mb_per_s > 0 ? link.mb_per_s * 1e6 : 1e18;
-  // Each sender is a synchronous request/response loop: one run per
-  // (round trip + serialization), in parallel, never exceeding the link
-  // bandwidth. As in the writer, a run is window_blocks / flusher_threads
-  // blocks, at least one, and the credit keeps at most window_blocks
-  // blocks in flight.
+  // Each run on the wire is answered one (round trip + serialization)
+  // after it is sent, and the next run takes its place, never exceeding
+  // the link bandwidth. As in the writer, a run is
+  // window_blocks / kRunsOnWire blocks, at least one, and the credit
+  // keeps at most window_blocks blocks in flight.
   const std::size_t window = std::max<std::size_t>(1, window_blocks);
-  const std::size_t senders = std::min(
-      static_cast<std::size_t>(std::max(1, flusher_threads)), window);
+  const std::size_t on_wire =
+      std::min(static_cast<std::size_t>(gridbuffer::kRunsOnWire), window);
   const double run_bytes =
-      static_cast<double>(window / senders) * block_size;
+      static_cast<double>(window / on_wire) * block_size;
   const double per_run = link.latency_s * 2 + run_bytes / bw;
-  return std::min(bw, static_cast<double>(senders) * run_bytes / per_run);
+  return std::min(bw, static_cast<double>(on_wire) * run_bytes / per_run);
 }
 
 double staged_copy_seconds(const testbed::LinkSpec& link,
@@ -205,8 +205,7 @@ Result<Prediction> predict(
           machines[edges[e].consumers.front()];
       stream_bps[e] = buffer_stream_bps(
           testbed::link_between(producer, buffer_host),
-          options.buffer_block, options.writer_window,
-          options.flusher_threads);
+          options.buffer_block, options.writer_window);
     }
   }
 

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
-#include "src/common/deadline.h"
 #include "src/common/logging.h"
 #include "src/common/strings.h"
-#include "src/obs/span.h"
 #include "src/xdr/codec.h"
 
 namespace griddles::gridbuffer {
@@ -27,33 +25,16 @@ Result<std::unique_ptr<GridBufferWriter>> GridBufferWriter::open(
       new GridBufferWriter(transport, server, channel, options));
   GL_ASSIGN_OR_RETURN(
       const Buffer reply,
-      writer->control_.call(method_id(Method::kOpenWrite),
-                            encode_open(channel, options.channel)));
+      writer->rpc_.call(method_id(Method::kOpenWrite),
+                        encode_open(channel, options.channel)));
   (void)reply;
-  const int threads = std::max(1, options.flusher_threads);
-  writer->senders_.reserve(static_cast<std::size_t>(threads));
-  // Hand the opener's trace context to the sender threads so their write
-  // RPCs (and any server-side backpressure stalls) parent to the stage
-  // that opened this writer instead of surfacing as orphan root traces.
-  // The opener's end-to-end budget rides along the same way, so sent
-  // runs still carry its deadline.
-  const obs::TraceContext trace_parent = obs::current_context();
-  const std::optional<WallClock::time_point> budget = current_deadline();
-  for (int i = 0; i < threads; ++i) {
-    writer->senders_.emplace_back([w = writer.get(), trace_parent, budget] {
-      obs::ScopedTraceContext trace_scope(trace_parent);
-      ScopedDeadline deadline_scope(budget);
-      w->sender_main();
-    });
-  }
   return writer;
 }
 
 GridBufferWriter::GridBufferWriter(net::Transport& transport,
-                                   net::Endpoint server, std::string channel,
-                                   Options options)
-    : transport_(transport), server_(std::move(server)),
-      channel_(std::move(channel)), options_(options),
+                                   const net::Endpoint& server,
+                                   std::string channel, Options options)
+    : channel_(std::move(channel)), options_(options),
       run_bytes_(std::max<std::size_t>(
                      1, options.window_blocks /
                             static_cast<std::size_t>(
@@ -61,7 +42,7 @@ GridBufferWriter::GridBufferWriter(net::Transport& transport,
                  options.channel.block_size),
       window_bytes_(std::max<std::uint64_t>(1, options.window_blocks) *
                     options.channel.block_size),
-      control_(transport, server_, options.wire) {}
+      rpc_(transport, server, options.wire) {}
 
 GridBufferWriter::~GridBufferWriter() {
   if (const Status s = close(); !s.is_ok()) {
@@ -69,27 +50,28 @@ GridBufferWriter::~GridBufferWriter() {
   }
 }
 
-Status GridBufferWriter::pipeline_error() const {
-  MutexLock lock(mu_);
-  return sender_status_;
-}
-
-Status GridBufferWriter::send_run(net::RpcClient& rpc, std::uint64_t offset,
-                                  Buffer data) {
+Buffer GridBufferWriter::write_request(std::uint64_t offset,
+                                       Buffer data) const {
   xdr::Encoder enc;
   enc.put_string(channel_);
   enc.put_u64(offset);
-  return rpc
-      .call(method_id(Method::kWrite),
-            std::move(enc).finish_with_bytes(std::move(data)))
-      .status();
+  return std::move(enc).finish_with_bytes(std::move(data));
 }
 
-void GridBufferWriter::seal_open() {
+Status GridBufferWriter::receive_run() {
+  const Status acked = rpc_.receive().status();
+  acked_bytes_ += on_wire_.front();
+  on_wire_.pop_front();
+  if (error_.is_ok()) error_ = acked;
+  return error_;
+}
+
+Status GridBufferWriter::seal_open() {
   const std::size_t bs = options_.channel.block_size;
   const std::size_t whole = open_.filled / bs * bs;
-  if (whole == 0) return;
-  Sealed run{open_.offset, open_.storage.slice(0, whole)};
+  if (whole == 0) return Status::ok();
+  const std::uint64_t offset = open_.offset;
+  Buffer run = open_.storage.slice(0, whole);
   Run tail;
   if (whole < open_.filled) {
     tail.offset = open_.offset + whole;
@@ -97,12 +79,15 @@ void GridBufferWriter::seal_open() {
     tail.storage = Buffer::uninitialized(bs, tail.out);
     std::memcpy(tail.out.data(), open_.out.data() + whole, tail.filled);
   }
-  open_ = std::move(tail);  // the sealed run's storage has one owner now
-  {
-    MutexLock lock(mu_);
-    sealed_.push_back(std::move(run));
+  open_ = std::move(tail);  // the run's storage has one owner now
+  while (on_wire_.size() >=
+         static_cast<std::size_t>(std::max(1, options_.flusher_threads))) {
+    GL_RETURN_IF_ERROR(receive_run());
   }
-  sealed_cv_.notify_one();
+  error_ = rpc_.send(method_id(Method::kWrite),
+                     write_request(offset, std::move(run)));
+  if (error_.is_ok()) on_wire_.push_back(whole);
+  return error_;
 }
 
 void GridBufferWriter::reserve_open(std::size_t more) {
@@ -120,50 +105,17 @@ void GridBufferWriter::reserve_open(std::size_t more) {
   open_ = std::move(grown);
 }
 
-void GridBufferWriter::sender_main() {
-  net::RpcClient rpc(transport_, server_, options_.wire);
-  while (true) {
-    Sealed run;
-    {
-      MutexLock lock(mu_);
-      // lint: blocking-ok (monitor wait: releases mu_ until a run is sealed or close)
-      sealed_cv_.wait(mu_, [&]() REQUIRES(mu_) {
-        return stopping_ || !sealed_.empty();
-      });
-      if (sealed_.empty()) return;  // stopping, and everything is sent
-      run = std::move(sealed_.front());
-      sealed_.pop_front();
-    }
-    const std::size_t size = run.data.size();
-    const Status sent = send_run(rpc, run.offset, std::move(run.data));
-    {
-      MutexLock lock(mu_);
-      // Keep draining so flush() and close() do not hang, but drop the
-      // data: the first failure is the stream's error.
-      if (!sent.is_ok() && sender_status_.is_ok()) sender_status_ = sent;
-      acked_bytes_ += size;
-    }
-    acked_cv_.notify_all();
-  }
-}
-
 Status GridBufferWriter::write(ByteSpan data) {
   if (closed_) return failed_precondition("write on closed grid buffer");
+  GL_RETURN_IF_ERROR(error_);
   while (!data.empty()) {
-    std::uint64_t credit = 0;
-    {
-      // At most window_bytes_ accepted but unacknowledged. Only sealed
-      // runs are in flight and open_ holds less than a run, so the
-      // credit returns once the senders catch up.
-      MutexLock lock(mu_);
-      // lint: blocking-ok (monitor wait: releases mu_ until acks return credit)
-      acked_cv_.wait(mu_, [&]() REQUIRES(mu_) {
-        return !sender_status_.is_ok() ||
-               cursor_ - acked_bytes_ < window_bytes_;
-      });
-      GL_RETURN_IF_ERROR(sender_status_);
-      credit = window_bytes_ - (cursor_ - acked_bytes_);
+    // At most window_bytes_ accepted but unacknowledged. Besides the runs
+    // on the wire only open_ is, and it holds less than a run, so the
+    // credit returns as the oldest runs are acknowledged.
+    while (cursor_ - acked_bytes_ >= window_bytes_) {
+      GL_RETURN_IF_ERROR(receive_run());
     }
+    const std::uint64_t credit = window_bytes_ - (cursor_ - acked_bytes_);
     reserve_open(data.size());
     const std::size_t take = static_cast<std::size_t>(std::min<std::uint64_t>(
         {data.size(), credit, open_.out.size() - open_.filled}));
@@ -171,48 +123,37 @@ Status GridBufferWriter::write(ByteSpan data) {
     open_.filled += take;
     cursor_ += take;
     data = data.subspan(take);
-    if (open_.filled == run_bytes_) seal_open();
+    if (open_.filled == run_bytes_) GL_RETURN_IF_ERROR(seal_open());
   }
   // Cutting runs only here and when full makes the kWrite sequence a
-  // function of the write sizes alone, not of sender timing.
-  seal_open();
-  return Status::ok();
+  // function of the write sizes alone.
+  return seal_open();
 }
 
 Status GridBufferWriter::flush() {
   if (closed_) return Status::ok();
-  const std::uint64_t sealed_end = cursor_ - open_.filled;
-  {
-    MutexLock lock(mu_);
-    // lint: blocking-ok (monitor wait: releases mu_ until the acks catch up)
-    acked_cv_.wait(mu_,
-                   [&]() REQUIRES(mu_) { return acked_bytes_ >= sealed_end; });
-    GL_RETURN_IF_ERROR(sender_status_);
-  }
+  // Every acknowledgement is taken, even after a failure, so that the
+  // connection is idle for the calls below and close().
+  Status drained = error_;
+  while (!on_wire_.empty()) drained = receive_run();
+  GL_RETURN_IF_ERROR(drained);
   if (open_.filled == 0) return Status::ok();
-  // The partial last block; the senders are idle, so it is the only write.
-  return send_run(control_, open_.offset,
-                  ByteSpan(open_.out.first(open_.filled)));
+  // The partial last block.
+  return rpc_
+      .call(method_id(Method::kWrite),
+            write_request(open_.offset,
+                          ByteSpan(open_.out.first(open_.filled))))
+      .status();
 }
 
 Status GridBufferWriter::close() {
   if (closed_) return Status::ok();
   const Status flushed = flush();
   closed_ = true;
-  {
-    MutexLock lock(mu_);
-    stopping_ = true;
-  }
-  sealed_cv_.notify_all();
-  for (std::thread& sender : senders_) {
-    if (sender.joinable()) sender.join();
-  }
-
   xdr::Encoder enc;
   enc.put_string(channel_);
-  auto reply = control_.call(method_id(Method::kCloseWrite), enc.buffer());
+  auto reply = rpc_.call(method_id(Method::kCloseWrite), enc.buffer());
   GL_RETURN_IF_ERROR(flushed);
-  GL_RETURN_IF_ERROR(pipeline_error());
   return reply.status();
 }
 

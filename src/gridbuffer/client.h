@@ -1,23 +1,24 @@
 // Grid Buffer clients (paper Figure 4's "Grid Buffer Client").
 //
-// The writer copies application bytes into runs of whole blocks that
-// background sender threads ship, one kWrite per run, so WRITE calls
-// return as soon as the bytes are staged — the asynchronous-write latency
-// masking of §3.1 (runs and credit: DESIGN.md §16). The reader issues
-// blocking reads; its cursor is purely local, so SEEK costs nothing until
-// the next read.
+// The writer copies application bytes into runs of whole blocks and
+// pipelines them, one kWrite per run, on its one connection, so WRITE
+// calls return as soon as the bytes are sent — the asynchronous-write
+// latency masking of §3.1 (runs and credit: DESIGN.md §16). The reader
+// issues blocking reads; its cursor is purely local, so SEEK costs
+// nothing until the next read.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <thread>
 
-#include "src/common/thread_annotations.h"
 #include "src/gridbuffer/server.h"
 #include "src/net/rpc.h"
 
 namespace griddles::gridbuffer {
+
+/// Runs a writer keeps on the wire at once unless told otherwise.
+inline constexpr int kRunsOnWire = 4;
 
 class GridBufferWriter {
  public:
@@ -30,13 +31,11 @@ class GridBufferWriter {
     /// returns. window_blocks == flusher_threads is the paper's stream:
     /// one block per kWrite.
     std::size_t window_blocks = 32;
-    /// Concurrent sender connections. Each sender RPCs synchronously,
-    /// so at most this many runs are on the wire at once and a stream
-    /// is latency-limited to ~window_blocks * block / RTT — with the
+    /// Runs on the wire at once: before sending another run the writer
+    /// waits for the oldest one's acknowledgement, so a stream is
+    /// latency-limited to ~window_blocks * block / RTT — with the
     /// paper's one-block runs, the small-block WAN collapse of §5.3.
-    /// Out-of-order arrival is what the server's hash table exists for
-    /// (§4).
-    int flusher_threads = 4;
+    int flusher_threads = kRunsOnWire;
     /// Wire format — kSoap reproduces the paper's Web-Services transport
     /// (must match the server's).
     net::WireFormat wire = net::WireFormat::kBinary;
@@ -69,10 +68,9 @@ class GridBufferWriter {
   Status close();
 
   std::uint64_t bytes_written() const noexcept { return cursor_; }
-  const std::string& channel() const noexcept { return channel_; }
 
  private:
-  GridBufferWriter(net::Transport& transport, net::Endpoint server,
+  GridBufferWriter(net::Transport& transport, const net::Endpoint& server,
                    std::string channel, Options options);
 
   /// Caller bytes copied into one buffer, starting at a block boundary.
@@ -82,45 +80,33 @@ class GridBufferWriter {
     MutableByteSpan out;       // storage's bytes
     std::size_t filled = 0;
   };
-  /// Whole blocks sealed for one kWrite.
-  struct Sealed {
-    std::uint64_t offset = 0;
-    Buffer data;  // the only reference to its storage
-  };
 
-  /// Sends `data` at `offset` as one kWrite on `rpc`.
-  Status send_run(net::RpcClient& rpc, std::uint64_t offset, Buffer data);
+  /// The kWrite request carrying `data` at stream offset `offset`.
+  Buffer write_request(std::uint64_t offset, Buffer data) const;
   /// Grows open_ to take `more` bytes, up to one run: a run holds no
   /// more than the write() that fills it needs.
   void reserve_open(std::size_t more);
-  /// Hands the whole blocks of open_ to the senders; its partial last
-  /// block, if any, moves to a fresh open_.
-  void seal_open();
-  void sender_main();
-  Status pipeline_error() const;
+  /// Sends the whole blocks of open_ as one kWrite, once fewer than
+  /// flusher_threads runs are on the wire; its partial last block, if
+  /// any, moves to a fresh open_.
+  Status seal_open();
+  /// Takes the acknowledgement of the oldest run on the wire. The first
+  /// failure becomes the stream's error.
+  Status receive_run();
 
-  net::Transport& transport_;
-  net::Endpoint server_;
   std::string channel_;
   Options options_;
-  const std::size_t run_bytes_;        // whole blocks per kWrite, in bytes
-  const std::uint64_t window_bytes_;   // the credit
+  const std::size_t run_bytes_;       // whole blocks per kWrite, in bytes
+  const std::uint64_t window_bytes_;  // the credit
+  // Open, the runs, the flushed partial block and close.
+  net::RpcClient rpc_;
 
-  net::RpcClient control_;  // open/close + the flushed partial block
-
-  // Writer thread only.
-  std::uint64_t cursor_ = 0;  // total bytes accepted
-  Run open_;                  // the run being filled
+  std::uint64_t cursor_ = 0;        // total bytes accepted
+  std::uint64_t acked_bytes_ = 0;   // sent bytes acknowledged
+  Run open_;                        // the run being filled
+  std::deque<std::size_t> on_wire_;  // bytes of each unacknowledged run
+  Status error_;                    // the stream's first failure
   bool closed_ = false;
-
-  mutable Mutex mu_;
-  CondVar sealed_cv_;  // senders wait for a sealed run or stop
-  CondVar acked_cv_;   // write()/flush() wait for acknowledgements
-  std::deque<Sealed> sealed_ GUARDED_BY(mu_);
-  std::uint64_t acked_bytes_ GUARDED_BY(mu_) = 0;  // sealed bytes acked
-  bool stopping_ GUARDED_BY(mu_) = false;
-  Status sender_status_ GUARDED_BY(mu_);
-  std::vector<std::thread> senders_;
 };
 
 class GridBufferReader {
@@ -163,7 +149,6 @@ class GridBufferReader {
 
   Status close();
 
-  const std::string& channel() const noexcept { return channel_; }
 
  private:
   GridBufferReader(net::Transport& transport, net::Endpoint server,

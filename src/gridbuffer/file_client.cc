@@ -16,7 +16,6 @@ Result<std::unique_ptr<GridBufferFileClient>> GridBufferFileClient::open(
     GridBufferWriter::Options options;
     options.channel = config;
     options.window_blocks = tuning.writer_window_blocks;
-    options.flusher_threads = tuning.writer_flusher_threads;
     GL_ASSIGN_OR_RETURN(auto writer, GridBufferWriter::open(
                                          transport, server, channel,
                                          options));

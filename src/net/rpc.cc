@@ -85,11 +85,22 @@ Buffer to_wire(RpcFrame&& frame, WireFormat format) {
   return wire;
 }
 
-/// The payload of a frame this side encoded, to resend it after a
-/// reconnect.
-Buffer sent_payload(const Buffer& wire, WireFormat format) {
-  auto frame = decode_frame(wire, format);
-  return frame.is_ok() ? std::move(frame->payload) : Buffer{};
+/// Records a request the client gave up at `where` because the ambient
+/// budget ran out.
+Status budget_exhausted(std::uint16_t method, const char* where,
+                        const char* when) {
+  RpcMetrics::get().deadline_expired.add();
+  obs::Span expired(obs::SpanKind::kDeadlineExpired,
+                    strings::cat("rpc.expired:", method));
+  expired.add_attr("where", where);
+  return deadline_exceeded(
+      strings::cat("rpc ", method, ": budget exhausted ", when));
+}
+
+/// A client request's outcome, counted.
+Result<Buffer> counted(Result<Buffer> result) {
+  if (!result.is_ok()) RpcMetrics::get().client_errors.add();
+  return result;
 }
 }  // namespace
 
@@ -172,17 +183,15 @@ Endpoint RpcServer::endpoint() const {
 
 void RpcServer::stop() {
   std::thread accept_thread;
-  std::vector<std::thread> workers;
+  std::vector<Worker> workers;
   AdmissionController* admission = nullptr;
   {
     MutexLock lock(mu_);
-    if (!started_ || stopping_.exchange(true)) {
-      // Not started, or another stop() already in progress.
-      if (!started_) return;
-    }
+    if (!started_) return;
+    stopping_ = true;
     if (listener_) listener_->close();
-    for (auto& weak_conn : connections_) {
-      if (auto conn = weak_conn.lock()) conn->close();
+    for (Worker& worker : workers_) {
+      if (auto conn = worker.conn.lock()) conn->close();
     }
     admission = admission_.get();
     accept_thread = std::move(accept_thread_);
@@ -191,24 +200,19 @@ void RpcServer::stop() {
   // Unblock workers parked in the admission queue before joining them.
   if (admission != nullptr) admission->close();
   if (accept_thread.joinable()) accept_thread.join();
-  for (std::thread& worker : workers) {
-    if (worker.joinable()) worker.join();
-  }
+  for (Worker& worker : workers) worker.thread.join();
   MutexLock lock(mu_);
   started_ = false;
   stopping_ = false;
   listener_.reset();
   admission_.reset();  // a restarted server gets a fresh controller
-  connections_.clear();
 }
 
 std::size_t RpcServer::live_connections() const {
   MutexLock lock(mu_);
-  std::size_t live = 0;
-  for (const auto& weak_conn : connections_) {
-    if (!weak_conn.expired()) ++live;
-  }
-  return live;
+  return static_cast<std::size_t>(std::count_if(
+      workers_.begin(), workers_.end(),
+      [](const Worker& worker) { return !worker.conn.expired(); }));
 }
 
 void RpcServer::accept_loop() {
@@ -228,14 +232,28 @@ void RpcServer::accept_loop() {
       continue;
     }
     std::shared_ptr<Connection> conn = std::move(*accepted);
-    MutexLock lock(mu_);
-    if (stopping_) {
-      conn->close();
-      return;
+    std::vector<std::thread> ended;
+    {
+      MutexLock lock(mu_);
+      if (stopping_) {
+        conn->close();
+        return;
+      }
+      // Reap the workers whose connections are gone.
+      std::erase_if(workers_, [&ended](Worker& worker) {
+        if (!worker.conn.expired()) return false;
+        ended.push_back(std::move(worker.thread));
+        return true;
+      });
+      std::weak_ptr<Connection> watched = conn;
+      workers_.push_back(Worker{
+          std::thread([this, conn = std::move(conn)]() mutable {
+            serve_connection(std::move(conn));  // the last owner: closes it
+          }),
+          std::move(watched)});
     }
-    connections_.push_back(conn);
-    workers_.emplace_back(
-        [this, conn = std::move(conn)]() mutable { serve_connection(conn); });
+    // Each has left serve_connection, so the joins are short.
+    for (std::thread& worker : ended) worker.join();
   }
 }
 
@@ -356,61 +374,69 @@ RpcClient::RpcClient(Transport& transport, Endpoint server, WireFormat format)
     : transport_(transport), server_(std::move(server)), format_(format),
       fault_key_(strings::cat(transport.local_host(), ">", server_.host)) {}
 
-RpcClient::~RpcClient() {
-  MutexLock lock(mu_);
-  if (conn_) conn_->close();
-}
-
 Status RpcClient::ensure_connected() {
   if (conn_) return Status::ok();
   GL_ASSIGN_OR_RETURN(conn_, transport_.connect(server_));
+  for (const Pending& request : pending_) {
+    RpcMetrics::get().client_bytes_sent.add(request.wire.size());
+    if (const Status sent = conn_->send(request.wire); !sent.is_ok()) {
+      conn_.reset();
+      return sent;
+    }
+  }
   return Status::ok();
 }
 
 void RpcClient::reset_connection() {
   MutexLock lock(mu_);
-  if (conn_) conn_->close();
-  conn_.reset();
+  conn_.reset();  // closes it
 }
 
 Result<Buffer> RpcClient::call(std::uint16_t method, Buffer request) {
-  RpcMetrics::get().client_calls.add();
-  auto result = call_impl(method, std::move(request), nullptr);
-  if (!result.is_ok()) RpcMetrics::get().client_errors.add();
-  return result;
+  return counted(exchange(method, std::move(request), true, nullptr));
 }
 
 Result<Buffer> RpcClient::call_until(std::uint16_t method, Buffer request,
                                      WallClock::time_point deadline) {
-  RpcMetrics::get().client_calls.add();
-  auto result = call_impl(method, std::move(request), &deadline);
-  if (!result.is_ok()) RpcMetrics::get().client_errors.add();
-  return result;
+  return counted(exchange(method, std::move(request), true, &deadline));
 }
 
-Result<Buffer> RpcClient::call_impl(std::uint16_t method, Buffer request,
-                                    const WallClock::time_point* deadline) {
-  // Every fresh call earns its peer retry-budget tokens (taken before
+Status RpcClient::send(std::uint16_t method, Buffer request) {
+  return counted(exchange(method, std::move(request), false, nullptr))
+      .status();
+}
+
+Result<Buffer> RpcClient::receive() {
+  MutexLock lock(mu_);
+  return counted(receive_locked(nullptr));
+}
+
+Result<Buffer> RpcClient::exchange(std::uint16_t method, Buffer request,
+                                   bool await_reply,
+                                   const WallClock::time_point* deadline) {
+  RpcMetrics::get().client_calls.add();
+  // Every fresh request earns its peer retry-budget tokens (taken before
   // the client lock: the budget has its own).
   const std::uint64_t key_hash = fnv1a(as_bytes_view(fault_key_));
   fault::RetryBudget::global().note_fresh(key_hash);
 
   MutexLock lock(mu_);
-  if (fault::armed() == nullptr) {
-    return call_once(method, std::move(request), deadline);
+  // The next reply on the connection answers the oldest unanswered send.
+  if (await_reply && !pending_.empty()) {
+    return failed_precondition("rpc call while sends are unanswered");
   }
 
-  // Fault-tolerant path: consult the armed plan before each attempt and
-  // retry transient failures (injected or organic) with deterministic
-  // backoff. Injected drops fail *before* any bytes leave the client, so
-  // a retried request is never a duplicate on the server.
+  // Under an armed fault plan, consult it before each send and retry
+  // transient failures (injected or organic) with deterministic backoff.
+  // Injected drops fail *before* any bytes leave the client, so a
+  // retried request is never a duplicate on the server.
   const fault::RetryPolicy policy;
   // Each retry becomes a child span covering its backoff plus the
   // re-attempt: emplace() records the previous attempt's span and opens
   // the next, so injected chaos shows up on the exported timeline.
   std::optional<obs::Span> retry_span;
   for (int attempt = 1;; ++attempt) {
-    Result<Buffer> result = unavailable("rpc: no attempt made");
+    Result<Buffer> result = Buffer{};
     fault::Plan* plan = fault::armed();
     fault::Decision decision;
     if (plan != nullptr) {
@@ -426,11 +452,19 @@ Result<Buffer> RpcClient::call_impl(std::uint16_t method, Buffer request,
         fault::sleep_for_model(decision.delay);
         lock.lock();
       }
-      // Each attempt shares the request, so framing it copies (armed
-      // fault plans only).
-      result = call_once(method, request, deadline);
+      // Each retried attempt shares the request, so framing it copies
+      // (armed fault plans only).
+      const Status sent = send_locked(
+          method, plan == nullptr ? std::move(request) : Buffer(request));
+      if (!sent.is_ok()) {
+        result = sent;
+      } else if (!await_reply) {
+        return Buffer{};
+      } else {
+        result = receive_locked(deadline);
+      }
     }
-    if (result.is_ok()) return result;
+    if (result.is_ok() || plan == nullptr) return result;
 
     // kTimeout only arises under a caller deadline, which retrying would
     // overrun — surface it. Everything else follows the shared policy.
@@ -453,92 +487,92 @@ Result<Buffer> RpcClient::call_impl(std::uint16_t method, Buffer request,
   }
 }
 
-Result<Buffer> RpcClient::call_once(std::uint16_t method, Buffer request,
-                                    const WallClock::time_point* deadline) {
-  Buffer encoded;
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    // A reconnect resends the request the first attempt framed.
-    if (attempt > 0) request = sent_payload(encoded, format_);
-    // Fail fast while the ambient budget is already spent: sending would
-    // only make the server reject the work after a wasted round trip.
-    const std::optional<Duration> budget = remaining_budget();
-    if (budget && *budget <= Duration::zero()) {
-      RpcMetrics::get().deadline_expired.add();
-      obs::Span expired(obs::SpanKind::kDeadlineExpired,
-                        strings::cat("rpc.expired:", method));
-      expired.add_attr("where", "client.pre-send");
-      return deadline_exceeded(
-          strings::cat("rpc ", method, ": budget exhausted before send"));
-    }
-    GL_RETURN_IF_ERROR(ensure_connected());
-
-    RpcFrame frame;
-    frame.kind = FrameKind::kRequest;
-    frame.id = next_id_++;
-    frame.method = method;
-    // Propagate the caller's active trace across the hop; zeros (no
-    // active span on this thread) travel as "untraced".
-    const obs::TraceContext trace = obs::current_context();
-    frame.trace_id = trace.trace_id;
-    frame.span_id = trace.span_id;
-    if (budget) {
-      // The remaining end-to-end budget travels as microseconds and is
-      // re-anchored on the server's clock. Clamped to >= 1 so "almost
-      // out" never reads as "no deadline" on the wire.
-      frame.deadline_us = static_cast<std::uint64_t>(std::max<std::int64_t>(
-          1, std::chrono::duration_cast<std::chrono::microseconds>(*budget)
-                 .count()));
-    }
-    const std::uint64_t id = frame.id;
-    frame.payload = std::move(request);
-    encoded = to_wire(std::move(frame), format_);
-    RpcMetrics::get().client_bytes_sent.add(encoded.size());
-    const Status sent = conn_->send(encoded);
-    if (!sent.is_ok()) {
-      conn_.reset();
-      if (attempt == 0 && sent.code() == ErrorCode::kClosed) continue;
-      return sent;
-    }
-
-    // The reply wait honours whichever bound is tighter: the explicit
-    // call_until deadline or the ambient end-to-end budget.
-    const std::optional<WallClock::time_point> ambient = current_deadline();
-    const WallClock::time_point* recv_deadline = deadline;
-    if (ambient && (recv_deadline == nullptr || *ambient < *recv_deadline)) {
-      recv_deadline = &*ambient;
-    }
-    auto message = recv_deadline != nullptr ? conn_->recv_until(*recv_deadline)
-                                            : conn_->recv();
-    if (!message.is_ok()) {
-      const ErrorCode code = message.status().code();
-      if (code == ErrorCode::kTimeout) {
-        if (ambient && recv_deadline == &*ambient) {
-          // The budget, not an explicit timeout, cut the wait short.
-          RpcMetrics::get().deadline_expired.add();
-          obs::Span expired(obs::SpanKind::kDeadlineExpired,
-                            strings::cat("rpc.expired:", method));
-          expired.add_attr("where", "client.await-reply");
-          return deadline_exceeded(strings::cat(
-              "rpc ", method, ": budget exhausted awaiting reply"));
-        }
-        return message.status();
-      }
-      conn_.reset();
-      if (attempt == 0 && code == ErrorCode::kClosed) continue;
-      return message.status();
-    }
-    RpcMetrics::get().client_bytes_received.add(message->size());
-    GL_ASSIGN_OR_RETURN(RpcFrame reply,
-                        decode_frame(std::move(*message), format_));
-    if (reply.kind != FrameKind::kResponse || reply.id != id) {
-      conn_.reset();
-      return internal_error("rpc response out of sequence");
-    }
-    if (!reply.status.is_ok()) return reply.status;
-    return std::move(reply.payload);
+Status RpcClient::send_locked(std::uint16_t method, Buffer request) {
+  // Fail fast while the ambient budget is already spent: sending would
+  // only make the server reject the work after a wasted round trip.
+  const std::optional<Duration> budget = remaining_budget();
+  if (budget && *budget <= Duration::zero()) {
+    return budget_exhausted(method, "client.pre-send", "before send");
   }
-  return unavailable(strings::cat("rpc to ", server_.to_string(),
-                                  " failed after reconnect"));
+  GL_RETURN_IF_ERROR(ensure_connected());
+
+  RpcFrame frame;
+  frame.kind = FrameKind::kRequest;
+  frame.id = next_id_++;
+  frame.method = method;
+  // Propagate the caller's active trace across the hop; zeros (no
+  // active span on this thread) travel as "untraced".
+  const obs::TraceContext trace = obs::current_context();
+  frame.trace_id = trace.trace_id;
+  frame.span_id = trace.span_id;
+  if (budget) {
+    // The remaining end-to-end budget travels as microseconds and is
+    // re-anchored on the server's clock. Clamped to >= 1 so "almost
+    // out" never reads as "no deadline" on the wire.
+    frame.deadline_us = static_cast<std::uint64_t>(std::max<std::int64_t>(
+        1, std::chrono::duration_cast<std::chrono::microseconds>(*budget)
+               .count()));
+  }
+  const std::uint64_t id = frame.id;
+  frame.payload = std::move(request);
+  Buffer wire = to_wire(std::move(frame), format_);
+  RpcMetrics::get().client_bytes_sent.add(wire.size());
+  pending_.push_back(Pending{id, method, wire});
+  // After a failed send the next send() or receive() reconnects and
+  // resends this request with the others.
+  if (!conn_->send(std::move(wire)).is_ok()) conn_.reset();
+  return Status::ok();
+}
+
+Result<Buffer> RpcClient::receive_locked(
+    const WallClock::time_point* deadline) {
+  if (pending_.empty()) {
+    return failed_precondition("rpc receive with no request unanswered");
+  }
+  const std::uint16_t method = pending_.front().method;
+  // The reply wait honours whichever bound is tighter: the explicit
+  // call_until deadline or the ambient end-to-end budget.
+  const std::optional<WallClock::time_point> ambient = current_deadline();
+  const WallClock::time_point* recv_deadline = deadline;
+  if (ambient && (recv_deadline == nullptr || *ambient < *recv_deadline)) {
+    recv_deadline = &*ambient;
+  }
+  Result<Buffer> message = Buffer{};
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    if (const Status connected = ensure_connected(); !connected.is_ok()) {
+      message = connected;
+    } else {
+      message = recv_deadline != nullptr ? conn_->recv_until(*recv_deadline)
+                                         : conn_->recv();
+    }
+    if (message.is_ok() || message.status().code() != ErrorCode::kClosed) {
+      break;
+    }
+    conn_.reset();  // reconnect once, resending every unanswered request
+  }
+  if (!message.is_ok()) {
+    // A late reply would answer the wrong request: start afresh.
+    conn_.reset();
+    pending_.clear();
+    if (message.status().code() == ErrorCode::kTimeout && ambient &&
+        recv_deadline == &*ambient) {
+      // The budget, not an explicit timeout, cut the wait short.
+      return budget_exhausted(method, "client.await-reply", "awaiting reply");
+    }
+    return message.status();
+  }
+  RpcMetrics::get().client_bytes_received.add(message->size());
+  auto reply = decode_frame(std::move(*message), format_);
+  if (!reply.is_ok() || reply->kind != FrameKind::kResponse ||
+      reply->id != pending_.front().id) {
+    conn_.reset();
+    pending_.clear();
+    return reply.is_ok() ? internal_error("rpc response out of sequence")
+                         : reply.status();
+  }
+  pending_.erase(pending_.begin());
+  if (!reply->status.is_ok()) return reply->status;
+  return std::move(reply->payload);
 }
 
 }  // namespace griddles::net

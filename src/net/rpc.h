@@ -37,6 +37,9 @@ struct RpcContext {
 using RpcHandler =
     std::function<Result<Buffer>(const Buffer&, const RpcContext&)>;
 
+/// Serves each connection on its own thread and answers its requests one
+/// at a time, in the order they arrived: a client may pipeline requests
+/// on one connection and read the replies in the order it sent them.
 class RpcServer {
  public:
   /// Does not start serving until start().
@@ -86,6 +89,12 @@ class RpcServer {
     bool admitted = true;
   };
 
+  /// A connection's thread; the connection lives while it is served.
+  struct Worker {
+    std::thread thread;
+    std::weak_ptr<Connection> conn;
+  };
+
   void accept_loop();
   void serve_connection(std::shared_ptr<Connection> conn);
 
@@ -99,20 +108,21 @@ class RpcServer {
   std::unique_ptr<AdmissionController> admission_ GUARDED_BY(mu_);
   std::unique_ptr<Listener> listener_ GUARDED_BY(mu_);
   std::thread accept_thread_ GUARDED_BY(mu_);
-  std::vector<std::thread> workers_ GUARDED_BY(mu_);
-  std::vector<std::weak_ptr<Connection>> connections_ GUARDED_BY(mu_);
+  std::vector<Worker> workers_ GUARDED_BY(mu_);
   bool started_ GUARDED_BY(mu_) = false;
   std::atomic<bool> stopping_{false};
 };
 
-/// Synchronous RPC client. One outstanding call at a time per client;
-/// create several clients for concurrency. Reconnects once on a broken
-/// connection.
+/// RPC client over one connection. call() waits for its reply; send()
+/// does not, and receive() returns the reply to the oldest unanswered
+/// send() (RpcServer answers in order). Keep few requests unanswered: a
+/// server whose replies back up stops reading. A broken connection is
+/// reconnected once and every unanswered request resent in order, so a
+/// pipelined request must be safe to repeat.
 class RpcClient {
  public:
   RpcClient(Transport& transport, Endpoint server,
             WireFormat format = WireFormat::kBinary);
-  ~RpcClient();
 
   RpcClient(const RpcClient&) = delete;
   RpcClient& operator=(const RpcClient&) = delete;
@@ -120,35 +130,59 @@ class RpcClient {
   /// Calls `method`; the returned bytes are the handler's response
   /// payload, a slice of the received message. Handler errors come back
   /// as their original Status. A request the caller hands over is framed
-  /// in its headroom (Buffer::grow_front).
+  /// in its headroom (Buffer::grow_front). Fails with kFailedPrecondition
+  /// while a send() is unanswered.
   Result<Buffer> call(std::uint16_t method, Buffer request);
 
   /// As call(), failing with kTimeout at the wall deadline.
   Result<Buffer> call_until(std::uint16_t method, Buffer request,
                             WallClock::time_point deadline);
 
+  /// Sends a request without waiting for its reply. An armed fault
+  /// plan's drops are retried as call() retries them.
+  Status send(std::uint16_t method, Buffer request);
+
+  /// The reply to the oldest unanswered send(), as call() returns it. A
+  /// handler error answers its own request only. Any other failure (the
+  /// ambient deadline, a connection lost twice) abandons every unanswered
+  /// request and drops the connection.
+  Result<Buffer> receive();
+
   const Endpoint& server() const noexcept { return server_; }
 
-  /// Drops the cached connection (next call reconnects).
+  /// Drops the cached connection; the next send() or receive()
+  /// reconnects and resends every unanswered request.
   void reset_connection();
 
  private:
-  Result<Buffer> call_impl(std::uint16_t method, Buffer request,
-                           const WallClock::time_point* deadline);
-  Result<Buffer> call_once(std::uint16_t method, Buffer request,
-                           const WallClock::time_point* deadline)
+  /// A request sent and not yet answered, kept as sent for a resend.
+  struct Pending {
+    std::uint64_t id = 0;
+    std::uint16_t method = 0;
+    Buffer wire;
+  };
+
+  /// Sends `request` and, when `await_reply`, receives its reply.
+  Result<Buffer> exchange(std::uint16_t method, Buffer request,
+                          bool await_reply,
+                          const WallClock::time_point* deadline);
+  Status send_locked(std::uint16_t method, Buffer request) REQUIRES(mu_);
+  Result<Buffer> receive_locked(const WallClock::time_point* deadline)
       REQUIRES(mu_);
+  /// Connects if there is no connection, resending every unanswered
+  /// request: their replies left with the old connection.
   Status ensure_connected() REQUIRES(mu_);
 
   Transport& transport_;
   Endpoint server_;
   WireFormat format_;
   std::string fault_key_;  // "src>dst" host pair for fault-plan consults
-  // call_impl() consults the armed fault plan and bumps retry metrics
+  // exchange() consults the armed fault plan and bumps retry metrics
   // under the client lock (backoff sleeps release it).
   Mutex mu_ ACQUIRED_BEFORE("Plan::mu_", "MetricsRegistry::mu_");
   std::unique_ptr<Connection> conn_ GUARDED_BY(mu_);
   std::uint64_t next_id_ GUARDED_BY(mu_) = 1;
+  std::vector<Pending> pending_ GUARDED_BY(mu_);  // oldest first, few
 };
 
 /// Encodes/decodes RPC frames for the given wire format (exposed for the

@@ -705,7 +705,6 @@ Result<TaskResult> WorkflowRunner::run_task(const WorkflowSpec& spec,
   fm_options.transport = transport.get();
   fm_options.clock = &testbed_.clock();
   fm_options.buffer.writer_window_blocks = options.writer_window;
-  fm_options.buffer.writer_flusher_threads = options.flusher_threads;
   fm_options.buffer.read_deadline_ms = options.read_deadline_ms;
   fm_options.tail_poll_interval = options.poll_interval;
   if (options.mode == CouplingMode::kConcurrentFiles) {

@@ -577,6 +577,22 @@ TEST_F(FaultWorkflowTest, GridBufferWriterDeathRecoversViaStagedRerun) {
   EXPECT_EQ(counter_value("fault.injected.peer_death"), 1u);
 }
 
+TEST_F(FaultWorkflowTest, GridBufferWriterRetriesDroppedPipelinedRun) {
+  // gen on brecca streams mid.dat to the Grid Buffer server on dione.
+  // Its first brecca>dione RPC is the open; the second is the send of
+  // the first run, which the writer pipelines without waiting.
+  const std::vector<std::string> machines{"brecca", "dione", "freak"};
+  const std::uint64_t clean =
+      run_and_hash(workflow::CouplingMode::kGridBuffers, machines, "");
+  const std::uint64_t faulted =
+      run_and_hash(workflow::CouplingMode::kGridBuffers, machines,
+                   "seed=3;drop@rpc:brecca>dione:nth=2,count=1");
+  EXPECT_EQ(faulted, clean);
+  EXPECT_EQ(counter_value("fault.injected.drop"), 1u);
+  EXPECT_GE(counter_value("retry.attempts"), 1u);
+  EXPECT_EQ(counter_value("stage.reruns"), 0u);
+}
+
 TEST_F(FaultWorkflowTest, EmptyPlanLeavesHooksDisarmed) {
   EXPECT_EQ(armed(), nullptr);
   const std::uint64_t clean =

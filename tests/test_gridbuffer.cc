@@ -236,8 +236,7 @@ TEST_F(ChannelTest, WriterDeathDrainsThenSurfacesDataLoss) {
 }
 
 TEST_F(ChannelTest, OutOfOrderWritesAssemble) {
-  // The hash table exists precisely so blocks may arrive out of order
-  // (multiple flusher streams).
+  // The hash table exists precisely so blocks may arrive out of order.
   ChannelConfig config;
   config.block_size = 8;
   auto channel = make_channel(config);
@@ -921,7 +920,6 @@ TEST_F(RunPathTest, RunnerDefaultsSendRunsOfBlocks) {
   const workflow::WorkflowRunner::Options defaults;
   GridBufferWriter::Options runs;
   runs.window_blocks = defaults.writer_window;
-  runs.flusher_threads = defaults.flusher_threads;
   const std::uint64_t calls = write_calls("runs", runs, 256);
   EXPECT_GE(calls, 1u);
   EXPECT_LE(calls, 256u / 8);  // >= 8 blocks per kWrite

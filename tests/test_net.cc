@@ -2,9 +2,12 @@
 // RPC, and the SOAP codec.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <thread>
 
 #include "src/common/clock.h"
+#include "src/common/strings.h"
 #include "src/net/endpoint.h"
 #include "src/net/inproc.h"
 #include "src/net/rpc.h"
@@ -477,6 +480,153 @@ TEST(RpcOverTcpTest, EndToEnd) {
   EXPECT_EQ(to_string(*reply), "over tcp");
   server.stop();
 }
+
+/// Threads of this process, from /proc/self/task.
+std::size_t task_count() {
+  std::size_t tasks = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++tasks;
+  }
+  return tasks;
+}
+
+/// This process's mapped address space in KiB (VmSize), which keeps
+/// the stack of every thread that has ended but was never joined.
+std::uint64_t vm_size_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoull(line.substr(7));
+  }
+  return 0;
+}
+
+TEST(RpcServerTest, EndedConnectionsAreReaped) {
+  RealClock clock;
+  InProcNetwork network(clock);
+  auto server_t = network.transport("dione");
+  auto client_t = network.transport("jagan");
+  RpcServer server(*server_t, inproc_endpoint("dione", "reaped"));
+  server.register_method(1, [](const Buffer& request, const RpcContext&)
+                                -> Result<Buffer> { return request; });
+  ASSERT_TRUE(server.start().is_ok());
+  {
+    RpcClient warm(*client_t, server.endpoint());
+    ASSERT_TRUE(warm.call(1, as_bytes_view("warm")).is_ok());
+  }
+  const std::size_t tasks_before = task_count();
+  const std::uint64_t vm_before = vm_size_kib();
+  for (int i = 0; i < 400; ++i) {
+    RpcClient client(*client_t, server.endpoint());
+    ASSERT_TRUE(client.call(1, as_bytes_view("ping")).is_ok());
+  }
+  // The last worker ends once its client has gone.
+  const auto deadline = WallClock::now() + std::chrono::seconds(10);
+  while (server.live_connections() > 0 && WallClock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server.live_connections(), 0u);
+  EXPECT_LE(task_count(), tasks_before + 1);
+  // 400 unjoined workers would keep 400 stacks mapped (8 MiB each).
+  EXPECT_LT(vm_size_kib(), vm_before + 256 * 1024);
+  server.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Pipelining: send() several requests on one connection, then receive()
+// the replies, which the server gives in the order the requests came.
+
+class PipelineTest : public ::testing::TestWithParam<bool /*tcp*/> {
+ protected:
+  void SetUp() override {
+    Endpoint bind = tcp_endpoint("127.0.0.1", 0);
+    if (GetParam()) {
+      transport_ = std::make_unique<TcpTransport>();
+    } else {
+      transport_ = network_.transport("dione");
+      bind = inproc_endpoint("dione", "pipeline");
+    }
+    server_ = std::make_unique<RpcServer>(*transport_, bind);
+    server_->register_method(kEcho, [](const Buffer& request,
+                                       const RpcContext&) -> Result<Buffer> {
+      return request;
+    });
+    server_->register_method(kFail, [](const Buffer& request,
+                                       const RpcContext&) -> Result<Buffer> {
+      return not_found(to_string(request));
+    });
+    ASSERT_TRUE(server_->start().is_ok());
+  }
+
+  void TearDown() override { server_->stop(); }
+
+  static constexpr std::uint16_t kEcho = 1;
+  static constexpr std::uint16_t kFail = 2;
+  RealClock clock_;
+  InProcNetwork network_{clock_};
+  std::unique_ptr<Transport> transport_;
+  std::unique_ptr<RpcServer> server_;
+};
+
+TEST_P(PipelineTest, RepliesComeBackInSendOrder) {
+  RpcClient client(*transport_, server_->endpoint());
+  constexpr int kRequests = 16;
+  for (int i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE(client.send(kEcho, to_bytes(strings::cat("req-", i))).is_ok());
+  }
+  for (int i = 0; i < kRequests; ++i) {
+    auto reply = client.receive();
+    ASSERT_TRUE(reply.is_ok()) << reply.status();
+    EXPECT_EQ(to_string(*reply), strings::cat("req-", i));
+  }
+  // Nothing is left unanswered, so call() may use the connection again.
+  EXPECT_EQ(client.receive().status().code(), ErrorCode::kFailedPrecondition);
+  auto reply = client.call(kEcho, as_bytes_view("after"));
+  ASSERT_TRUE(reply.is_ok()) << reply.status();
+  EXPECT_EQ(to_string(*reply), "after");
+}
+
+TEST_P(PipelineTest, ResetConnectionResendsUnansweredRequestsInOrder) {
+  RpcClient client(*transport_, server_->endpoint());
+  constexpr int kRequests = 8;
+  for (int i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE(client.send(kEcho, to_bytes(strings::cat("req-", i))).is_ok());
+  }
+  client.reset_connection();
+  for (int i = 0; i < kRequests; ++i) {
+    auto reply = client.receive();
+    ASSERT_TRUE(reply.is_ok()) << reply.status();
+    EXPECT_EQ(to_string(*reply), strings::cat("req-", i));
+  }
+}
+
+TEST_P(PipelineTest, HandlerErrorAnswersOnlyItsRequest) {
+  RpcClient client(*transport_, server_->endpoint());
+  ASSERT_TRUE(client.send(kEcho, to_bytes("a")).is_ok());
+  ASSERT_TRUE(client.send(kFail, to_bytes("b is missing")).is_ok());
+  ASSERT_TRUE(client.send(kEcho, to_bytes("c")).is_ok());
+  ASSERT_TRUE(client.send(kEcho, to_bytes("d")).is_ok());
+  // A reply is still owed, so call() would read the wrong one.
+  EXPECT_EQ(client.call(kEcho, to_bytes("x")).status().code(),
+            ErrorCode::kFailedPrecondition);
+  auto a = client.receive();
+  ASSERT_TRUE(a.is_ok()) << a.status();
+  EXPECT_EQ(to_string(*a), "a");
+  auto b = client.receive();
+  EXPECT_EQ(b.status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(b.status().message(), "b is missing");
+  for (const char* want : {"c", "d"}) {
+    auto reply = client.receive();
+    ASSERT_TRUE(reply.is_ok()) << reply.status();
+    EXPECT_EQ(to_string(*reply), want);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, PipelineTest, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "Tcp" : "InProc";
+                         });
 
 // ---------------------------------------------------------------------------
 // Wire-format golden bytes. The binary frame layout fixes the message
