@@ -17,9 +17,6 @@
 
 namespace griddles::gridbuffer {
 
-/// Runs a writer keeps on the wire at once unless told otherwise.
-inline constexpr int kRunsOnWire = 4;
-
 class GridBufferWriter {
  public:
   struct Options {

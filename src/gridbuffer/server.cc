@@ -91,6 +91,53 @@ GridBufferServer::broadcast(const std::string& channel) const {
   return it == broadcast_.end() ? nullptr : it->second;
 }
 
+void GridBufferServer::relay_run(
+    const std::string& channel,
+    const std::vector<multicast::RelayNode>& children,
+    const ChannelConfig& config, std::uint64_t offset, const Buffer& data,
+    std::vector<std::string>& dead) {
+  std::shared_ptr<multicast::RelayFanOut> fan_out;
+  {
+    MutexLock lock(mu_);
+    std::shared_ptr<multicast::RelayFanOut>& slot = fan_outs_[channel];
+    if (slot == nullptr) {
+      slot = std::make_shared<multicast::RelayFanOut>(forwarder_, children,
+                                                      kRunsOnWire);
+    }
+    fan_out = slot;
+  }
+  fan_out->forward(method_id(Method::kRelayWrite),
+                   [config, offset, data](const multicast::RelayNode& child) {
+                     return relay_write_request(child, config, offset, data);
+                   },
+                   dead);
+}
+
+void GridBufferServer::settle_fan_out(const std::string& channel,
+                                      std::vector<std::string>& dead) {
+  std::shared_ptr<multicast::RelayFanOut> fan_out;
+  {
+    MutexLock lock(mu_);
+    const auto it = fan_outs_.find(channel);
+    if (it == fan_outs_.end()) return;
+    fan_out = std::move(it->second);
+    fan_outs_.erase(it);
+  }
+  fan_out->settle(dead);
+}
+
+Status GridBufferServer::relay_fault(const std::string& host,
+                                     const std::string& channel,
+                                     std::uint64_t cumulative_bytes) {
+  Status verdict = multicast::consult_relay_fault(host, cumulative_bytes);
+  if (!verdict.is_ok()) {
+    // The parent reports this relay dead and adopts its children.
+    std::vector<std::string> unreported;
+    settle_fan_out(channel, unreported);
+  }
+  return verdict;
+}
+
 GridBufferServer::~GridBufferServer() { stop(); }
 
 void GridBufferServer::stop() {
@@ -122,22 +169,17 @@ void GridBufferServer::register_handlers() {
         GL_ASSIGN_OR_RETURN(const Buffer data, dec.bytes());
         GL_ASSIGN_OR_RETURN(auto chan, store_.find(channel));
         GL_RETURN_IF_ERROR(chan->write(offset, data));
-        // Broadcast channels also fan the run out down the relay tree, as
-        // one call per child. The forwards block outside the lock.
+        // Broadcast channels also send the run down the relay tree, cut
+        // through: the reply does not wait for the children.
         const std::shared_ptr<const Broadcast> route = broadcast(channel);
         if (route != nullptr) {
           std::vector<std::string> dead;
-          multicast::relay_block(
-              forwarder_, route->children, method_id(Method::kRelayWrite),
-              [&](const multicast::RelayNode& child) {
-                return relay_write_request(child, route->config, offset,
-                                           data);
-              },
-              dead);
+          relay_run(channel, route->children, route->config, offset, data,
+                    dead);
           if (!dead.empty()) {
             GL_LOG(kWarn, "grid buffer broadcast ", channel, ": ",
                    dead.size(), " machine(s) unreachable; their local ",
-                   "readers will miss this run");
+                   "readers will miss a run");
           }
         }
         return Buffer{};
@@ -152,6 +194,7 @@ void GridBufferServer::register_handlers() {
         const std::shared_ptr<const Broadcast> route = broadcast(channel);
         if (route != nullptr) {
           std::vector<std::string> dead;
+          settle_fan_out(channel, dead);
           multicast::relay_block(
               forwarder_, route->children, method_id(Method::kRelayClose),
               [&](const multicast::RelayNode& child) {
@@ -268,8 +311,7 @@ void GridBufferServer::register_handlers() {
             relayed_bytes_.fetch_add(data.size(),
                                      std::memory_order_relaxed) +
             data.size();
-        GL_RETURN_IF_ERROR(
-            multicast::consult_relay_fault(host, cumulative));
+        GL_RETURN_IF_ERROR(relay_fault(host, node.path, cumulative));
 
         // Same channel, node-local reader count: the store only requires
         // block_size/cache agreement across machines.
@@ -277,13 +319,12 @@ void GridBufferServer::register_handlers() {
         GL_ASSIGN_OR_RETURN(auto chan, store_.open(node.path, config));
         GL_RETURN_IF_ERROR(chan->write(offset, data));
 
+        // Cut through: the reply carries only the dead hosts found while
+        // settling older runs; the close's reply carries the rest.
         std::vector<std::string> dead;
-        multicast::relay_block(
-            forwarder_, node.children, method_id(Method::kRelayWrite),
-            [&](const multicast::RelayNode& child) {
-              return relay_write_request(child, config, offset, data);
-            },
-            dead);
+        if (!node.children.empty()) {
+          relay_run(node.path, node.children, config, offset, data, dead);
+        }
         xdr::Encoder enc;
         multicast::encode_dead_hosts(enc, dead);
         return std::move(enc).finish();
@@ -298,14 +339,15 @@ void GridBufferServer::register_handlers() {
                             decode_channel_config(dec));
 
         const std::string host = rpc_.endpoint().host;
-        GL_RETURN_IF_ERROR(multicast::consult_relay_fault(
-            host, relayed_bytes_.load(std::memory_order_relaxed)));
+        GL_RETURN_IF_ERROR(relay_fault(
+            host, node.path, relayed_bytes_.load(std::memory_order_relaxed)));
 
         if (node.readers != 0) config.expected_readers = node.readers;
         GL_ASSIGN_OR_RETURN(auto chan, store_.open(node.path, config));
         chan->close_writer();
 
         std::vector<std::string> dead;
+        settle_fan_out(node.path, dead);
         multicast::relay_block(
             forwarder_, node.children, method_id(Method::kRelayClose),
             [&](const multicast::RelayNode& child) {

@@ -36,10 +36,16 @@ enum class Method : std::uint16_t {
   kRemove = 8,      // (channel)
   kRelayWrite = 9,  // (subtree, config, offset, bytes) -> dead hosts:
                     // open+write the run locally, forward it down the
-                    // subtree (broadcast relay hop, DESIGN.md §12)
+                    // subtree and reply without waiting for it
+                    // (broadcast relay hop, DESIGN.md §12)
   kRelayClose = 10, // (subtree, config) -> dead hosts: close the local
-                    // writer, forward the close down the subtree
+                    // writer, settle the forwarded runs, forward the
+                    // close down the subtree
 };
+
+/// Runs on the wire at once: a writer's default, and the most runs a
+/// broadcast relay leaves unanswered on one edge (DESIGN.md §12).
+inline constexpr int kRunsOnWire = 4;
 
 constexpr std::uint16_t method_id(Method m) {
   return static_cast<std::uint16_t>(m);
@@ -65,8 +71,9 @@ class GridBufferServer {
   ChannelStore& store() noexcept { return store_; }
 
   /// Turns `channel` into a broadcast channel on this server: every
-  /// kWrite is also fanned out to `children` (kRelayWrite hops carrying
-  /// the subtree in-band) and kCloseWrite closes the whole tree. Each
+  /// kWrite is also fanned out to `children` (cut-through kRelayWrite
+  /// hops carrying the subtree in-band) and kCloseWrite closes the whole
+  /// tree once every hop has acknowledged every run. Each
   /// subtree node opens the channel locally with `config`, overriding
   /// expected_readers with its own node-local reader count.
   void set_broadcast(const std::string& channel,
@@ -81,6 +88,22 @@ class GridBufferServer {
 
   /// The broadcast route of `channel`, or null for a plain channel.
   std::shared_ptr<const Broadcast> broadcast(const std::string& channel) const;
+  /// Sends one run of `channel` to `children` through the channel's
+  /// cut-through fan-out, which the channel's first run makes. Appends
+  /// the dead hosts found while settling older runs.
+  void relay_run(const std::string& channel,
+                 const std::vector<multicast::RelayNode>& children,
+                 const ChannelConfig& config, std::uint64_t offset,
+                 const Buffer& data, std::vector<std::string>& dead);
+  /// Drops `channel`'s fan-out, if any, once it has settled every run.
+  void settle_fan_out(const std::string& channel,
+                      std::vector<std::string>& dead);
+  /// The armed fault plan's verdict on this relay's hop of `channel`. A
+  /// relay that dies first settles the runs it already forwarded on the
+  /// channel, so they reach its children before the runs and the close
+  /// that the parent adopts onto them.
+  Status relay_fault(const std::string& host, const std::string& channel,
+                     std::uint64_t cumulative_bytes);
   void register_handlers();
 
   ChannelStore store_;
@@ -93,6 +116,10 @@ class GridBufferServer {
   mutable Mutex mu_;
   /// Immutable once installed, so a handler copies only the pointer.
   std::map<std::string, std::shared_ptr<const Broadcast>> broadcast_
+      GUARDED_BY(mu_);
+  /// One per channel this server relays, from its first run to its
+  /// relayed close. Declared after forwarder_, which lends their clients.
+  std::map<std::string, std::shared_ptr<multicast::RelayFanOut>> fan_outs_
       GUARDED_BY(mu_);
 };
 

@@ -75,58 +75,154 @@ Result<std::vector<std::string>> decode_dead_hosts(xdr::Decoder& dec) {
       [](xdr::Decoder& d) { return d.string(); });
 }
 
-Result<Buffer> RelayForwarder::call(const RelayNode& node,
-                                    std::uint16_t method, Buffer request) {
-  std::shared_ptr<net::RpcClient> client;
+Result<std::unique_ptr<net::RpcClient>> RelayForwarder::borrow(
+    const RelayNode& node) {
   {
     MutexLock lock(mu_);
-    const auto it = clients_.find(node.endpoint);
-    if (it != clients_.end()) client = it->second;
+    const auto it = idle_.find(node.endpoint);
+    if (it != idle_.end() && !it->second.empty()) {
+      std::unique_ptr<net::RpcClient> client = std::move(it->second.back());
+      it->second.pop_back();
+      return client;
+    }
   }
-  if (!client) {
-    GL_ASSIGN_OR_RETURN(const net::Endpoint endpoint,
-                        net::Endpoint::parse(node.endpoint));
-    auto fresh = std::make_shared<net::RpcClient>(transport_, endpoint);
-    MutexLock lock(mu_);
-    // First inserter wins a race; both clients work either way.
-    client = clients_.emplace(node.endpoint, std::move(fresh)).first->second;
-  }
-  return client->call(method, std::move(request));
+  GL_ASSIGN_OR_RETURN(const net::Endpoint endpoint,
+                      net::Endpoint::parse(node.endpoint));
+  return std::make_unique<net::RpcClient>(transport_, endpoint);
 }
+
+void RelayForwarder::give_back(const RelayNode& node,
+                               std::unique_ptr<net::RpcClient> client) {
+  if (client->unanswered() != 0) return;
+  MutexLock lock(mu_);
+  idle_[node.endpoint].push_back(std::move(client));
+}
+
+namespace {
+/// Appends the dead hosts `child`'s relay reply reports.
+void note_reply(const RelayNode& child, const Buffer& reply,
+                std::vector<std::string>& dead) {
+  xdr::Decoder dec(reply);
+  auto reported = decode_dead_hosts(dec);
+  if (reported.is_ok()) {
+    dead.insert(dead.end(), reported->begin(), reported->end());
+    return;
+  }
+  // A garbled response means the subtree's state is unknown; mark every
+  // host in it missed so the source repairs conservatively.
+  GL_LOG(kWarn, "relay response from ", child.host, " undecodable (",
+         reported.status(), "); assuming subtree missed");
+  collect_subtree_hosts(child, dead);
+}
+
+/// Child unreachable (or an injected die@relay fired there): adopts its
+/// subtree for this block — forwards straight to the grandchildren — and
+/// reports the child dead so the source repairs its local file.
+void adopt(RelayForwarder& forwarder, const RelayNode& child,
+           std::uint16_t method, const RelayPayloadFn& payload,
+           const Status& error, std::vector<std::string>& dead) {
+  relay_dead_counter().add();
+  reparents_counter().add();
+  obs::Span reparent_span(obs::SpanKind::kRecovery,
+                          strings::cat("multicast.reparent:", child.host));
+  reparent_span.add_attr("error", error.message());
+  reparent_span.add_attr("adopted", strings::cat(child.children.size()));
+  GL_LOG(kWarn, "relay ", child.host, " failed (", error,
+         "); re-parenting ", child.children.size(), " subtree(s)");
+  dead.push_back(child.host);
+  relay_block(forwarder, child.children, method, payload, dead);
+}
+}  // namespace
 
 void relay_block(RelayForwarder& forwarder,
                  const std::vector<RelayNode>& children,
                  std::uint16_t method, const RelayPayloadFn& payload,
                  std::vector<std::string>& dead) {
+  std::vector<Result<std::unique_ptr<net::RpcClient>>> clients;
+  std::vector<Status> sent;
+  clients.reserve(children.size());
+  sent.reserve(children.size());
   for (const RelayNode& child : children) {
-    const Result<Buffer> reply = forwarder.call(child, method, payload(child));
-    if (reply.is_ok()) {
-      xdr::Decoder dec(*reply);
-      auto reported = decode_dead_hosts(dec);
-      if (reported.is_ok()) {
-        dead.insert(dead.end(), reported->begin(), reported->end());
-      } else {
-        // A garbled response means the subtree's state is unknown; mark
-        // every host in it missed so the source repairs conservatively.
-        GL_LOG(kWarn, "relay response from ", child.host, " undecodable (",
-               reported.status(), "); assuming subtree missed");
-        collect_subtree_hosts(child, dead);
-      }
-      continue;
+    clients.push_back(forwarder.borrow(child));
+    sent.push_back(clients.back().is_ok()
+                       ? (*clients.back())->send(method, payload(child))
+                       : clients.back().status());
+  }
+  for (std::size_t i = 0; i < children.size(); ++i) {
+    const Result<Buffer> reply =
+        sent[i].is_ok() ? (*clients[i])->receive() : Result<Buffer>(sent[i]);
+    if (clients[i].is_ok()) {
+      forwarder.give_back(children[i], std::move(*clients[i]));
     }
-    // Child unreachable (or an injected die@relay fired there): adopt its
-    // subtree for this block — forward straight to the grandchildren —
-    // and report the child dead so the source repairs its local file.
-    relay_dead_counter().add();
-    reparents_counter().add();
-    obs::Span reparent_span(obs::SpanKind::kRecovery,
-                            strings::cat("multicast.reparent:", child.host));
-    reparent_span.add_attr("error", reply.status().message());
-    reparent_span.add_attr("adopted", strings::cat(child.children.size()));
-    GL_LOG(kWarn, "relay ", child.host, " failed (", reply.status(),
-           "); re-parenting ", child.children.size(), " subtree(s)");
-    dead.push_back(child.host);
-    relay_block(forwarder, child.children, method, payload, dead);
+    if (reply.is_ok()) {
+      note_reply(children[i], *reply, dead);
+    } else {
+      adopt(forwarder, children[i], method, payload, reply.status(), dead);
+    }
+  }
+}
+
+RelayFanOut::RelayFanOut(RelayForwarder& forwarder,
+                         std::vector<RelayNode> children,
+                         std::size_t max_unanswered)
+    : forwarder_(forwarder), max_unanswered_(max_unanswered) {
+  MutexLock lock(mu_);
+  edges_.reserve(children.size());
+  for (RelayNode& child : children) {
+    auto client = forwarder_.borrow(child);
+    edges_.push_back(Edge{std::move(child), std::move(client), {}});
+  }
+}
+
+RelayFanOut::~RelayFanOut() {
+  MutexLock lock(mu_);
+  for (Edge& edge : edges_) {
+    if (edge.client.is_ok()) {
+      forwarder_.give_back(edge.child, std::move(*edge.client));
+    }
+  }
+}
+
+void RelayFanOut::forward(std::uint16_t method, const RelayPayloadFn& payload,
+                          std::vector<std::string>& dead) {
+  MutexLock lock(mu_);
+  for (Edge& edge : edges_) {
+    if (edge.unanswered.size() >= max_unanswered_) settle_oldest(edge, dead);
+    const Status sent =
+        edge.client.is_ok()
+            ? (*edge.client)->send(method, payload(edge.child))
+            : edge.client.status();
+    if (sent.is_ok()) {
+      edge.unanswered.push_back(Run{method, payload});
+    } else {
+      adopt(forwarder_, edge.child, method, payload, sent, dead);
+    }
+  }
+}
+
+void RelayFanOut::settle(std::vector<std::string>& dead) {
+  MutexLock lock(mu_);
+  for (Edge& edge : edges_) {
+    while (!edge.unanswered.empty()) settle_oldest(edge, dead);
+  }
+}
+
+void RelayFanOut::settle_oldest(Edge& edge, std::vector<std::string>& dead) {
+  net::RpcClient& client = **edge.client;
+  const Result<Buffer> reply = client.receive();
+  if (reply.is_ok()) {
+    note_reply(edge.child, *reply, dead);
+    edge.unanswered.pop_front();
+    return;
+  }
+  // A handler error fails its own run only; any other failure abandoned
+  // every later run on the edge as well.
+  for (std::size_t failed = edge.unanswered.size() - client.unanswered();
+       failed > 0; --failed) {
+    const Run run = std::move(edge.unanswered.front());
+    edge.unanswered.pop_front();
+    adopt(forwarder_, edge.child, run.method, run.payload, reply.status(),
+          dead);
   }
 }
 

@@ -3,9 +3,11 @@
 // A relay request carries the receiving node's own subtree in-band: its
 // local write target (file path or buffer channel), its endpoint, and
 // the full subtrees of its children. The receiver writes the block once
-// locally and forwards it to each child — no relay ever needs prior
-// per-transfer state, so any remote::FileServer or GridBufferServer can
-// be recruited as an interior relay of any transfer.
+// locally and forwards it to each child, so any remote::FileServer or
+// GridBufferServer can be recruited as an interior relay of any transfer
+// without prior setup. A Grid Buffer relay forwards cut-through: a
+// RelayFanOut sends each run down its edges and takes the children's
+// acknowledgements later.
 //
 // Fault tolerance is parent-side adoption: when a forward to child C
 // fails, the parent re-parents C's subtree onto itself for this block —
@@ -17,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -58,22 +61,27 @@ void encode_dead_hosts(xdr::Encoder& enc,
                        const std::vector<std::string>& dead);
 Result<std::vector<std::string>> decode_dead_hosts(xdr::Decoder& dec);
 
-/// A small cache of RPC clients keyed by endpoint, shared by every
-/// forward a relay makes. RpcClient serializes calls internally, so one
-/// client per child endpoint mirrors one connection per tree edge.
+/// Lends RPC clients to relay forwards from an idle pool per endpoint.
+/// A client serves one borrower at a time, so concurrent forwards to one
+/// child each have their own connection, and a borrower may leave sends
+/// unanswered while it holds the client.
 class RelayForwarder {
  public:
   explicit RelayForwarder(net::Transport& transport)
       : transport_(transport) {}
 
-  /// Calls `method` on the node's endpoint with `request`.
-  Result<Buffer> call(const RelayNode& node, std::uint16_t method,
-                      Buffer request);
+  /// An idle client to `node`'s endpoint, or a new one.
+  Result<std::unique_ptr<net::RpcClient>> borrow(const RelayNode& node);
+
+  /// Returns a borrowed client to the pool. A client with requests still
+  /// unanswered is dropped instead: its connection owes replies.
+  void give_back(const RelayNode& node,
+                 std::unique_ptr<net::RpcClient> client);
 
  private:
   net::Transport& transport_;
   Mutex mu_;
-  std::map<std::string, std::shared_ptr<net::RpcClient>> clients_
+  std::map<std::string, std::vector<std::unique_ptr<net::RpcClient>>> idle_
       GUARDED_BY(mu_);
 };
 
@@ -81,15 +89,64 @@ class RelayForwarder {
 /// to `node`'s subtree.
 using RelayPayloadFn = std::function<Buffer(const RelayNode& node)>;
 
-/// Delivers one payload to every subtree in `children`: one call per
-/// child, each failure adopted (the dead child's own children get direct
-/// calls from here, recursively). Appends every dead host seen — locally
-/// or reported by a child's response — to `dead`. Never fails: total
-/// subtree loss just means every host lands in `dead`.
+/// Delivers one payload to every subtree in `children`: it sends to
+/// every child before it takes any reply, so sibling subtrees are served
+/// in parallel, and adopts each failure (the dead child's own children
+/// get direct forwards from here, recursively). Appends every dead host
+/// seen — locally or reported by a child's response — to `dead`. Never
+/// fails: total subtree loss just means every host lands in `dead`.
 void relay_block(RelayForwarder& forwarder,
                  const std::vector<RelayNode>& children,
                  std::uint16_t method, const RelayPayloadFn& payload,
                  std::vector<std::string>& dead);
+
+/// Cut-through forwarding of one transfer's runs to a relay's children
+/// (DESIGN.md §12). Each edge holds one client to one child. forward()
+/// sends a run down every edge and returns without waiting; an edge
+/// takes its child's acknowledgements only when `max_unanswered` runs
+/// are on it (the oldest first) and in settle(). An edge keeps each
+/// unanswered run's payload function, which shares the run's bytes, so
+/// a run whose acknowledgement fails is adopted onto the child's
+/// children through relay_block, as a synchronous forward would be.
+/// Thread-safe: forwards and settles take turns.
+class RelayFanOut {
+ public:
+  RelayFanOut(RelayForwarder& forwarder, std::vector<RelayNode> children,
+              std::size_t max_unanswered);
+  ~RelayFanOut();
+
+  RelayFanOut(const RelayFanOut&) = delete;
+  RelayFanOut& operator=(const RelayFanOut&) = delete;
+
+  /// Sends one run to every child. Appends the dead hosts found while
+  /// settling older runs to make room.
+  void forward(std::uint16_t method, const RelayPayloadFn& payload,
+               std::vector<std::string>& dead);
+
+  /// Takes every unanswered acknowledgement, adopting the failed runs.
+  void settle(std::vector<std::string>& dead);
+
+ private:
+  struct Run {
+    std::uint16_t method = 0;
+    RelayPayloadFn payload;
+  };
+  struct Edge {
+    RelayNode child;
+    Result<std::unique_ptr<net::RpcClient>> client;
+    std::deque<Run> unanswered;  // oldest first
+  };
+
+  void settle_oldest(Edge& edge, std::vector<std::string>& dead)
+      REQUIRES(mu_);
+
+  RelayForwarder& forwarder_;
+  const std::size_t max_unanswered_;
+  // Held across a child's reply: a relay's runs of one transfer go down
+  // its edges in order.
+  Mutex mu_;
+  std::vector<Edge> edges_ GUARDED_BY(mu_);
+};
 
 /// Consults the armed fault plan at the relay site for `host`, with the
 /// relay's cumulative forwarded bytes as the `after=` high-water mark.

@@ -387,6 +387,11 @@ Status RpcClient::ensure_connected() {
   return Status::ok();
 }
 
+std::size_t RpcClient::unanswered() {
+  MutexLock lock(mu_);
+  return pending_.size();
+}
+
 void RpcClient::reset_connection() {
   MutexLock lock(mu_);
   conn_.reset();  // closes it

@@ -148,6 +148,9 @@ class RpcClient {
   /// request and drops the connection.
   Result<Buffer> receive();
 
+  /// Requests sent and not yet answered.
+  std::size_t unanswered();
+
   const Endpoint& server() const noexcept { return server_; }
 
   /// Drops the cached connection; the next send() or receive()

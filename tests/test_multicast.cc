@@ -5,7 +5,10 @@
 // runner's use of both.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <thread>
 
 #include "src/apps/paper_apps.h"
 #include "src/common/strings.h"
@@ -423,8 +426,13 @@ class BroadcastBufferTest : public ::testing::Test {
   }
 
   Bytes read_all_from(int machine, const std::string& channel) {
-    auto reader = gridbuffer::GridBufferReader::open(
-        *client_transport_, servers_[machine]->endpoint(), channel);
+    return read_all_from(servers_[machine]->endpoint(), channel);
+  }
+
+  Bytes read_all_from(const net::Endpoint& server,
+                      const std::string& channel) {
+    auto reader = gridbuffer::GridBufferReader::open(*client_transport_,
+                                                     server, channel);
     EXPECT_TRUE(reader.is_ok()) << reader.status();
     Bytes out;
     Bytes buffer(8192);
@@ -439,12 +447,90 @@ class BroadcastBufferTest : public ::testing::Test {
     return out;
   }
 
+  /// Bytes `server`'s local `channel` holds so far (0 before it opens).
+  static std::uint64_t frontier(gridbuffer::GridBufferServer& server,
+                                const std::string& channel) {
+    auto chan = server.store().find(channel);
+    if (!chan.is_ok()) return 0;
+    auto stat = (*chan)->stat(false, 0);
+    return stat.is_ok() ? stat->frontier : 0;
+  }
+
   TempDir dir_;
   RealClock clock_;
   net::InProcNetwork network_;
   std::unique_ptr<net::Transport> client_transport_;
   std::vector<std::unique_ptr<net::Transport>> transports_;
   std::vector<std::unique_ptr<gridbuffer::GridBufferServer>> servers_;
+};
+
+/// A transport that breaks one connection to `host` once: the first
+/// reply awaited after the `break_after`-th message sent there is taken
+/// off the wire and dropped, and the connection is closed. The request
+/// it answered was served, so the client's reconnect resends a request
+/// its server already ran.
+class BreakOnceTransport : public net::Transport {
+ public:
+  BreakOnceTransport(std::unique_ptr<net::Transport> inner, std::string host,
+                     int break_after)
+      : inner_(std::move(inner)), host_(std::move(host)),
+        break_after_(break_after) {}
+
+  Result<std::unique_ptr<net::Connection>> connect(
+      const net::Endpoint& remote) override {
+    GL_ASSIGN_OR_RETURN(auto conn, inner_->connect(remote));
+    if (remote.host != host_) return conn;
+    connects_.fetch_add(1);
+    return std::unique_ptr<net::Connection>(
+        std::make_unique<Breaking>(std::move(conn), *this));
+  }
+  Result<std::unique_ptr<net::Listener>> listen(
+      const net::Endpoint& local) override {
+    return inner_->listen(local);
+  }
+  const std::string& local_host() const override {
+    return inner_->local_host();
+  }
+
+  int connects() const { return connects_.load(); }
+  bool broke() const { return broke_.load(); }
+
+ private:
+  class Breaking : public net::Connection {
+   public:
+    Breaking(std::unique_ptr<net::Connection> inner, BreakOnceTransport& owner)
+        : inner_(std::move(inner)), owner_(owner) {}
+    Status send(Buffer message) override {
+      if (owner_.sent_.fetch_add(1) + 1 == owner_.break_after_) {
+        owner_.armed_.store(true);
+      }
+      return inner_->send(std::move(message));
+    }
+    Result<Buffer> recv() override { return maybe_break(inner_->recv()); }
+    Result<Buffer> recv_until(WallClock::time_point deadline) override {
+      return maybe_break(inner_->recv_until(deadline));
+    }
+    void close() override { inner_->close(); }
+    std::string peer() const override { return inner_->peer(); }
+
+   private:
+    Result<Buffer> maybe_break(Result<Buffer> reply) {
+      if (!reply.is_ok() || !owner_.armed_.exchange(false)) return reply;
+      inner_->close();
+      owner_.broke_.store(true);
+      return closed_error("connection broken by the test transport");
+    }
+    std::unique_ptr<net::Connection> inner_;
+    BreakOnceTransport& owner_;
+  };
+
+  std::unique_ptr<net::Transport> inner_;
+  const std::string host_;
+  const int break_after_;
+  std::atomic<int> sent_{0};
+  std::atomic<int> connects_{0};
+  std::atomic<bool> armed_{false};
+  std::atomic<bool> broke_{false};
 };
 
 TEST_F(BroadcastBufferTest, ChainDeliversWholeStreamToEveryMachine) {
@@ -497,6 +583,115 @@ TEST_F(BroadcastBufferTest, RelayDeathMidRunIsAdoptedByParent) {
   EXPECT_EQ(read_all_from(0, "br"), data);
   EXPECT_EQ(read_all_from(2, "br"), data);
   EXPECT_GT(counter_value("multicast.reparents"), reparents_before);
+}
+
+TEST_F(BroadcastBufferTest, RelayDeathWithRunsUnansweredIsAdopted) {
+  // The writer's default kRunsOnWire runs on the wire, so m0's edge to m1
+  // holds several unanswered runs when m1 dies partway through the stream.
+  // m1 first delivers the runs it already forwarded; m0 adopts every
+  // later run and the close onto m2.
+  install_chain("bu");
+  const std::uint64_t reparents_before = counter_value("multicast.reparents");
+  const Bytes data = pattern(40 * 32768 + 77);
+  ArmedPlan armed(strings::cat("seed=13;die@relay:m1:after=", 20 * 32768));
+  auto writer = gridbuffer::GridBufferWriter::open(
+      *client_transport_, servers_[0]->endpoint(), "bu");
+  ASSERT_TRUE(writer.is_ok()) << writer.status();
+  for (std::size_t at = 0; at < data.size(); at += 32768) {
+    const std::size_t n = std::min<std::size_t>(32768, data.size() - at);
+    ASSERT_TRUE((*writer)->write({data.data() + at, n}).is_ok());
+  }
+  ASSERT_TRUE((*writer)->close().is_ok());
+  EXPECT_EQ(read_all_from(0, "bu"), data);
+  EXPECT_EQ(read_all_from(2, "bu"), data);
+  EXPECT_GT(counter_value("multicast.reparents"), reparents_before);
+}
+
+TEST_F(BroadcastBufferTest, BrokenEdgeResendsUnansweredRuns) {
+  // A second first hop on m0 whose connections to m1 break once, after
+  // the 6th frame: the edge reconnects and resends its unanswered runs,
+  // at least one of which m1 had already stored. The repeat is an
+  // identical rewrite, so every machine still holds the exact stream.
+  auto transport = std::make_unique<BreakOnceTransport>(
+      network_.transport("m0"), "m1", 6);
+  BreakOnceTransport& breaking = *transport;
+  gridbuffer::GridBufferServer root(dir_.file("cache-m0-break").string(),
+                                    breaking,
+                                    net::inproc_endpoint("m0", "gbuf-break"));
+  ASSERT_TRUE(root.start().is_ok());
+  gridbuffer::ChannelConfig config;
+  config.expected_readers = 1;
+  multicast::RelayNode m2{"m2", servers_[2]->endpoint().to_string(), "bk", 1,
+                          {}};
+  multicast::RelayNode m1{"m1", servers_[1]->endpoint().to_string(), "bk", 1,
+                          {m2}};
+  root.set_broadcast("bk", config, {m1});
+
+  const Bytes data = pattern(16 * 32768 + 77);
+  auto writer = gridbuffer::GridBufferWriter::open(*client_transport_,
+                                                   root.endpoint(), "bk");
+  ASSERT_TRUE(writer.is_ok()) << writer.status();
+  for (std::size_t at = 0; at < data.size(); at += 32768) {
+    const std::size_t n = std::min<std::size_t>(32768, data.size() - at);
+    ASSERT_TRUE((*writer)->write({data.data() + at, n}).is_ok());
+  }
+  ASSERT_TRUE((*writer)->close().is_ok());
+  EXPECT_TRUE(breaking.broke());
+  EXPECT_GE(breaking.connects(), 2);
+  EXPECT_EQ(read_all_from(root.endpoint(), "bk"), data);
+  EXPECT_EQ(read_all_from(1, "bk"), data);
+  EXPECT_EQ(read_all_from(2, "bk"), data);
+  root.stop();
+}
+
+TEST_F(BroadcastBufferTest, ReaderlessChildStallsTheWriter) {
+  // m1 expects a reader that has not come, and bounds unread bytes, so
+  // its channel stalls. m0's edge then fills up to kRunsOnWire unanswered
+  // runs and m0 stops replying, which stalls the writer: m0 never gets
+  // more than kRunsOnWire + 1 runs ahead of m1.
+  constexpr std::size_t kRun = 32768;  // 8 blocks: the default writer run
+  gridbuffer::ChannelConfig config;
+  config.expected_readers = 1;
+  config.max_unread_bytes = 65536;
+  multicast::RelayNode m1{"m1", servers_[1]->endpoint().to_string(), "bs", 1,
+                          {}};
+  servers_[0]->set_broadcast("bs", config, {m1});
+
+  const Bytes data = pattern(64 * kRun);
+  auto writer = gridbuffer::GridBufferWriter::open(
+      *client_transport_, servers_[0]->endpoint(), "bs");
+  ASSERT_TRUE(writer.is_ok()) << writer.status();
+  std::atomic<bool> done{false};
+  Status written = Status::ok();
+  std::thread producer([&] {
+    for (std::size_t at = 0; at < data.size() && written.is_ok(); at += kRun) {
+      written = (*writer)->write({data.data() + at, kRun});
+    }
+    if (written.is_ok()) written = (*writer)->close();
+    done.store(true);
+  });
+
+  // Wait until m0's frontier has stopped moving; m0 is read before m1, so
+  // m1's frontier can only have grown since.
+  const std::uint64_t bound = (gridbuffer::kRunsOnWire + 1) * kRun;
+  std::uint64_t last = 0;
+  for (int still = 0, polls = 0; still < 5 && polls < 200; ++polls) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const std::uint64_t at_m0 = frontier(*servers_[0], "bs");
+    const std::uint64_t at_m1 = frontier(*servers_[1], "bs");
+    EXPECT_LE(at_m0, at_m1 + bound);
+    still = at_m0 == last ? still + 1 : 0;
+    last = at_m0;
+  }
+  EXPECT_FALSE(done.load());
+  EXPECT_GT(last, 0u);
+  EXPECT_LE(last, config.max_unread_bytes + kRun + bound);
+
+  // The reader arrives: the stream drains to every machine.
+  EXPECT_EQ(read_all_from(1, "bs"), data);
+  producer.join();
+  EXPECT_TRUE(written.is_ok()) << written;
+  EXPECT_EQ(read_all_from(0, "bs"), data);
 }
 
 // ---------------------------------------------------------------------
