@@ -302,6 +302,7 @@ Status Channel::write(std::uint64_t offset, const Buffer& data) {
         GbMetrics::get().blocks_buffered.sub(1);
       }
     }
+    stored_ += block.size() - size_it->second;
     size_it->second = static_cast<std::uint32_t>(block.size());
     blocks_[at] = block;
     table_bytes_ += block.size();
@@ -317,12 +318,48 @@ Status Channel::write(std::uint64_t offset, const Buffer& data) {
   return Status::ok();
 }
 
-void Channel::close_writer() {
+StreamExtent Channel::close_writer() {
+  StreamExtent extent;
   {
     MutexLock lock(mu_);
     writer_closed_ = true;
+    extent = {frontier_, stored_};
   }
   cv_.notify_all();
+  return extent;
+}
+
+Status Channel::close_writer_at(const StreamExtent& extent,
+                                std::uint64_t idle_ms) {
+  MutexLock lock(mu_);
+  StreamExtent held{frontier_, stored_};
+  WallClock::time_point idle_until =
+      WallClock::now() + std::chrono::milliseconds(idle_ms);
+  while (held != extent) {
+    if (shutdown_) return aborted_error("grid buffer shutting down");
+    if (writer_closed_ || writer_failed_ || held.frontier > extent.frontier ||
+        held.stored > extent.stored) {
+      return data_loss(strings::cat("channel ", name_, ": holds ",
+                                    held.stored, " bytes to ", held.frontier,
+                                    ", not ", extent.stored, " to ",
+                                    extent.frontier));
+    }
+    // lint: blocking-ok (monitor wait, deadline-bounded: releases mu_)
+    if (cv_.wait_until(mu_, idle_until) == std::cv_status::timeout) {
+      return data_loss(strings::cat(
+          "channel ", name_, ": holds ", held.stored, " of ", extent.stored,
+          " bytes and nothing landed for ", idle_ms, " ms"));
+    }
+    const StreamExtent now{frontier_, stored_};
+    if (now != held) {
+      held = now;
+      idle_until = WallClock::now() + std::chrono::milliseconds(idle_ms);
+    }
+  }
+  writer_closed_ = true;
+  lock.unlock();
+  cv_.notify_all();
+  return Status::ok();
 }
 
 bool Channel::writer_closed() const {

@@ -52,6 +52,16 @@ struct ReadResult {
   std::uint64_t frontier = 0;  // bytes written so far (high-water mark)
 };
 
+/// What a stream holds: its frontier and the bytes stored below it
+/// (fewer than the frontier where the stream has holes). A broadcast
+/// close carries the source's extent so that every machine can tell a
+/// whole copy from a short one (DESIGN.md §12).
+struct StreamExtent {
+  std::uint64_t frontier = 0;
+  std::uint64_t stored = 0;
+  bool operator==(const StreamExtent&) const = default;
+};
+
 /// One writer-to-readers stream. Thread-safe; reads block.
 class Channel {
  public:
@@ -80,8 +90,15 @@ class Channel {
   /// the wait already published.
   Status write(std::uint64_t offset, const Buffer& data);
 
-  /// Declares end-of-stream; wakes blocked readers.
-  void close_writer();
+  /// Declares end-of-stream; wakes blocked readers. Returns what the
+  /// stream holds.
+  StreamExtent close_writer();
+
+  /// Declares end-of-stream once the channel holds exactly `extent`,
+  /// waiting while writes keep landing. Fails with kDataLoss, and leaves
+  /// the writer open, when `idle_ms` wall milliseconds pass without a
+  /// write, or when the stream can no longer come to hold `extent`.
+  Status close_writer_at(const StreamExtent& extent, std::uint64_t idle_ms);
   bool writer_closed() const;
 
   /// Marks the writer as dead mid-stream (injected peer death or a real
@@ -154,6 +171,8 @@ class Channel {
   // No block below this offset is resident: where eviction resumes.
   std::uint64_t resident_from_ GUARDED_BY(mu_) = 0;
   std::uint64_t frontier_ GUARDED_BY(mu_) = 0;
+  // The sum of block_sizes_.
+  std::uint64_t stored_ GUARDED_BY(mu_) = 0;
   bool writer_closed_ GUARDED_BY(mu_) = false;
   bool writer_failed_ GUARDED_BY(mu_) = false;
   bool shutdown_ GUARDED_BY(mu_) = false;

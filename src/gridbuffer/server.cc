@@ -25,12 +25,20 @@ Buffer relay_write_request(const multicast::RelayNode& node,
 }
 
 Buffer relay_close_request(const multicast::RelayNode& node,
-                           const ChannelConfig& config) {
+                           const ChannelConfig& config,
+                           const StreamExtent& extent) {
   xdr::Encoder enc;
   multicast::encode_node(enc, node);
   encode_channel_config(enc, config);
+  enc.put_u64(extent.frontier);
+  enc.put_u64(extent.stored);
   return std::move(enc).finish();
 }
+
+/// How long a relayed close waits for a run to land before it gives up
+/// on a short copy. Only a close that overtook its runs waits: one that
+/// came down the tree follows every run the parent forwarded.
+constexpr std::uint64_t kCloseIdleMs = 2000;
 
 /// Caps a blocking wait (ms; 0 = forever) to the ambient end-to-end
 /// budget so an expired request never parks past its caller's patience.
@@ -126,16 +134,13 @@ void GridBufferServer::settle_fan_out(const std::string& channel,
   fan_out->settle(dead);
 }
 
-Status GridBufferServer::relay_fault(const std::string& host,
-                                     const std::string& channel,
-                                     std::uint64_t cumulative_bytes) {
-  Status verdict = multicast::consult_relay_fault(host, cumulative_bytes);
-  if (!verdict.is_ok()) {
-    // The parent reports this relay dead and adopts its children.
-    std::vector<std::string> unreported;
-    settle_fan_out(channel, unreported);
+void GridBufferServer::drop_fan_out(const std::string& channel) {
+  std::vector<std::string> dead;
+  settle_fan_out(channel, dead);
+  if (!dead.empty()) {
+    GL_LOG(kWarn, "grid buffer broadcast ", channel, ": writer failed; ",
+           dead.size(), " machine(s) unreachable");
   }
-  return verdict;
 }
 
 GridBufferServer::~GridBufferServer() { stop(); }
@@ -168,7 +173,11 @@ void GridBufferServer::register_handlers() {
         GL_ASSIGN_OR_RETURN(const std::uint64_t offset, dec.u64());
         GL_ASSIGN_OR_RETURN(const Buffer data, dec.bytes());
         GL_ASSIGN_OR_RETURN(auto chan, store_.find(channel));
-        GL_RETURN_IF_ERROR(chan->write(offset, data));
+        if (const Status written = chan->write(offset, data);
+            !written.is_ok()) {
+          if (chan->writer_failed()) drop_fan_out(channel);
+          return written;
+        }
         // Broadcast channels also send the run down the relay tree, cut
         // through: the reply does not wait for the children.
         const std::shared_ptr<const Broadcast> route = broadcast(channel);
@@ -190,7 +199,7 @@ void GridBufferServer::register_handlers() {
         xdr::Decoder dec(request);
         GL_ASSIGN_OR_RETURN(const std::string channel, dec.string());
         GL_ASSIGN_OR_RETURN(auto chan, store_.find(channel));
-        chan->close_writer();
+        const StreamExtent extent = chan->close_writer();
         const std::shared_ptr<const Broadcast> route = broadcast(channel);
         if (route != nullptr) {
           std::vector<std::string> dead;
@@ -198,7 +207,7 @@ void GridBufferServer::register_handlers() {
           multicast::relay_block(
               forwarder_, route->children, method_id(Method::kRelayClose),
               [&](const multicast::RelayNode& child) {
-                return relay_close_request(child, route->config);
+                return relay_close_request(child, route->config, extent);
               },
               dead);
           if (!dead.empty()) {
@@ -311,13 +320,17 @@ void GridBufferServer::register_handlers() {
             relayed_bytes_.fetch_add(data.size(),
                                      std::memory_order_relaxed) +
             data.size();
-        GL_RETURN_IF_ERROR(relay_fault(host, node.path, cumulative));
+        GL_RETURN_IF_ERROR(multicast::consult_relay_fault(host, cumulative));
 
         // Same channel, node-local reader count: the store only requires
         // block_size/cache agreement across machines.
         if (node.readers != 0) config.expected_readers = node.readers;
         GL_ASSIGN_OR_RETURN(auto chan, store_.open(node.path, config));
-        GL_RETURN_IF_ERROR(chan->write(offset, data));
+        if (const Status written = chan->write(offset, data);
+            !written.is_ok()) {
+          if (chan->writer_failed()) drop_fan_out(node.path);
+          return written;
+        }
 
         // Cut through: the reply carries only the dead hosts found while
         // settling older runs; the close's reply carries the rest.
@@ -337,21 +350,29 @@ void GridBufferServer::register_handlers() {
                             multicast::decode_node(dec));
         GL_ASSIGN_OR_RETURN(ChannelConfig config,
                             decode_channel_config(dec));
+        StreamExtent extent;
+        GL_ASSIGN_OR_RETURN(extent.frontier, dec.u64());
+        GL_ASSIGN_OR_RETURN(extent.stored, dec.u64());
 
         const std::string host = rpc_.endpoint().host;
-        GL_RETURN_IF_ERROR(relay_fault(
-            host, node.path, relayed_bytes_.load(std::memory_order_relaxed)));
+        GL_RETURN_IF_ERROR(multicast::consult_relay_fault(
+            host, relayed_bytes_.load(std::memory_order_relaxed)));
 
         if (node.readers != 0) config.expected_readers = node.readers;
         GL_ASSIGN_OR_RETURN(auto chan, store_.open(node.path, config));
-        chan->close_writer();
-
+        // A close that the parent adopted from a failed relay can overtake
+        // runs that relay still has on their way here. The close waits for
+        // them; a copy that stays short fails it, so the parent reports
+        // this machine dead rather than its readers seeing a short stream.
+        const Status closed =
+            chan->close_writer_at(extent, clamp_to_budget_ms(kCloseIdleMs));
         std::vector<std::string> dead;
         settle_fan_out(node.path, dead);
+        GL_RETURN_IF_ERROR(closed);
         multicast::relay_block(
             forwarder_, node.children, method_id(Method::kRelayClose),
             [&](const multicast::RelayNode& child) {
-              return relay_close_request(child, config);
+              return relay_close_request(child, config, extent);
             },
             dead);
         xdr::Encoder enc;

@@ -38,9 +38,10 @@ enum class Method : std::uint16_t {
                     // open+write the run locally, forward it down the
                     // subtree and reply without waiting for it
                     // (broadcast relay hop, DESIGN.md §12)
-  kRelayClose = 10, // (subtree, config) -> dead hosts: close the local
-                    // writer, settle the forwarded runs, forward the
-                    // close down the subtree
+  kRelayClose = 10, // (subtree, config, frontier, stored) -> dead hosts:
+                    // close the local writer once the channel holds the
+                    // source's stream, settle the forwarded runs,
+                    // forward the close down the subtree
 };
 
 /// Runs on the wire at once: a writer's default, and the most runs a
@@ -73,7 +74,8 @@ class GridBufferServer {
   /// Turns `channel` into a broadcast channel on this server: every
   /// kWrite is also fanned out to `children` (cut-through kRelayWrite
   /// hops carrying the subtree in-band) and kCloseWrite closes the whole
-  /// tree once every hop has acknowledged every run. Each
+  /// tree: each machine closes its channel once it holds the stream the
+  /// source closed, and a machine that cannot is reported dead. Each
   /// subtree node opens the channel locally with `config`, overriding
   /// expected_readers with its own node-local reader count.
   void set_broadcast(const std::string& channel,
@@ -98,12 +100,9 @@ class GridBufferServer {
   /// Drops `channel`'s fan-out, if any, once it has settled every run.
   void settle_fan_out(const std::string& channel,
                       std::vector<std::string>& dead);
-  /// The armed fault plan's verdict on this relay's hop of `channel`. A
-  /// relay that dies first settles the runs it already forwarded on the
-  /// channel, so they reach its children before the runs and the close
-  /// that the parent adopts onto them.
-  Status relay_fault(const std::string& host, const std::string& channel,
-                     std::uint64_t cumulative_bytes);
+  /// settle_fan_out() for a stream whose writer failed: no close will
+  /// come to drop its fan-out.
+  void drop_fan_out(const std::string& channel);
   void register_handlers();
 
   ChannelStore store_;
@@ -118,7 +117,8 @@ class GridBufferServer {
   std::map<std::string, std::shared_ptr<const Broadcast>> broadcast_
       GUARDED_BY(mu_);
   /// One per channel this server relays, from its first run to its
-  /// relayed close. Declared after forwarder_, which lends their clients.
+  /// relayed close (or to a write that finds the writer failed). Declared
+  /// after forwarder_, which lends their clients.
   std::map<std::string, std::shared_ptr<multicast::RelayFanOut>> fan_outs_
       GUARDED_BY(mu_);
 };

@@ -533,6 +533,65 @@ class BreakOnceTransport : public net::Transport {
   std::atomic<bool> broke_{false};
 };
 
+/// A transport that cuts every request for `method` to `host`, as if the
+/// host were cut off from this machine for that call while it stays up
+/// for every other. A cut request fails to send, or with `swallow` is
+/// lost on the way: it sends, and no reply ever comes.
+class CutMethodTransport : public net::Transport {
+ public:
+  CutMethodTransport(std::unique_ptr<net::Transport> inner, std::string host,
+                     std::uint16_t method, bool swallow = false)
+      : inner_(std::move(inner)), host_(std::move(host)), method_(method),
+        swallow_(swallow) {}
+
+  Result<std::unique_ptr<net::Connection>> connect(
+      const net::Endpoint& remote) override {
+    GL_ASSIGN_OR_RETURN(auto conn, inner_->connect(remote));
+    if (remote.host != host_) return conn;
+    return std::unique_ptr<net::Connection>(
+        std::make_unique<Cutting>(std::move(conn), method_, swallow_));
+  }
+  Result<std::unique_ptr<net::Listener>> listen(
+      const net::Endpoint& local) override {
+    return inner_->listen(local);
+  }
+  const std::string& local_host() const override {
+    return inner_->local_host();
+  }
+
+ private:
+  class Cutting : public net::Connection {
+   public:
+    Cutting(std::unique_ptr<net::Connection> inner, std::uint16_t method,
+            bool swallow)
+        : inner_(std::move(inner)), method_(method), swallow_(swallow) {}
+    Status send(Buffer message) override {
+      auto frame = net::decode_frame(message, net::WireFormat::kBinary);
+      if (frame.is_ok() && frame->method == method_) {
+        if (swallow_) return Status::ok();
+        return closed_error("request cut off by the test transport");
+      }
+      return inner_->send(std::move(message));
+    }
+    Result<Buffer> recv() override { return inner_->recv(); }
+    Result<Buffer> recv_until(WallClock::time_point deadline) override {
+      return inner_->recv_until(deadline);
+    }
+    void close() override { inner_->close(); }
+    std::string peer() const override { return inner_->peer(); }
+
+   private:
+    std::unique_ptr<net::Connection> inner_;
+    const std::uint16_t method_;
+    const bool swallow_;
+  };
+
+  std::unique_ptr<net::Transport> inner_;
+  const std::string host_;
+  const std::uint16_t method_;
+  const bool swallow_;
+};
+
 TEST_F(BroadcastBufferTest, ChainDeliversWholeStreamToEveryMachine) {
   install_chain("bc");
   const Bytes data = pattern(3 * 4096 + 1000);
@@ -588,8 +647,8 @@ TEST_F(BroadcastBufferTest, RelayDeathMidRunIsAdoptedByParent) {
 TEST_F(BroadcastBufferTest, RelayDeathWithRunsUnansweredIsAdopted) {
   // The writer's default kRunsOnWire runs on the wire, so m0's edge to m1
   // holds several unanswered runs when m1 dies partway through the stream.
-  // m1 first delivers the runs it already forwarded; m0 adopts every
-  // later run and the close onto m2.
+  // m0 adopts every later run and the close onto m2; the close waits at
+  // m2 for the runs m1 had already forwarded.
   install_chain("bu");
   const std::uint64_t reparents_before = counter_value("multicast.reparents");
   const Bytes data = pattern(40 * 32768 + 77);
@@ -605,6 +664,104 @@ TEST_F(BroadcastBufferTest, RelayDeathWithRunsUnansweredIsAdopted) {
   EXPECT_EQ(read_all_from(0, "bu"), data);
   EXPECT_EQ(read_all_from(2, "bu"), data);
   EXPECT_GT(counter_value("multicast.reparents"), reparents_before);
+}
+
+TEST_F(BroadcastBufferTest, AdoptedCloseWaitsForRunsStillOnTheirWay) {
+  // m0 cannot send m1 the close, though m1 is up, so m0 adopts the close
+  // onto m2 while m1 still has runs on their way there: m2 bounds unread
+  // bytes at one run and has no reader yet, so they stall on m1's edge.
+  // The close must not overtake them. m2 closes once it holds the whole
+  // stream, which its first reader lets in.
+  constexpr std::size_t kRun = 32768;  // 8 blocks: the default writer run
+  CutMethodTransport transport(
+      network_.transport("m0"), "m1",
+      gridbuffer::method_id(gridbuffer::Method::kRelayClose));
+  gridbuffer::GridBufferServer root(dir_.file("cache-m0-cut").string(),
+                                    transport,
+                                    net::inproc_endpoint("m0", "gbuf-cut"));
+  ASSERT_TRUE(root.start().is_ok());
+  gridbuffer::ChannelConfig config;
+  config.expected_readers = 1;
+  gridbuffer::ChannelConfig stalling = config;
+  stalling.max_unread_bytes = kRun;
+  ASSERT_TRUE(servers_[2]->store().open("ca", stalling).is_ok());
+  multicast::RelayNode m2{"m2", servers_[2]->endpoint().to_string(), "ca", 1,
+                          {}};
+  multicast::RelayNode m1{"m1", servers_[1]->endpoint().to_string(), "ca", 1,
+                          {m2}};
+  root.set_broadcast("ca", config, {m1});
+
+  const std::uint64_t dead_before = counter_value("multicast.relay.dead");
+  const Bytes data = pattern(gridbuffer::kRunsOnWire * kRun);
+  auto writer = gridbuffer::GridBufferWriter::open(*client_transport_,
+                                                   root.endpoint(), "ca");
+  ASSERT_TRUE(writer.is_ok()) << writer.status();
+  for (std::size_t at = 0; at < data.size(); at += kRun) {
+    ASSERT_TRUE((*writer)->write({data.data() + at, kRun}).is_ok());
+  }
+  Status closed = Status::ok();
+  std::thread closer([&] { closed = (*writer)->close(); });
+
+  // m0 gives up on m1 and sends the close to m2, which is still short.
+  for (int polls = 0;
+       counter_value("multicast.relay.dead") == dead_before && polls < 500;
+       ++polls) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_GT(counter_value("multicast.relay.dead"), dead_before);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_LT(frontier(*servers_[2], "ca"), data.size());
+
+  EXPECT_EQ(read_all_from(2, "ca"), data);
+  closer.join();
+  EXPECT_TRUE(closed.is_ok()) << closed;
+  EXPECT_EQ(read_all_from(root.endpoint(), "ca"), data);
+  root.stop();
+}
+
+TEST_F(BroadcastBufferTest, ShortCopyFailsTheCloseAndIsReportedDead) {
+  // As above, but the runs m1 forwards to m2 are lost on the way. m2
+  // never comes to hold the stream, so it fails the close that m0
+  // adopts onto it once nothing has landed for a while: its writer stays
+  // open, and m0 reports it dead along with m1.
+  constexpr std::size_t kRun = 32768;
+  CutMethodTransport root_transport(
+      network_.transport("m0"), "m1",
+      gridbuffer::method_id(gridbuffer::Method::kRelayClose));
+  CutMethodTransport relay_transport(
+      network_.transport("m1"), "m2",
+      gridbuffer::method_id(gridbuffer::Method::kRelayWrite),
+      /*swallow=*/true);
+  gridbuffer::GridBufferServer root(dir_.file("cache-m0-short").string(),
+                                    root_transport,
+                                    net::inproc_endpoint("m0", "gbuf-short"));
+  gridbuffer::GridBufferServer relay(dir_.file("cache-m1-short").string(),
+                                     relay_transport,
+                                     net::inproc_endpoint("m1", "gbuf-short"));
+  ASSERT_TRUE(root.start().is_ok());
+  ASSERT_TRUE(relay.start().is_ok());
+  gridbuffer::ChannelConfig config;
+  config.expected_readers = 1;
+  multicast::RelayNode m2{"m2", servers_[2]->endpoint().to_string(), "cs", 1,
+                          {}};
+  multicast::RelayNode m1{"m1", relay.endpoint().to_string(), "cs", 1, {m2}};
+  root.set_broadcast("cs", config, {m1});
+
+  const std::uint64_t dead_before = counter_value("multicast.relay.dead");
+  const Bytes data = pattern(2 * kRun);
+  auto writer = gridbuffer::GridBufferWriter::open(*client_transport_,
+                                                   root.endpoint(), "cs");
+  ASSERT_TRUE(writer.is_ok()) << writer.status();
+  ASSERT_TRUE((*writer)->write(data).is_ok());
+  ASSERT_TRUE((*writer)->close().is_ok());
+
+  EXPECT_EQ(counter_value("multicast.relay.dead") - dead_before, 2u);
+  auto at_m2 = servers_[2]->store().find("cs");
+  ASSERT_TRUE(at_m2.is_ok()) << at_m2.status();
+  EXPECT_FALSE((*at_m2)->writer_closed());
+  EXPECT_EQ(read_all_from(root.endpoint(), "cs"), data);
+  relay.stop();
+  root.stop();
 }
 
 TEST_F(BroadcastBufferTest, BrokenEdgeResendsUnansweredRuns) {
