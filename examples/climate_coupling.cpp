@@ -68,7 +68,7 @@ int main() {
   std::printf(
       "\nDARLAM started %.0f s into C-CAM's %.0f s run: the models %s.\n",
       darlam->started_s, ccam->finished_s,
-      overlapped ? "genuinely overlapped" : "did NOT overlap (??)");
+      overlapped ? "genuinely overlapped" : "did NOT overlap (unexpected)");
   std::printf(
       "DARLAM re-read %.0f MB of its streamed input from the Grid "
       "Buffer's cache file after the hash table had dropped it.\n",

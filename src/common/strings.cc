@@ -127,7 +127,9 @@ namespace {
 const char* strerror_result(const char* returned, const char*) {
   return returned;
 }
-const char* strerror_result(int, const char* buffer) { return buffer; }
+[[maybe_unused]] const char* strerror_result(int, const char* buffer) {
+  return buffer;
+}
 }  // namespace
 
 std::string errno_message(int errnum) {

@@ -9,6 +9,7 @@
 #include "src/core/transcode_client.h"
 #include "src/gridbuffer/file_client.h"
 #include "src/obs/export.h"
+#include "src/remote/advisor.h"
 #include "src/remote/remote_client.h"
 #include "src/replica/replicated_client.h"
 #include "src/vfs/local_client.h"
@@ -226,8 +227,7 @@ Result<FileMultiplexer::BuiltClient> FileMultiplexer::build_client(
       GL_ASSIGN_OR_RETURN(
           auto client,
           StagedFileClient::open(*options_.transport, clock(), server,
-                                 mapping.remote_path, staging, flags,
-                                 options_.copier));
+                                 mapping.remote_path, staging, flags));
       counters_.staged_opens.add();
       FmMetrics::get().open_staged.add();
       return BuiltClient{std::move(client), "staged"};
@@ -282,8 +282,7 @@ Result<FileMultiplexer::BuiltClient> FileMultiplexer::build_remote_auto(
       }
     }
     const remote::Advice advice =
-        remote::advise(file_size, mapping.access_fraction, link,
-                       options_.advisor);
+        remote::advise(file_size, mapping.access_fraction, link);
     strategy = advice.strategy;
     GL_LOG(kDebug, "fm auto ", canonical, ": copy=",
            advice.copy_cost_seconds, "s proxy=", advice.proxy_cost_seconds,

@@ -24,8 +24,6 @@
 #include "src/gridbuffer/file_client.h"
 #include "src/net/transport.h"
 #include "src/nws/forecast.h"
-#include "src/remote/advisor.h"
-#include "src/remote/copier.h"
 #include "src/replica/catalog.h"
 #include "src/vfs/file_client.h"
 
@@ -65,10 +63,6 @@ class FileMultiplexer {
     /// Static-model estimator consulted when `estimator` is unset or
     /// fails (NWS sensor outage); see nws::FallbackLinkEstimator.
     nws::LinkEstimator* fallback_estimator = nullptr;
-    /// Copy-vs-proxy policy for kAuto mappings.
-    remote::AdvisorPolicy advisor;
-    /// Parallel-stream options for staged copies.
-    remote::FileCopier::Options copier;
     /// Hook that passes model time while a tailing reader polls a
     /// growing file (the workflow runner charges machine CPU here).
     std::function<void(Duration)> poll_wait;

@@ -1,22 +1,21 @@
 #include "src/core/staged_client.h"
 
 #include "src/common/strings.h"
+#include "src/remote/copier.h"
 
 namespace griddles::core {
 
 Result<std::unique_ptr<StagedFileClient>> StagedFileClient::open(
     net::Transport& transport, Clock& clock, const net::Endpoint& server,
     const std::string& remote_path, const std::string& staging_path,
-    vfs::OpenFlags flags, remote::FileCopier::Options copy_options) {
+    vfs::OpenFlags flags) {
   auto client = std::unique_ptr<StagedFileClient>(new StagedFileClient(
-      transport, clock, server, remote_path, staging_path, flags,
-      copy_options));
+      transport, clock, server, remote_path, staging_path, flags));
 
   const bool need_existing_content = flags.read && !flags.truncate;
   if (need_existing_content) {
-    remote::FileCopier copier(transport, clock, copy_options);
-    GL_ASSIGN_OR_RETURN(client->fetch_stats_,
-                        copier.fetch(server, remote_path, staging_path));
+    remote::FileCopier copier(transport, clock);
+    GL_RETURN_IF_ERROR(copier.fetch(server, remote_path, staging_path));
   }
 
   vfs::OpenFlags local_flags = flags;
@@ -33,12 +32,10 @@ StagedFileClient::StagedFileClient(net::Transport& transport, Clock& clock,
                                    net::Endpoint server,
                                    std::string remote_path,
                                    std::string staging_path,
-                                   vfs::OpenFlags flags,
-                                   remote::FileCopier::Options copy_options)
+                                   vfs::OpenFlags flags)
     : transport_(transport), clock_(clock), server_(std::move(server)),
       remote_path_(std::move(remote_path)),
-      staging_path_(std::move(staging_path)), flags_(flags),
-      copy_options_(copy_options) {}
+      staging_path_(std::move(staging_path)), flags_(flags) {}
 
 StagedFileClient::~StagedFileClient() { (void)close(); }
 
@@ -79,9 +76,8 @@ Status StagedFileClient::close() {
   closed_ = true;
   GL_RETURN_IF_ERROR(local_->close());
   if (dirty_) {
-    remote::FileCopier copier(transport_, clock_, copy_options_);
-    GL_ASSIGN_OR_RETURN(push_stats_,
-                        copier.push(staging_path_, server_, remote_path_));
+    remote::FileCopier copier(transport_, clock_);
+    GL_RETURN_IF_ERROR(copier.push(staging_path_, server_, remote_path_));
   }
   return Status::ok();
 }

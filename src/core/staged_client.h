@@ -11,7 +11,8 @@
 #include <memory>
 #include <string>
 
-#include "src/remote/copier.h"
+#include "src/common/clock.h"
+#include "src/net/transport.h"
 #include "src/vfs/local_client.h"
 
 namespace griddles::core {
@@ -23,7 +24,7 @@ class StagedFileClient final : public vfs::FileClient {
   static Result<std::unique_ptr<StagedFileClient>> open(
       net::Transport& transport, Clock& clock, const net::Endpoint& server,
       const std::string& remote_path, const std::string& staging_path,
-      vfs::OpenFlags flags, remote::FileCopier::Options copy_options);
+      vfs::OpenFlags flags);
 
   ~StagedFileClient() override;
 
@@ -40,19 +41,10 @@ class StagedFileClient final : public vfs::FileClient {
 
   std::string describe() const override;
 
-  /// Copy statistics (zeroed when the phase did not run).
-  const remote::CopyStats& fetch_stats() const noexcept {
-    return fetch_stats_;
-  }
-  const remote::CopyStats& push_stats() const noexcept {
-    return push_stats_;
-  }
-
  private:
   StagedFileClient(net::Transport& transport, Clock& clock,
                    net::Endpoint server, std::string remote_path,
-                   std::string staging_path, vfs::OpenFlags flags,
-                   remote::FileCopier::Options copy_options);
+                   std::string staging_path, vfs::OpenFlags flags);
 
   net::Transport& transport_;
   Clock& clock_;
@@ -60,12 +52,9 @@ class StagedFileClient final : public vfs::FileClient {
   std::string remote_path_;
   std::string staging_path_;
   vfs::OpenFlags flags_;
-  remote::FileCopier::Options copy_options_;
   std::unique_ptr<vfs::LocalFileClient> local_;
   bool dirty_ = false;
   bool closed_ = false;
-  remote::CopyStats fetch_stats_;
-  remote::CopyStats push_stats_;
 };
 
 }  // namespace griddles::core

@@ -266,8 +266,8 @@ Result<Prediction> predict(
           cpu_room < speed * kDt - kEps && !spec.tasks[t].kernel.inputs
                                                 .empty()) {
         cpu_demanders[machine].push_back({t, true});
-        cpu_demands[machine].push_back(options.poll_duty * speed * kDt);
-        cpu_weights[machine].push_back(options.poll_duty);
+        cpu_demands[machine].push_back(workflow::kPollDuty * speed * kDt);
+        cpu_weights[machine].push_back(workflow::kPollDuty);
       }
       if (disk_demand > kEps) {
         disk_demanders[machine].push_back(t);

@@ -16,7 +16,7 @@ Advice advise_quiet(std::uint64_t file_size, double access_fraction,
   const double bandwidth = std::max(1.0, link.bandwidth_bytes_per_sec);
   const double latency = std::max(0.0, link.latency_seconds);
 
-  // Copy plan: chunks flow down `copy_streams` pipelined connections, so
+  // Copy plan: chunks flow down parallel pipelined connections, so
   // round trips overlap with data; cost ≈ startup handshakes + bulk time.
   const double startup_round_trips = 2.0;  // stat + first chunk request
   advice.copy_cost_seconds =

@@ -20,8 +20,6 @@ enum class RemoteStrategy : std::uint8_t { kCopy = 0, kProxy = 1 };
 
 struct AdvisorPolicy {
   std::uint32_t proxy_block_size = 64u << 10;  // per-request proxy payload
-  std::uint32_t copy_chunk_size = 1u << 20;
-  int copy_streams = 4;
   /// Files larger than this are never copied (0 = no cap) — the paper's
   /// "may not be possible to copy it".
   std::uint64_t max_copy_bytes = 0;

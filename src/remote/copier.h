@@ -14,6 +14,7 @@
 #include "src/common/clock.h"
 #include "src/multicast/dist_tree.h"
 #include "src/net/transport.h"
+#include "src/remote/protocol.h"
 
 namespace griddles::remote {
 
@@ -51,8 +52,8 @@ struct MultiCopyStats {
 class FileCopier {
  public:
   struct Options {
-    std::uint32_t chunk_size = 1u << 20;
-    int parallel_streams = 4;
+    std::uint32_t chunk_size = kDefaultCopyChunk;
+    int parallel_streams = kDefaultCopyStreams;
   };
 
   FileCopier(net::Transport& transport, Clock& clock, Options options);
@@ -96,23 +97,6 @@ class FileCopier {
       const multicast::PairEstimator& estimator);
 
  private:
-  /// One whole-file attempt; `bytes_out` reports the payload size.
-  Status fetch_attempt(const net::Endpoint& server,
-                       const std::string& remote_path,
-                       const std::string& local_path,
-                       std::uint64_t* bytes_out, int* streams_out);
-  Status push_attempt(const std::string& local_path,
-                      const net::Endpoint& server,
-                      const std::string& remote_path,
-                      std::uint64_t* bytes_out, int* streams_out);
-  /// push()'s whole-file retry loop without the copy span or metrics —
-  /// shared with copy_to_many's dead-host repair path, which must not
-  /// double-count `remote.copy.*` for the same logical transfer.
-  Status push_with_retries(const std::string& local_path,
-                           const net::Endpoint& server,
-                           const std::string& remote_path,
-                           std::uint64_t* bytes_out, int* streams_out);
-
   net::Transport& transport_;
   Clock& clock_;
   Options options_;

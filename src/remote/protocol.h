@@ -37,6 +37,9 @@ constexpr std::uint16_t method_id(Method m) {
 /// (paper §5.3).
 inline constexpr std::uint32_t kDefaultCopyChunk = 1u << 20;
 
+/// Default number of parallel streams (connections) for staged copies.
+inline constexpr int kDefaultCopyStreams = 4;
+
 /// Default block size for proxy reads (client-side cache granularity).
 inline constexpr std::uint32_t kDefaultProxyBlock = 64u << 10;
 

@@ -21,6 +21,9 @@
 namespace griddles::workflow {
 
 namespace {
+/// One-way latency below which an edge counts as "fast" (seconds).
+constexpr double kFastLinkLatencyS = 0.005;
+
 std::string canonical_in(const std::string& dir, const std::string& path) {
   return (std::filesystem::path(dir) / path).lexically_normal().string();
 }
@@ -340,8 +343,7 @@ Result<WorkflowReport> WorkflowRunner::run(const WorkflowSpec& spec,
         } else {
           for (const std::string& destination : pending) {
             GL_RETURN_IF_ERROR(stage_copy(edge.path, producer.machine,
-                                          destination, options, ctx,
-                                          report));
+                                          destination, ctx, report));
           }
         }
         if (ctx.checkpoint && !pending.empty()) {
@@ -525,7 +527,7 @@ Status WorkflowRunner::install_rules(const WorkflowSpec& spec,
           const auto buffer_spec = testbed::find_machine(buffer_machine);
           if (producer_spec.is_ok() && buffer_spec.is_ok() &&
               testbed::link_between(*producer_spec, *buffer_spec)
-                      .latency_s < options.fast_link_latency_s) {
+                      .latency_s < kFastLinkLatencyS) {
             // Keep ~64 blocks per stream so small edges still flow with
             // fine granularity, capped by the configured fast block.
             const std::uint64_t proportional =
@@ -709,13 +711,12 @@ Result<TaskResult> WorkflowRunner::run_task(const WorkflowSpec& spec,
   fm_options.tail_poll_interval = options.poll_interval;
   if (options.mode == CouplingMode::kConcurrentFiles) {
     Clock* clock = &testbed_.clock();
-    const double duty = options.poll_duty;
-    fm_options.poll_wait = [machine, clock, duty](Duration interval) {
-      // Polling burns a CPU share: `duty` of the interval is busy work
+    fm_options.poll_wait = [machine, clock](Duration interval) {
+      // Polling burns a CPU share: kPollDuty of the interval is busy work
       // competing with real compute, the rest is sleep.
       const double seconds = to_seconds_d(interval);
-      machine->compute(duty * seconds * machine->spec().speed);
-      clock->sleep_for(from_seconds_d(seconds * (1.0 - duty)));
+      machine->compute(kPollDuty * seconds * machine->spec().speed);
+      clock->sleep_for(from_seconds_d(seconds * (1.0 - kPollDuty)));
     };
   }
 
@@ -768,16 +769,12 @@ Result<gridbuffer::GridBufferServer*> WorkflowRunner::ensure_buffer_server(
 
 Status WorkflowRunner::stage_copy(const std::string& path,
                                   const std::string& from,
-                                  const std::string& to,
-                                  const Options& options, RunContext& ctx,
+                                  const std::string& to, RunContext& ctx,
                                   WorkflowReport& report) {
   GL_ASSIGN_OR_RETURN(remote::FileServer * server,
                       ensure_file_server(from, ctx));
   auto transport = testbed_.transport(to);
-  remote::FileCopier::Options copy_options;
-  copy_options.chunk_size = options.copy_chunk;
-  copy_options.parallel_streams = options.copy_streams;
-  remote::FileCopier copier(*transport, testbed_.clock(), copy_options);
+  remote::FileCopier copier(*transport, testbed_.clock());
   GL_ASSIGN_OR_RETURN(
       const remote::CopyStats stats,
       copier.fetch(server->endpoint(), path,
@@ -808,10 +805,7 @@ Status WorkflowRunner::stage_copy_many(
         remote::MultiCopyTarget{destination, server->endpoint(), path});
   }
   auto transport = testbed_.transport(from);
-  remote::FileCopier::Options copy_options;
-  copy_options.chunk_size = options.copy_chunk;
-  copy_options.parallel_streams = options.copy_streams;
-  remote::FileCopier copier(*transport, testbed_.clock(), copy_options);
+  remote::FileCopier copier(*transport, testbed_.clock());
   multicast::TreeOptions tree_options;
   tree_options.max_fanout = options.multicast_fanout;
   tree_options.root_fanout =
@@ -912,7 +906,7 @@ Status WorkflowRunner::recover_failed_tasks(
       }
       for (const std::string& destination : destinations) {
         GL_RETURN_IF_ERROR(stage_copy(edge.path, task.machine, destination,
-                                      options, ctx, report));
+                                      ctx, report));
       }
     }
     results[index] = std::move(result);

@@ -38,6 +38,10 @@ enum class CouplingMode {
 
 std::string_view coupling_mode_name(CouplingMode mode) noexcept;
 
+/// CPU share a tailing reader burns while polling (kConcurrentFiles);
+/// desim's predictor charges the same share.
+inline constexpr double kPollDuty = 0.25;
+
 struct TaskResult {
   std::string name;
   std::string machine;
@@ -67,19 +71,16 @@ class WorkflowRunner {
  public:
   struct Options {
     CouplingMode mode = CouplingMode::kSequentialFiles;
-    /// CPU share a tailing reader burns while polling (kConcurrentFiles).
-    double poll_duty = 0.25;
     Duration poll_interval = std::chrono::milliseconds(500);
     /// Grid Buffer channel parameters.
     std::uint32_t buffer_block = 4096;
     bool buffer_cache = true;
-    /// Block size override for low-latency (same-site) edges; 0 keeps
-    /// buffer_block. Byte-scaled benches shrink buffer_block to keep WAN
-    /// streams latency-faithful, which makes loopback edges needlessly
-    /// RPC-bound — a larger block there changes no modelled time.
+    /// Block size override for low-latency (same-site, under 5 ms one
+    /// way) edges; 0 keeps buffer_block. Byte-scaled benches shrink
+    /// buffer_block to keep WAN streams latency-faithful, which makes
+    /// loopback edges needlessly RPC-bound — a larger block there
+    /// changes no modelled time.
     std::uint32_t buffer_block_fast_link = 0;
-    /// One-way latency below which an edge counts as "fast" (seconds).
-    double fast_link_latency_s = 0.005;
     /// Grid Buffer writer credit in blocks (DESIGN.md §16): the writer
     /// keeps gridbuffer::kRunsOnWire (4) runs of up to writer_window / 4
     /// whole blocks on the wire, one kWrite each, so WAN throughput is
@@ -87,9 +88,6 @@ class WorkflowRunner {
     /// runs; writer_window == 4 is the paper's latency-sensitive stream
     /// (4 blocks in flight, ~4*block/RTT).
     std::size_t writer_window = 64;
-    /// Parallel streams for staged copies.
-    int copy_streams = 4;
-    std::uint32_t copy_chunk = 1u << 20;
     /// Relay fanout for multicast distribution (DESIGN.md §12): when a
     /// stage output feeds 2+ cross-machine consumers, staged copies go
     /// through a bounded-fanout spanning tree (and grid-buffer edges
@@ -146,8 +144,8 @@ class WorkflowRunner {
   /// GridFTP-style staging copy of `path` from `from` to `to`; appends a
   /// CopyResult to the report.
   Status stage_copy(const std::string& path, const std::string& from,
-                    const std::string& to, const Options& options,
-                    RunContext& ctx, WorkflowReport& report);
+                    const std::string& to, RunContext& ctx,
+                    WorkflowReport& report);
   /// Multicast staging of `path` from `from` to 2+ machines through a
   /// relay tree of their file servers; appends one CopyResult per
   /// destination to the report.

@@ -18,6 +18,7 @@
 #include "src/gridbuffer/server.h"
 #include "src/net/inproc.h"
 #include "src/obs/metrics.h"
+#include "src/remote/copier.h"
 #include "src/remote/file_server.h"
 #include "src/replica/catalog.h"
 #include "src/vfs/local_client.h"
@@ -220,7 +221,9 @@ TEST(RetryPolicyTest, BackoffIsCappedJitteredAndDeterministic) {
     EXPECT_GE(got, base * 0.5 - 1e-12) << attempt;
     EXPECT_LT(got, base) << attempt;
     EXPECT_EQ(got, to_seconds_d(policy.backoff(attempt, 99)));
-    if (attempt > 1) EXPECT_GE(got, previous * 0.25);
+    if (attempt > 1) {
+      EXPECT_GE(got, previous * 0.25);
+    }
     previous = got;
   }
   EXPECT_TRUE(RetryPolicy::retryable(ErrorCode::kUnavailable));
@@ -314,6 +317,27 @@ class FaultFmTest : public ::testing::Test {
     ASSERT_TRUE(gns_.add_rule(std::move(rule)).is_ok());
   }
 
+  /// Pushes a 5-chunk file from jagan to dione's pushed.bin under the
+  /// fault plan `spec`: the remote copy must come out byte-identical,
+  /// after at least one retry.
+  void expect_push_recovers(const std::string& spec) {
+    const Bytes data = pattern(300000, 11);
+    const std::string local = dir_.file("push-source.bin").string();
+    ASSERT_TRUE(vfs::write_file(local, data).is_ok());
+    auto transport = network_.transport("jagan");
+    remote::FileCopier::Options options;
+    options.chunk_size = 64 * 1024;
+    remote::FileCopier copier(*transport, clock_, options);
+    ArmedPlan armed(spec);
+    auto pushed = copier.push(local, file_server_.endpoint(), "pushed.bin");
+    ASSERT_TRUE(pushed.is_ok()) << pushed.status();
+    auto remote =
+        vfs::read_file((file_server_.root() / "pushed.bin").string());
+    ASSERT_TRUE(remote.is_ok()) << remote.status();
+    EXPECT_EQ(*remote, data);
+    EXPECT_GE(counter_value("retry.attempts"), 1u);
+  }
+
   Bytes read_all(Fm& fm, const std::string& path) {
     Bytes got;
     auto fd = fm->open(path, vfs::OpenFlags::input());
@@ -398,6 +422,16 @@ TEST_F(FaultFmTest, AutoCopyChecksumCatchesCorruption) {
   EXPECT_EQ(read_all(fm, "scan.dat"), data);
   EXPECT_EQ(counter_value("fault.injected.corrupt"), 1u);
   EXPECT_GE(counter_value("retry.attempts"), 1u);
+}
+
+TEST_F(FaultFmTest, StagedPushResendsTruncatedChunk) {
+  expect_push_recovers("seed=5;truncate@copy:pushed.bin:nth=1");
+  EXPECT_EQ(counter_value("fault.injected.truncate"), 1u);
+}
+
+TEST_F(FaultFmTest, StagedPushChecksumCatchesCorruption) {
+  expect_push_recovers("seed=5;corrupt@copy:pushed.bin:nth=1");
+  EXPECT_EQ(counter_value("fault.injected.corrupt"), 1u);
 }
 
 TEST_F(FaultFmTest, ChecksumCatchesMidFileByteRangeCorruption) {
@@ -528,7 +562,9 @@ class FaultWorkflowTest : public ::testing::Test {
     auto report = runner.run(*spec, options);
     disarm();
     EXPECT_TRUE(report.is_ok()) << report.status();
-    if (plan) EXPECT_GE(plan->injection_count(), 1u);
+    if (plan) {
+      EXPECT_GE(plan->injection_count(), 1u);
+    }
     auto final_bytes = vfs::read_file(
         (std::filesystem::path(scratch->path()) / machines.back() /
          "final.dat")

@@ -658,8 +658,8 @@ TEST_P(GridBufferE2ETest, FileClientAdapterRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Formats, GridBufferE2ETest,
                          ::testing::Values(false, true),
-                         [](const auto& info) {
-                           return info.param ? "Soap" : "Binary";
+                         [](const auto& param_info) {
+                           return param_info.param ? "Soap" : "Binary";
                          });
 
 // Property test: random interleavings of writer chunk sizes and reader

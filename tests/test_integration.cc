@@ -277,8 +277,7 @@ TEST(FaultTest, StagedCloseFailsWhenServerGone) {
 
   auto staged = core::StagedFileClient::open(
       *transport, clock, file_server->endpoint(), "out.bin",
-      dir->file("stage.bin").string(), vfs::OpenFlags::output(),
-      remote::FileCopier::Options{});
+      dir->file("stage.bin").string(), vfs::OpenFlags::output());
   ASSERT_TRUE(staged.is_ok());
   ASSERT_TRUE((*staged)->write(as_bytes_view("data")).is_ok());
   file_server->stop();

@@ -399,8 +399,8 @@ TEST_P(RpcTest, CallAndHandlerError) {
 INSTANTIATE_TEST_SUITE_P(WireFormats, RpcTest,
                          ::testing::Values(WireFormat::kBinary,
                                            WireFormat::kSoap),
-                         [](const auto& info) {
-                           return info.param == WireFormat::kBinary
+                         [](const auto& param_info) {
+                           return param_info.param == WireFormat::kBinary
                                       ? "Binary"
                                       : "Soap";
                          });
@@ -624,8 +624,8 @@ TEST_P(PipelineTest, HandlerErrorAnswersOnlyItsRequest) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, PipelineTest, ::testing::Bool(),
-                         [](const auto& info) {
-                           return info.param ? "Tcp" : "InProc";
+                         [](const auto& param_info) {
+                           return param_info.param ? "Tcp" : "InProc";
                          });
 
 // ---------------------------------------------------------------------------

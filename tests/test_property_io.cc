@@ -185,8 +185,7 @@ TEST(IoPropertyTest, StagedClientMatchesReference) {
     auto client = core::StagedFileClient::open(
         *transport, clock, server.endpoint(),
         "staged-" + std::to_string(seed) + ".bin",
-        dir->file("stage-" + std::to_string(seed)).string(), flags,
-        remote::FileCopier::Options{});
+        dir->file("stage-" + std::to_string(seed)).string(), flags);
     ASSERT_TRUE(client.is_ok()) << client.status();
     run_random_ops(**client, seed, 120);
     ASSERT_TRUE((*client)->close().is_ok());

@@ -1,7 +1,8 @@
 // Tests for src/obs/span.h: RAII nesting and parent/child integrity,
 // cross-thread and cross-RPC context propagation, retry spans under an
-// armed fault plan, bounded-buffer overflow accounting, the Chrome
-// trace-event export, and whole-workflow span trees.
+// armed fault plan, staged-copy span trees across stream threads,
+// bounded-buffer overflow accounting, the Chrome trace-event export, and
+// whole-workflow span trees.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +19,10 @@
 #include "src/net/rpc.h"
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
+#include "src/remote/copier.h"
+#include "src/remote/file_server.h"
 #include "src/testbed/testbed.h"
+#include "src/vfs/local_client.h"
 #include "src/workflow/runner.h"
 #include "tests/test_scaling.h"
 
@@ -345,6 +349,139 @@ TEST_F(SpanTest, FaultedRpcRecordsRetryChildSpans) {
     EXPECT_NE(error->second.find("injected fault"), std::string::npos);
   }
   expect_tree_integrity(spans);
+}
+
+/// Staged copies of a 3-chunk file over 2 streams, between the caller on
+/// jagan and file servers on dione and vpac27.
+class CopySpanTest : public SpanTest {
+ protected:
+  static constexpr std::size_t kChunk = 64 * 1024;
+
+  CopySpanTest()
+      : dir_(*TempDir::create("copy-spans")), network_(clock_),
+        transport_(network_.transport("jagan")),
+        local_(dir_.file("three.bin").string()) {
+    for (const char* host : {"dione", "vpac27"}) {
+      server_transports_.push_back(network_.transport(host));
+      servers_.push_back(std::make_unique<remote::FileServer>(
+          dir_.file(std::string("export-") + host),
+          *server_transports_.back(), net::inproc_endpoint(host, "fs")));
+      EXPECT_TRUE(servers_.back()->start().is_ok());
+    }
+    const Bytes three_chunks(3 * kChunk - 5, std::byte{7});
+    EXPECT_TRUE(vfs::write_file(local_, three_chunks).is_ok());
+    EXPECT_TRUE(vfs::write_file(
+                    (servers_[0]->root() / "remote.bin").string(),
+                    three_chunks)
+                    .is_ok());
+  }
+  ~CopySpanTest() override {
+    for (auto& server : servers_) server->stop();
+  }
+
+  remote::FileCopier copier() {
+    remote::FileCopier::Options options;
+    options.chunk_size = kChunk;
+    options.parallel_streams = 2;
+    return remote::FileCopier(*transport_, clock_, options);
+  }
+
+  /// Children of `parent` named `name`. Each must have run on a stream
+  /// thread, not on the caller's.
+  static std::vector<const SpanRecord*> chunks_of(
+      const std::vector<SpanRecord>& spans, const SpanRecord& parent,
+      const std::string& name) {
+    std::vector<const SpanRecord*> out;
+    for (const SpanRecord& span : spans) {
+      if (span.parent_id != parent.span_id || span.name != name) continue;
+      EXPECT_EQ(span.kind, SpanKind::kChunk);
+      EXPECT_EQ(span.trace_id, parent.trace_id);
+      EXPECT_NE(span.tid, parent.tid) << name << " ran on the caller";
+      out.push_back(&span);
+    }
+    return out;
+  }
+
+  /// The one copy span in `spans`, which must be named `copy_name` and
+  /// parent three `chunk_name` spans. Server-side spans are left out:
+  /// server threads flush their spans in batches, so a drain can see a
+  /// server span without its parent.
+  static const SpanRecord* expect_copy_tree(
+      const std::vector<SpanRecord>& spans, const std::string& copy_name,
+      const std::string& chunk_name) {
+    std::vector<const SpanRecord*> copies;
+    for (const SpanRecord& span : spans) {
+      if (span.kind == SpanKind::kCopy) copies.push_back(&span);
+    }
+    EXPECT_EQ(copies.size(), 1u);
+    if (copies.size() != 1) return nullptr;
+    EXPECT_EQ(copies.front()->name, copy_name);
+    EXPECT_EQ(chunks_of(spans, *copies.front(), chunk_name).size(), 3u);
+    return copies.front();
+  }
+
+  TempDir dir_;
+  RealClock clock_;
+  net::InProcNetwork network_;
+  std::unique_ptr<net::Transport> transport_;
+  std::vector<std::unique_ptr<net::Transport>> server_transports_;
+  std::vector<std::unique_ptr<remote::FileServer>> servers_;
+  std::string local_;
+};
+
+TEST_F(CopySpanTest, ChunkSpansParentToTheirCopyAcrossStreamThreads) {
+  auto copy = copier();
+  ASSERT_TRUE(copy.fetch(servers_[0]->endpoint(), "remote.bin",
+                         dir_.file("fetched.bin").string())
+                  .is_ok());
+  expect_copy_tree(drain(), "copy.fetch:remote.bin",
+                   "chunk.fetch:remote.bin");
+
+  ASSERT_TRUE(
+      copy.push(local_, servers_[0]->endpoint(), "pushed.bin").is_ok());
+  expect_copy_tree(drain(), "copy.push:pushed.bin", "chunk.push:pushed.bin");
+
+  const std::vector<remote::MultiCopyTarget> targets = {
+      {"dione", servers_[0]->endpoint(), "many.bin"},
+      {"vpac27", servers_[1]->endpoint(), "many.bin"}};
+  const multicast::PairEstimator flat =
+      [](const std::string&,
+         const std::string&) -> Result<nws::LinkEstimate> {
+    return nws::LinkEstimate{0.001, 1e8};
+  };
+  ASSERT_TRUE(copy.copy_to_many(local_, targets, {}, flat).is_ok());
+  expect_copy_tree(drain(), "copy.multicast:" + local_,
+                   "chunk.multicast:" + local_);
+}
+
+TEST_F(CopySpanTest, WholeFileRetryIsAChildOfTheCopy) {
+  // The corrupted first chunk fails verification, so the whole file is
+  // fetched again under a retry span.
+  auto plan = fault::Plan::parse("corrupt@copy:remote.bin:nth=1");
+  ASSERT_TRUE(plan.is_ok()) << plan.status();
+  fault::arm(*plan, &clock_);
+  auto copy = copier();
+  ASSERT_TRUE(copy.fetch(servers_[0]->endpoint(), "remote.bin",
+                         dir_.file("fetched.bin").string())
+                  .is_ok());
+  fault::disarm();
+
+  const std::vector<SpanRecord> spans = drain();
+  const SpanRecord* fetch = expect_copy_tree(spans, "copy.fetch:remote.bin",
+                                             "chunk.fetch:remote.bin");
+  ASSERT_NE(fetch, nullptr);
+  std::vector<const SpanRecord*> retries;
+  for (const SpanRecord& span : spans) {
+    if (span.parent_id == fetch->span_id && span.kind == SpanKind::kRetry) {
+      retries.push_back(&span);
+    }
+  }
+  ASSERT_EQ(retries.size(), 1u);
+  EXPECT_EQ(retries.front()->name, "copy.retry:remote.bin");
+  // The second attempt's chunks hang under its retry span.
+  EXPECT_EQ(chunks_of(spans, *retries.front(), "chunk.fetch:remote.bin")
+                .size(),
+            3u);
 }
 
 TEST_F(SpanTest, ChromeExportRendersIdsAsStringsAndEscapes) {
