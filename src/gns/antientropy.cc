@@ -1,10 +1,10 @@
 #include "src/gns/antientropy.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "src/common/strings.h"
-#include "src/fault/plan.h"
 #include "src/obs/metrics.h"
 
 namespace griddles::gns {
@@ -22,6 +22,30 @@ struct AntiEntropyMetrics {
     return metrics;
   }
 };
+
+/// The shards both `a` and `b` own under `map`: what a pair compares.
+std::vector<std::uint32_t> shared_shards(const ShardMap& map,
+                                         const std::string& a,
+                                         const std::string& b) {
+  std::vector<std::uint32_t> shards = map.shards_of(a);
+  std::erase_if(shards,
+                [&](std::uint32_t shard) { return !map.owns(b, shard); });
+  return shards;
+}
+
+/// Handoff priming: pulls `shard` into `node` from the first of
+/// `sources` that answers (not counted as anti-entropy repairs). A
+/// partitioned source just means the shard arrives later via
+/// anti-entropy.
+void prime(ReplicaNode& node, std::uint32_t shard,
+           const std::vector<std::string>& sources) {
+  for (const std::string& source : sources) {
+    if (source != node.name() &&
+        node.sync_with(source, {shard}, /*count_repair=*/false).is_ok()) {
+      return;
+    }
+  }
+}
 }  // namespace
 
 GnsCluster::GnsCluster(net::Transport& transport, Options options)
@@ -71,17 +95,28 @@ void GnsCluster::install(const ShardMap& map) {
   {
     MutexLock lock(mu_);
     all = nodes_;
-    for (const Retiring& retiring : retiring_) all.push_back(retiring.node);
+    for (const Lease& lease : leases_) {
+      if (!lease.shard) all.push_back(lease.node);
+    }
   }
-  for (const auto& node : all) node->set_map(map);
+  const std::vector<ReplicaAddress> roster = endpoints();
+  for (const auto& node : all) node->install(map, roster);
 }
 
 Status GnsCluster::add_replica(std::string name, net::Endpoint bind) {
-  auto joining = std::make_shared<ReplicaNode>(name, transport_, bind);
+  auto joining =
+      std::make_shared<ReplicaNode>(name, transport_, std::move(bind));
+  bool live;
+  {
+    MutexLock lock(mu_);
+    live = started_;
+  }
+  // A live cluster starts the joiner before membership changes, so a
+  // joiner that cannot bind leaves no trace.
+  if (live) GL_RETURN_IF_ERROR(joining->start());
   ShardMap old_map;
   ShardMap new_map;
   std::vector<std::shared_ptr<ReplicaNode>> peers;
-  bool live;
   {
     MutexLock lock(mu_);
     for (const auto& node : nodes_) {
@@ -97,36 +132,26 @@ Status GnsCluster::add_replica(std::string name, net::Endpoint bind) {
     peers = nodes_;
     nodes_.push_back(joining);
     map_ = new_map;
-    live = started_;
   }
-  for (const auto& peer : peers) {
-    peer->set_peer(name, bind);
-    joining->set_peer(peer->name(), peer->endpoint());
-  }
-  if (live) {
-    GL_RETURN_IF_ERROR(joining->start());
-    // Prime every shard the new epoch assigns the joiner BEFORE any
-    // client can route to it; a partitioned source just means the shard
-    // arrives later via anti-entropy.
-    for (const std::uint32_t shard : new_map.shards_of(name)) {
-      for (const std::string& source : old_map.owners(shard)) {
-        if (source == name) continue;
-        if (joining->sync_shard_from(source, shard).is_ok()) break;
-      }
-    }
+  if (!live) return Status::ok();  // start() installs the map
+  // The joiner learns the new map and its sources, then primes every
+  // shard the new epoch assigns it BEFORE any other node serves that
+  // epoch, so no client can route to it unprimed.
+  joining->install(new_map, endpoints());
+  for (const std::uint32_t shard : new_map.shards_of(name)) {
+    prime(*joining, shard, old_map.owners(shard));
   }
   install(new_map);
-  if (live) {
-    start_antientropy();
-    // Old owners that lost a shard serve stale-map readers through the
-    // handoff lease, then GC the bucket.
-    const WallClock::time_point drop_at =
-        WallClock::now() + options_.handoff_lease;
-    for (const auto& peer : peers) {
-      for (const std::uint32_t shard : old_map.shards_of(peer->name())) {
-        if (!new_map.owns(peer->name(), shard)) {
-          peer->schedule_drop(shard, drop_at);
-        }
+  start_antientropy();
+  // Old owners that lost a shard serve stale-map readers through the
+  // handoff lease; a later anti-entropy tick drops the bucket.
+  MutexLock lock(mu_);
+  const WallClock::time_point until =
+      WallClock::now() + options_.handoff_lease;
+  for (const auto& peer : peers) {
+    for (const std::uint32_t shard : old_map.shards_of(peer->name())) {
+      if (!new_map.owns(peer->name(), shard)) {
+        leases_.push_back({peer, shard, until});
       }
     }
   }
@@ -134,11 +159,10 @@ Status GnsCluster::add_replica(std::string name, net::Endpoint bind) {
 }
 
 Status GnsCluster::remove_replica(const std::string& name) {
-  std::shared_ptr<ReplicaNode> leaving;
+  std::shared_ptr<ReplicaNode> leaving;  // released outside mu_
   ShardMap old_map;
   ShardMap new_map;
   std::vector<std::shared_ptr<ReplicaNode>> survivors;
-  bool live;
   {
     MutexLock lock(mu_);
     auto it = std::find_if(nodes_.begin(), nodes_.end(),
@@ -151,7 +175,13 @@ Status GnsCluster::remove_replica(const std::string& name) {
     if (nodes_.size() == 1) {
       return failed_precondition("gns: cannot remove the last replica");
     }
+    // A live leaver keeps serving stale-map readers through the handoff
+    // lease; an idle one is dropped with its last reference.
     leaving = *it;
+    if (started_) {
+      leases_.push_back({leaving, std::nullopt,
+                         WallClock::now() + options_.handoff_lease});
+    }
     nodes_.erase(it);
     old_map = map_;
     new_map = old_map;
@@ -161,29 +191,24 @@ Status GnsCluster::remove_replica(const std::string& name) {
     new_map.epoch = old_map.epoch + 1;
     map_ = new_map;
     survivors = nodes_;
-    live = started_;
-    retiring_.push_back(
-        {leaving, WallClock::now() + options_.handoff_lease});
+    if (!started_) return Status::ok();  // start() installs the map
   }
-  if (live) {
-    // Every shard the leaver owned gains owners under the new epoch;
-    // sync them (from the leaver first, any surviving old owner as the
-    // fallback) before anyone routes by the new map.
-    for (const auto& survivor : survivors) {
-      for (const std::uint32_t shard :
-           new_map.shards_of(survivor->name())) {
-        if (old_map.owns(survivor->name(), shard)) continue;
-        if (survivor->sync_shard_from(name, shard).is_ok()) continue;
-        for (const std::string& source : old_map.owners(shard)) {
-          if (source == name || source == survivor->name()) continue;
-          if (survivor->sync_shard_from(source, shard).is_ok()) break;
-        }
-      }
+  // Every shard the leaver owned gains owners under the new epoch; sync
+  // them (from the leaver first, any surviving old owner as the
+  // fallback) before anyone routes by the new map. The survivors still
+  // reach the leaver: their rosters change only with the new epoch.
+  for (const auto& survivor : survivors) {
+    for (const std::uint32_t shard : new_map.shards_of(survivor->name())) {
+      if (old_map.owns(survivor->name(), shard)) continue;
+      std::vector<std::string> sources = old_map.owners(shard);
+      std::stable_partition(sources.begin(), sources.end(),
+                            [&](const std::string& source) {
+                              return source == name;
+                            });
+      prime(*survivor, shard, sources);
     }
   }
   install(new_map);
-  for (const auto& survivor : survivors) survivor->remove_peer(name);
-  if (!live) reap_retired(/*force=*/true);
   return Status::ok();
 }
 
@@ -223,7 +248,7 @@ void GnsCluster::stop() {
     ae_thread = std::move(ae_thread_);
   }
   if (ae_thread.joinable()) ae_thread.join();
-  reap_retired(/*force=*/true);
+  expire_leases(/*force=*/true);
   std::vector<std::shared_ptr<ReplicaNode>> nodes;
   {
     MutexLock lock(mu_);
@@ -242,22 +267,14 @@ Status GnsCluster::put(MappingRule rule, bool tombstone) {
     // Skip die@gns-dead owners exactly like the lookup walk does, so a
     // write during an outage coordinates on the next preference-list
     // owner (which is what makes partition drills deterministic).
-    if (fault::Plan* plan = fault::armed(); plan != nullptr) {
-      const fault::Decision verdict =
-          plan->consult(fault::Site::kGns, owner);
-      if (verdict.action == fault::Decision::Action::kFail ||
-          verdict.action == fault::Decision::Action::kKill) {
-        last = unavailable(strings::cat("injected fault: gns ", owner));
-        continue;
-      }
-      if (verdict.action == fault::Decision::Action::kDelay) {
-        fault::sleep_for_model(verdict.delay);
-      }
+    if (Status alive = replica_alive(owner); !alive.is_ok()) {
+      last = std::move(alive);
+      continue;
     }
     const std::shared_ptr<ReplicaNode> owner_node = node(owner);
     if (owner_node == nullptr) continue;
     const Result<std::uint64_t> put_result =
-        owner_node->put(rule, tombstone, /*allow_forward=*/false);
+        owner_node->put(rule, tombstone);
     if (put_result.is_ok()) return Status::ok();
     last = put_result.status();
   }
@@ -277,8 +294,9 @@ Status GnsCluster::remove_rule(const std::string& host_pattern,
 }
 
 std::uint64_t GnsCluster::run_antientropy_round() {
-  reap_retired(/*force=*/false);
+  expire_leases(/*force=*/false);
   const std::vector<std::shared_ptr<ReplicaNode>> nodes = snapshot();
+  const ShardMap map = this->map();
   AntiEntropyMetrics::get().rounds.add();
   std::uint64_t repaired = 0;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
@@ -286,12 +304,13 @@ std::uint64_t GnsCluster::run_antientropy_round() {
       // One direction per pair: the exchange verb repairs both ends.
       // A severed/dead pair fails typed and is simply retried next
       // round — that is the whole point of anti-entropy.
-      const Result<std::uint64_t> synced =
-          nodes[i]->sync_with(nodes[j]->name());
+      const Result<std::uint64_t> synced = nodes[i]->sync_with(
+          nodes[j]->name(),
+          shared_shards(map, nodes[i]->name(), nodes[j]->name()),
+          /*count_repair=*/true);
       if (synced.is_ok()) repaired += *synced;
     }
   }
-  for (const auto& node : nodes) node->gc_dropped_shards();
   return repaired;
 }
 
@@ -300,8 +319,8 @@ bool GnsCluster::converged() const {
   const ShardMap map = this->map();
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     for (std::size_t j = i + 1; j < nodes.size(); ++j) {
-      for (const std::uint32_t shard : map.shards_of(nodes[i]->name())) {
-        if (!map.owns(nodes[j]->name(), shard)) continue;
+      for (const std::uint32_t shard :
+           shared_shards(map, nodes[i]->name(), nodes[j]->name())) {
         if (nodes[i]->store().digest(shard) !=
             nodes[j]->store().digest(shard)) {
           return false;
@@ -323,22 +342,28 @@ Status GnsCluster::converge(int max_rounds) {
       " anti-entropy rounds (partition still armed?)"));
 }
 
-void GnsCluster::reap_retired(bool force) {
-  std::vector<std::shared_ptr<ReplicaNode>> due;
+void GnsCluster::expire_leases(bool force) {
+  std::vector<Lease> due;
+  ShardMap map;
   {
     MutexLock lock(mu_);
     const WallClock::time_point now = WallClock::now();
-    auto keep = retiring_.begin();
-    for (Retiring& retiring : retiring_) {
-      if (force || retiring.until <= now) {
-        due.push_back(std::move(retiring.node));
-      } else {
-        *keep++ = std::move(retiring);
-      }
-    }
-    retiring_.erase(keep, retiring_.end());
+    const auto expired = std::partition(
+        leases_.begin(), leases_.end(),
+        [&](const Lease& lease) { return !force && now < lease.until; });
+    due.assign(std::make_move_iterator(expired),
+               std::make_move_iterator(leases_.end()));
+    leases_.erase(expired, leases_.end());
+    map = map_;
   }
-  for (const auto& node : due) node->stop();
+  for (const Lease& lease : due) {
+    if (!lease.shard) {
+      lease.node->stop();
+    } else if (!map.owns(lease.node->name(), *lease.shard)) {
+      // Unless a later epoch handed the shard back to the node.
+      lease.node->drop_shard(*lease.shard);
+    }
+  }
 }
 
 void GnsCluster::ae_loop() {

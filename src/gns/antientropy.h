@@ -16,7 +16,9 @@
 //     cluster prime the new owners' shards BEFORE the higher-epoch map
 //     is installed, and keep the old owner serving (and its data
 //     undropped) for `handoff_lease`, so clients holding either map
-//     epoch never observe a missing shard.
+//     epoch never observe a missing shard. Each node receives the map
+//     and the (name, endpoint) roster together, in one install; one
+//     lease list times both retiring nodes and handed-off shards.
 //
 // Removal = tombstone write: remove_rule versions a tombstone through
 // the same coordinate/replicate/anti-entropy path as any write, so
@@ -26,6 +28,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -58,9 +61,10 @@ class GnsCluster {
   GnsCluster& operator=(const GnsCluster&) = delete;
 
   /// Adds a member. Before start() this only extends the membership; on
-  /// a live cluster it starts the node, primes every shard the new map
-  /// assigns it, installs the new epoch everywhere, and starts the
-  /// anti-entropy loop if this is the second member.
+  /// a live cluster it starts the node (a node that cannot start leaves
+  /// the membership unchanged), primes every shard the new map assigns
+  /// it, installs the new epoch everywhere, and starts the anti-entropy
+  /// loop if this is the second member.
   Status add_replica(std::string name, net::Endpoint bind);
 
   /// Removes a member with a lease-safe handoff: surviving owners sync
@@ -85,8 +89,8 @@ class GnsCluster {
                      const std::string& path_pattern);
 
   /// One full anti-entropy round over all replica pairs; returns the
-  /// number of repaired entries. Also reaps retired nodes and runs
-  /// post-handoff shard GC.
+  /// number of repaired entries. First applies the expired leases:
+  /// retired nodes stop, handed-off shards are dropped.
   std::uint64_t run_antientropy_round();
 
   /// True when every replica pair agrees on the digest of every shard
@@ -98,19 +102,24 @@ class GnsCluster {
   Status converge(int max_rounds);
 
  private:
-  struct Retiring {
+  /// A handoff lease: until `until`, `node` keeps serving `shard` (or,
+  /// without a shard, keeps running after it left the membership).
+  struct Lease {
     std::shared_ptr<ReplicaNode> node;
+    std::optional<std::uint32_t> shard;  // nullopt: the node retires
     WallClock::time_point until{};
   };
 
   void ae_loop();
   /// Starts the anti-entropy thread once the cluster has a pair to sync.
   void start_antientropy();
-  void reap_retired(bool force);
+  /// Applies the leases that are due (all of them when `force`).
+  void expire_leases(bool force);
   Status put(MappingRule rule, bool tombstone);
   std::vector<std::shared_ptr<ReplicaNode>> snapshot() const;
-  /// Installs `map` on every node, retiring included (direct calls; map
-  /// distribution is control-plane, not subject to data-path faults).
+  /// Installs `map` and the current roster on every node, retiring
+  /// included (direct calls; map distribution is control-plane, not
+  /// subject to data-path faults).
   void install(const ShardMap& map);
 
   net::Transport& transport_;
@@ -119,7 +128,7 @@ class GnsCluster {
   mutable Mutex mu_;
   ShardMap map_ GUARDED_BY(mu_);
   std::vector<std::shared_ptr<ReplicaNode>> nodes_ GUARDED_BY(mu_);
-  std::vector<Retiring> retiring_ GUARDED_BY(mu_);
+  std::vector<Lease> leases_ GUARDED_BY(mu_);
   bool started_ GUARDED_BY(mu_) = false;
 
   Mutex ae_mu_;

@@ -17,14 +17,12 @@ constexpr std::uint16_t method_id(PeerMethod m) {
 /// Handles cached once; see src/obs/metrics.h naming scheme.
 struct MultiMasterMetrics {
   obs::Counter& replicate_failed;  // co-owner pushes lost (AE repairs)
-  obs::Counter& write_forwarded;   // puts relayed to the actual owner
   obs::Counter& repaired;          // entries fixed by anti-entropy
 
   static MultiMasterMetrics& get() {
     auto& registry = obs::MetricsRegistry::global();
     static MultiMasterMetrics metrics{
         registry.counter("gns.replicate.failed"),
-        registry.counter("gns.write.forwarded"),
         registry.counter("gns.antientropy.repaired"),
     };
     return metrics;
@@ -35,6 +33,21 @@ struct MultiMasterMetrics {
 std::string sync_pair_key(std::string_view a, std::string_view b) {
   if (b < a) std::swap(a, b);
   return strings::cat(a, "-", b);
+}
+
+Status replica_alive(std::string_view replica) {
+  fault::Plan* plan = fault::armed();
+  if (plan == nullptr) return Status::ok();
+  const fault::Decision verdict =
+      plan->consult(fault::Site::kGns, replica);
+  if (verdict.action == fault::Decision::Action::kFail ||
+      verdict.action == fault::Decision::Action::kKill) {
+    return unavailable(strings::cat("injected fault: gns ", replica));
+  }
+  if (verdict.action == fault::Decision::Action::kDelay) {
+    fault::sleep_for_model(verdict.delay);
+  }
+  return Status::ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -63,11 +76,10 @@ Result<LookupReply> PeerClient::lookup(const std::string& host,
 }
 
 Result<std::uint64_t> PeerClient::put(const MappingRule& rule,
-                                      bool tombstone, bool allow_forward) {
+                                      bool tombstone) {
   xdr::Encoder enc;
   encode_rule(enc, rule);
   enc.put_bool(tombstone);
-  enc.put_bool(allow_forward);
   GL_ASSIGN_OR_RETURN(const Buffer reply,
                       rpc_.call(method_id(PeerMethod::kPut), enc.buffer()));
   xdr::Decoder dec(reply);
@@ -147,11 +159,15 @@ ReplicaNode::ReplicaNode(std::string name, net::Transport& transport,
   register_handlers();
 }
 
-void ReplicaNode::set_map(ShardMap map) {
+void ReplicaNode::install(ShardMap map,
+                          std::vector<ReplicaAddress> roster) {
   MutexLock lock(mu_);
-  if (map.epoch < map_.epoch) return;
-  if (map.epoch == map_.epoch && map == map_) return;
+  if (map.epoch <= map_.epoch) return;
   map_ = std::move(map);
+  peers_.clear();
+  for (ReplicaAddress& member : roster) {
+    peers_[std::move(member.name)].endpoint = std::move(member.endpoint);
+  }
   bump_version();
 }
 
@@ -160,34 +176,29 @@ ShardMap ReplicaNode::map() const {
   return map_;
 }
 
-void ReplicaNode::set_peer(const std::string& peer, net::Endpoint endpoint) {
-  MutexLock lock(mu_);
-  Peer& entry = peers_[peer];
-  if (entry.endpoint != endpoint) entry.client.reset();
-  entry.endpoint = std::move(endpoint);
-}
-
-void ReplicaNode::remove_peer(const std::string& peer) {
-  MutexLock lock(mu_);
-  peers_.erase(peer);
-}
-
-std::vector<ReplicaAddress> ReplicaNode::roster() const {
-  std::vector<ReplicaAddress> result;
-  result.push_back({name_, rpc_.endpoint()});
-  MutexLock lock(mu_);
-  result.reserve(peers_.size() + 1);
-  for (const auto& [peer, entry] : peers_) {
-    result.push_back({peer, entry.endpoint});
-  }
-  return result;
-}
-
-std::shared_ptr<PeerClient> ReplicaNode::peer_client(
+Result<std::shared_ptr<PeerClient>> ReplicaNode::sync_peer(
     const std::string& peer) {
+  if (fault::Plan* plan = fault::armed(); plan != nullptr) {
+    const fault::Decision severed =
+        plan->consult(fault::Site::kGnsSync, sync_pair_key(name_, peer));
+    if (severed.action == fault::Decision::Action::kSever ||
+        severed.action == fault::Decision::Action::kFail) {
+      return unavailable(
+          strings::cat("injected partition: gns ", name_, "-", peer));
+    }
+    if (severed.action == fault::Decision::Action::kDelay) {
+      fault::sleep_for_model(severed.delay);
+    }
+    // A die@gns replica neither sends nor receives sync: it both misses
+    // writes and cannot pull repairs until the plan is disarmed.
+    GL_RETURN_IF_ERROR(replica_alive(name_));
+    GL_RETURN_IF_ERROR(replica_alive(peer));
+  }
   MutexLock lock(mu_);
   const auto it = peers_.find(peer);
-  if (it == peers_.end()) return nullptr;
+  if (it == peers_.end()) {
+    return not_found(strings::cat("gns: unknown peer ", peer));
+  }
   if (it->second.client == nullptr) {
     it->second.client =
         std::make_shared<PeerClient>(transport_, it->second.endpoint);
@@ -195,117 +206,51 @@ std::shared_ptr<PeerClient> ReplicaNode::peer_client(
   return it->second.client;
 }
 
-Status ReplicaNode::consult_sync_fault(const std::string& peer) {
-  fault::Plan* plan = fault::armed();
-  if (plan == nullptr) return Status::ok();
-  const fault::Decision severed =
-      plan->consult(fault::Site::kGnsSync, sync_pair_key(name_, peer));
-  if (severed.action == fault::Decision::Action::kSever ||
-      severed.action == fault::Decision::Action::kFail) {
-    return unavailable(
-        strings::cat("injected partition: gns ", name_, "-", peer));
-  }
-  if (severed.action == fault::Decision::Action::kDelay) {
-    fault::sleep_for_model(severed.delay);
-  }
-  // A die@gns replica neither sends nor receives sync: it both misses
-  // writes and cannot pull repairs until the plan is disarmed.
-  for (const std::string* end : {&name_, &peer}) {
-    const fault::Decision verdict =
-        plan->consult(fault::Site::kGns, *end);
-    if (verdict.action == fault::Decision::Action::kKill ||
-        verdict.action == fault::Decision::Action::kFail) {
-      return unavailable(
-          strings::cat("injected fault: gns ", *end, " is down"));
-    }
-    if (verdict.action == fault::Decision::Action::kDelay) {
-      fault::sleep_for_model(verdict.delay);
-    }
-  }
-  return Status::ok();
-}
-
-ReplicaStore::Applied ReplicaNode::merge_entry(std::uint32_t shard,
-                                               const VersionedRule& entry,
-                                               bool count_repair) {
+bool ReplicaNode::merge_entry(std::uint32_t shard,
+                              const VersionedRule& entry,
+                              bool count_repair) {
   const ReplicaStore::Applied applied = store_.apply(shard, entry);
-  if (applied == ReplicaStore::Applied::kNew ||
-      applied == ReplicaStore::Applied::kConflict) {
-    bump_version();
-    if (count_repair) MultiMasterMetrics::get().repaired.add();
+  if (applied != ReplicaStore::Applied::kNew &&
+      applied != ReplicaStore::Applied::kConflict) {
+    return false;
   }
-  return applied;
+  bump_version();
+  if (count_repair) MultiMasterMetrics::get().repaired.add();
+  return true;
 }
 
-Result<std::uint64_t> ReplicaNode::put(MappingRule rule, bool tombstone,
-                                       bool allow_forward) {
+Result<std::uint64_t> ReplicaNode::put(MappingRule rule, bool tombstone) {
   const ShardMap map = this->map();
   const std::uint32_t shard =
       map.shard_of_rule(rule.host_pattern, rule.path_pattern);
-  if (map.owns(name_, shard)) {
-    const VersionedRule entry =
-        store_.coordinate(shard, std::move(rule), tombstone);
-    bump_version();
-    for (const std::string& owner : map.owners(shard)) {
-      if (owner == name_) continue;
-      if (const Status st = consult_sync_fault(owner); !st.is_ok()) {
-        MultiMasterMetrics::get().replicate_failed.add();
-        continue;
-      }
-      const std::shared_ptr<PeerClient> client = peer_client(owner);
-      if (client == nullptr) {
-        MultiMasterMetrics::get().replicate_failed.add();
-        continue;
-      }
-      if (const Status st = client->replicate(shard, entry); !st.is_ok()) {
-        MultiMasterMetrics::get().replicate_failed.add();
-      }
-    }
-    return map.epoch;
-  }
-  if (!allow_forward) {
+  if (!map.owns(name_, shard)) {
     return failed_precondition(strings::cat(
         "gns: ", name_, " does not own the shard of (", rule.host_pattern,
         ", ", rule.path_pattern, ") at epoch ", map.epoch));
   }
-  // Stale-map client (or handoff window): relay to a current owner. The
-  // forwarded hop sends allow_forward=false so a map disagreement
-  // between two nodes cannot ping-pong.
-  Status last = unavailable("gns: no owner reachable for shard");
+  const VersionedRule entry =
+      store_.coordinate(shard, std::move(rule), tombstone);
+  bump_version();
   for (const std::string& owner : map.owners(shard)) {
     if (owner == name_) continue;
-    if (Status st = consult_sync_fault(owner); !st.is_ok()) {
-      last = std::move(st);
-      continue;
+    const Result<std::shared_ptr<PeerClient>> client = sync_peer(owner);
+    if (!client.is_ok() || !(*client)->replicate(shard, entry).is_ok()) {
+      MultiMasterMetrics::get().replicate_failed.add();
     }
-    const std::shared_ptr<PeerClient> client = peer_client(owner);
-    if (client == nullptr) {
-      last = unavailable(strings::cat("gns: unknown peer ", owner));
-      continue;
-    }
-    Result<std::uint64_t> forwarded = client->put(rule, tombstone, false);
-    if (forwarded.is_ok()) {
-      MultiMasterMetrics::get().write_forwarded.add();
-      return forwarded;
-    }
-    last = forwarded.status();
   }
-  return last;
+  return map.epoch;
 }
 
-Result<std::uint64_t> ReplicaNode::sync_with(const std::string& peer) {
-  GL_RETURN_IF_ERROR(consult_sync_fault(peer));
-  const std::shared_ptr<PeerClient> client = peer_client(peer);
-  if (client == nullptr) {
-    return not_found(strings::cat("gns: unknown peer ", peer));
-  }
+Result<std::uint64_t> ReplicaNode::sync_with(
+    const std::string& peer, const std::vector<std::uint32_t>& shards,
+    bool count_repair) {
+  GL_ASSIGN_OR_RETURN(const std::shared_ptr<PeerClient> client,
+                      sync_peer(peer));
   GL_ASSIGN_OR_RETURN(const auto peer_digests, client->digests());
-  std::map<std::uint32_t, std::uint64_t> theirs(peer_digests.begin(),
-                                                peer_digests.end());
-  const ShardMap map = this->map();
+  const std::map<std::uint32_t, std::uint64_t> theirs(peer_digests.begin(),
+                                                      peer_digests.end());
   std::uint64_t repaired = 0;
-  for (const std::uint32_t shard : map.shards_of(name_)) {
-    if (!map.owns(peer, shard)) continue;
+  for (const std::uint32_t shard : shards) {
     const auto it = theirs.find(shard);
     const std::uint64_t their_digest = it == theirs.end() ? 0 : it->second;
     if (store_.digest(shard) == their_digest) continue;
@@ -313,55 +258,15 @@ Result<std::uint64_t> ReplicaNode::sync_with(const std::string& peer) {
         const std::vector<VersionedRule> entries,
         client->exchange(shard, store_.entries(shard)));
     for (const VersionedRule& entry : entries) {
-      const ReplicaStore::Applied applied =
-          merge_entry(shard, entry, /*count_repair=*/true);
-      if (applied == ReplicaStore::Applied::kNew ||
-          applied == ReplicaStore::Applied::kConflict) {
-        ++repaired;
-      }
+      if (merge_entry(shard, entry, count_repair)) ++repaired;
     }
   }
   return repaired;
 }
 
-Status ReplicaNode::sync_shard_from(const std::string& peer,
-                                    std::uint32_t shard) {
-  GL_RETURN_IF_ERROR(consult_sync_fault(peer));
-  const std::shared_ptr<PeerClient> client = peer_client(peer);
-  if (client == nullptr) {
-    return not_found(strings::cat("gns: unknown peer ", peer));
-  }
-  GL_ASSIGN_OR_RETURN(const std::vector<VersionedRule> entries,
-                      client->exchange(shard, store_.entries(shard)));
-  for (const VersionedRule& entry : entries) {
-    merge_entry(shard, entry, /*count_repair=*/false);
-  }
-  return Status::ok();
-}
-
-void ReplicaNode::schedule_drop(std::uint32_t shard,
-                                WallClock::time_point after) {
-  MutexLock lock(mu_);
-  pending_drops_.push_back({shard, after});
-}
-
-void ReplicaNode::gc_dropped_shards() {
-  std::vector<std::uint32_t> due;
-  {
-    MutexLock lock(mu_);
-    const WallClock::time_point now = WallClock::now();
-    auto keep = pending_drops_.begin();
-    for (const PendingDrop& drop : pending_drops_) {
-      if (drop.after <= now) {
-        due.push_back(drop.shard);
-      } else {
-        *keep++ = drop;
-      }
-    }
-    pending_drops_.erase(keep, pending_drops_.end());
-  }
-  for (const std::uint32_t shard : due) store_.drop_shard(shard);
-  if (!due.empty()) bump_version();
+void ReplicaNode::drop_shard(std::uint32_t shard) {
+  store_.drop_shard(shard);
+  bump_version();
 }
 
 LookupReply ReplicaNode::resolve(std::string_view host,
@@ -401,10 +306,8 @@ void ReplicaNode::register_handlers() {
         xdr::Decoder dec(request);
         GL_ASSIGN_OR_RETURN(MappingRule rule, decode_rule(dec));
         GL_ASSIGN_OR_RETURN(const bool tombstone, dec.boolean());
-        GL_ASSIGN_OR_RETURN(const bool allow_forward, dec.boolean());
-        GL_ASSIGN_OR_RETURN(
-            const std::uint64_t epoch,
-            put(std::move(rule), tombstone, allow_forward));
+        GL_ASSIGN_OR_RETURN(const std::uint64_t epoch,
+                            put(std::move(rule), tombstone));
         xdr::Encoder enc;
         enc.put_u64(epoch);
         return std::move(enc).finish();
@@ -416,11 +319,8 @@ void ReplicaNode::register_handlers() {
         GL_ASSIGN_OR_RETURN(const std::uint32_t shard, dec.u32());
         GL_ASSIGN_OR_RETURN(const VersionedRule entry,
                             decode_versioned(dec));
-        const ReplicaStore::Applied applied =
-            merge_entry(shard, entry, /*count_repair=*/false);
-        xdr::Encoder enc;
-        enc.put_u8(static_cast<std::uint8_t>(applied));
-        return std::move(enc).finish();
+        merge_entry(shard, entry, /*count_repair=*/false);
+        return Buffer{};
       });
   rpc_.register_method(
       method_id(PeerMethod::kDigests),
@@ -462,12 +362,13 @@ void ReplicaNode::register_handlers() {
       method_id(PeerMethod::kGetMap),
       [this](const Buffer&, const net::RpcContext&) -> Result<Buffer> {
         xdr::Encoder enc;
-        map().encode(enc);
-        enc.put_vector(roster(),
-                       [](xdr::Encoder& e, const ReplicaAddress& address) {
-                         e.put_string(address.name);
-                         e.put_string(address.endpoint.to_string());
-                       });
+        MutexLock lock(mu_);
+        map_.encode(enc);
+        enc.put_u32(static_cast<std::uint32_t>(peers_.size()));
+        for (const auto& [peer, entry] : peers_) {
+          enc.put_string(peer);
+          enc.put_string(entry.endpoint.to_string());
+        }
         return std::move(enc).finish();
       });
 }

@@ -9,20 +9,22 @@
 //
 // kLookup replies carry the node's lookup version (clients flush their
 // cache when it moves) and its map epoch (clients routing by another
-// epoch refetch the map and re-walk before accepting the answer).
+// epoch refetch the map and re-walk before accepting the answer). A
+// node refuses a write for a shard it does not own (kFailedPrecondition)
+// rather than forwarding it: the writer refetches the map and re-walks.
 //
 // Fault surface (consulted BEFORE any peer RPC, sender side, so the
 // injection schedule is deterministic per message):
 //   - Site::kGnsSync, key sync_pair_key(a, b): `partition@gns:<a>-<b>`
-//     severs replicate-forwards and anti-entropy between a and b;
+//     severs replicate pushes and anti-entropy between a and b;
 //   - Site::kGns, key <replica>: `die@gns:<replica>` stops that replica
 //     from sending OR receiving sync — a dead replica both misses
 //     writes and cannot pull repairs, which is what makes the
-//     ROADMAP divergence drill produce real divergence.
+//     ROADMAP divergence drill produce real divergence. The same verdict
+//     (replica_alive) skips the replica in every client and cluster walk.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -45,10 +47,15 @@ namespace griddles::gns {
 /// both directions regardless of which side initiates.
 std::string sync_pair_key(std::string_view a, std::string_view b);
 
+/// The one liveness check for a GNS replica: consults `die@gns:<replica>`
+/// (Site::kGns) in the armed plan. kUnavailable on kFail/kKill; injected
+/// delays are slept here.
+Status replica_alive(std::string_view replica);
+
 /// GNS RPC method ids.
 enum class PeerMethod : std::uint16_t {
   kLookup = 1,      // resolve one key; reply carries version + epoch
-  kPut = 6,         // coordinate a client write (may forward to owner)
+  kPut = 6,         // coordinate a client write (owners only)
   kReplicate = 7,   // owner -> co-owner push of one versioned entry
   kDigests = 8,     // per-shard digests of the callee's store
   kExchange = 9,    // bidirectional entry swap for one divergent shard
@@ -77,12 +84,10 @@ class PeerClient {
   Result<LookupReply> lookup(const std::string& host,
                              const std::string& path);
 
-  /// Coordinates a write. `allow_forward` lets the callee relay to the
-  /// shard owner when it no longer owns the key (stale client map);
-  /// forwarded hops send false so a map disagreement cannot loop.
-  /// Returns the callee's map epoch (stale callers should refresh).
-  Result<std::uint64_t> put(const MappingRule& rule, bool tombstone,
-                            bool allow_forward);
+  /// Coordinates a write on the callee, which must own the rule's shard
+  /// (kFailedPrecondition otherwise). Returns the callee's map epoch
+  /// (stale callers should refresh).
+  Result<std::uint64_t> put(const MappingRule& rule, bool tombstone);
 
   Result<std::vector<std::pair<std::uint32_t, std::uint64_t>>> digests();
 
@@ -99,7 +104,7 @@ class PeerClient {
 };
 
 /// One multi-master replica: its own versioned store, the current shard
-/// map, a peer registry, and the RPC server face.
+/// map with its (name, endpoint) roster, and the RPC server face.
 class ReplicaNode {
  public:
   ReplicaNode(std::string name, net::Transport& transport,
@@ -111,38 +116,32 @@ class ReplicaNode {
   const std::string& name() const noexcept { return name_; }
   net::Endpoint endpoint() const { return rpc_.endpoint(); }
 
-  /// Installs `map` if its epoch is newer (idempotent otherwise) and
-  /// bumps the lookup version so client caches revalidate.
-  void set_map(ShardMap map);
+  /// Installs the membership: `map` and the (name, endpoint) roster the
+  /// node syncs with and serves on kGetMap. Takes effect only when the
+  /// epoch is newer, and bumps the lookup version so client caches
+  /// revalidate.
+  void install(ShardMap map, std::vector<ReplicaAddress> roster);
   ShardMap map() const;
 
-  void set_peer(const std::string& peer, net::Endpoint endpoint);
-  void remove_peer(const std::string& peer);
-  std::vector<ReplicaAddress> roster() const;
-
-  /// Coordinates a write on this node (or forwards it to the shard's
-  /// primary when this node does not own the shard and `allow_forward`).
-  /// Replication failures are tolerated and counted
+  /// Coordinates a write on this node, which must own the rule's shard
+  /// under its map (kFailedPrecondition otherwise), and replicates it to
+  /// the co-owners. Replication failures are tolerated and counted
   /// (gns.replicate.failed) — anti-entropy repairs the miss.
-  Result<std::uint64_t> put(MappingRule rule, bool tombstone,
-                            bool allow_forward);
+  Result<std::uint64_t> put(MappingRule rule, bool tombstone);
 
-  /// One anti-entropy exchange with `peer`: compare digests for every
-  /// shard both own, swap entries for the divergent ones. Returns the
-  /// number of entries this side repaired (kNew/kConflict applies).
-  /// Fails typed when the pair is partitioned or either end is dead.
-  Result<std::uint64_t> sync_with(const std::string& peer);
+  /// One exchange with `peer` over `shards`: compare digests, swap
+  /// entries for the divergent shards. Anti-entropy passes the shards
+  /// both own and counts repairs (gns.antientropy.repaired); handoff
+  /// priming passes a shard the node is about to own and does not.
+  /// Returns the number of entries this side repaired (kNew/kConflict
+  /// applies). Fails typed when the pair is partitioned, either end is
+  /// dead, or `peer` is not in the roster.
+  Result<std::uint64_t> sync_with(const std::string& peer,
+                                  const std::vector<std::uint32_t>& shards,
+                                  bool count_repair);
 
-  /// Targeted handoff sync: pull one shard's entries from `peer`
-  /// (runtime reconfiguration primes a new owner BEFORE the new map is
-  /// installed, so no lookup ever observes a missing shard).
-  Status sync_shard_from(const std::string& peer, std::uint32_t shard);
-
-  /// Post-handoff GC: drop `shard`'s bucket once the wall clock passes
-  /// `after` (the old owner serves stale-map readers until then).
-  void schedule_drop(std::uint32_t shard, WallClock::time_point after);
-  /// Applies due drops (called from the anti-entropy tick).
-  void gc_dropped_shards();
+  /// Drops a handed-off shard's bucket and bumps the lookup version.
+  void drop_shard(std::uint32_t shard);
 
   /// Monotonic lookup version: bumped on every store change or map
   /// install, echoed by kLookup — the client cache's flush key.
@@ -160,18 +159,16 @@ class ReplicaNode {
     version_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Consults the armed fault plan for one sync message to `peer`:
-  /// kSever when the pair is partitioned, kUnavailable when either end
-  /// is `die@gns` dead; injected delays are slept here.
-  Status consult_sync_fault(const std::string& peer);
-
-  std::shared_ptr<PeerClient> peer_client(const std::string& peer);
+  /// The client for one sync message to `peer`, once the armed fault
+  /// plan lets it through: kUnavailable when the pair is partitioned or
+  /// either end is `die@gns` dead (injected delays are slept here),
+  /// kNotFound when `peer` is not in the roster.
+  Result<std::shared_ptr<PeerClient>> sync_peer(const std::string& peer);
 
   /// Merges `entry`, bumping the lookup version and the anti-entropy
-  /// repair counter (when `count_repair`) on effective change.
-  ReplicaStore::Applied merge_entry(std::uint32_t shard,
-                                    const VersionedRule& entry,
-                                    bool count_repair);
+  /// repair counter (when `count_repair`); true on effective change.
+  bool merge_entry(std::uint32_t shard, const VersionedRule& entry,
+                   bool count_repair);
 
   const std::string name_;
   net::Transport& transport_;
@@ -186,15 +183,9 @@ class ReplicaNode {
     std::shared_ptr<PeerClient> client;  // lazily dialled
   };
 
-  struct PendingDrop {
-    std::uint32_t shard = 0;
-    WallClock::time_point after{};
-  };
-
   mutable Mutex mu_;
   ShardMap map_ GUARDED_BY(mu_);
-  std::map<std::string, Peer> peers_ GUARDED_BY(mu_);
-  std::vector<PendingDrop> pending_drops_ GUARDED_BY(mu_);
+  std::map<std::string, Peer> peers_ GUARDED_BY(mu_);  // the roster
 };
 
 }  // namespace griddles::gns

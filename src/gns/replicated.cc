@@ -5,7 +5,6 @@
 
 #include "src/common/deadline.h"
 #include "src/common/strings.h"
-#include "src/fault/plan.h"
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
 
@@ -39,25 +38,6 @@ struct GnsMetrics {
 
 std::int64_t wall_now_ns() {
   return WallClock::now().time_since_epoch().count();
-}
-
-/// Consults the armed plan for one client-side attempt against
-/// `replica` (Site::kGns, keyed by replica name — never severed by
-/// partition rules, which live at Site::kGnsSync). Returns false when
-/// the replica is injected-dead; sleeps injected delays.
-bool replica_alive(const std::string& replica) {
-  fault::Plan* plan = fault::armed();
-  if (plan == nullptr) return true;
-  const fault::Decision verdict =
-      plan->consult(fault::Site::kGns, replica);
-  if (verdict.action == fault::Decision::Action::kFail ||
-      verdict.action == fault::Decision::Action::kKill) {
-    return false;
-  }
-  if (verdict.action == fault::Decision::Action::kDelay) {
-    fault::sleep_for_model(verdict.delay);
-  }
-  return true;
 }
 }  // namespace
 
@@ -94,10 +74,13 @@ std::uint64_t ReplicatedNameService::map_epoch() const {
 }
 
 ReplicatedNameService::Walk ReplicatedNameService::walk_for(
-    std::uint32_t shard) const {
+    const std::string& host, const std::string& path, bool write) const {
+  MutexLock lock(mu_);
   Walk walk;
   walk.epoch = map_.epoch;
   walk.order.reserve(replicas_.size());
+  const std::uint32_t shard =
+      write ? map_.shard_of_rule(host, path) : map_.shard_of(host, path);
   for (const std::string& owner : map_.owners(shard)) {
     for (const auto& replica : replicas_) {
       if (replica->name == owner) {
@@ -106,6 +89,7 @@ ReplicatedNameService::Walk ReplicatedNameService::walk_for(
       }
     }
   }
+  if (write) return walk;
   for (const auto& replica : replicas_) {
     if (std::find(walk.order.begin(), walk.order.end(), replica.get()) ==
         walk.order.end()) {
@@ -115,21 +99,9 @@ ReplicatedNameService::Walk ReplicatedNameService::walk_for(
   return walk;
 }
 
-ReplicatedNameService::Walk ReplicatedNameService::lookup_walk(
-    const std::string& host, const std::string& path) const {
-  MutexLock lock(mu_);
-  return walk_for(map_.shard_of(host, path));
-}
-
-ReplicatedNameService::Walk ReplicatedNameService::rule_walk(
-    const MappingRule& rule) const {
-  MutexLock lock(mu_);
-  return walk_for(map_.shard_of_rule(rule.host_pattern, rule.path_pattern));
-}
-
 void ReplicatedNameService::refresh_map() {
   for (Replica* replica : replicas_snapshot()) {
-    if (!replica_alive(replica->name)) continue;
+    if (!replica_alive(replica->name).is_ok()) continue;
     Result<std::pair<ShardMap, std::vector<ReplicaAddress>>> fetched =
         replica->peer->get_map();
     if (!fetched.is_ok()) continue;
@@ -256,9 +228,8 @@ Result<std::optional<FileMapping>> ReplicatedNameService::lookup(
       if (deadline_expired()) {
         return Result<LookupReply>(check_deadline("gns failover walk"));
       }
-      if (!replica_alive(replica.name)) {
-        last = unavailable(
-            strings::cat("injected fault: gns ", replica.name));
+      if (Status alive = replica_alive(replica.name); !alive.is_ok()) {
+        last = std::move(alive);
         record_failure(replica);
         note_degraded(replica.name);
         continue;
@@ -287,7 +258,7 @@ Result<std::optional<FileMapping>> ReplicatedNameService::lookup(
     return std::nullopt;
   };
 
-  const Walk walk = lookup_walk(host, path);
+  const Walk walk = walk_for(host, path, /*write=*/false);
   std::optional<Result<LookupReply>> answered = attempt(walk);
   // An answer from a node on another map epoch may come from an owner
   // that has handed the shard off, and an unanswered walk may have
@@ -295,7 +266,7 @@ Result<std::optional<FileMapping>> ReplicatedNameService::lookup(
   // under the new epoch before accepting an answer or giving up.
   if (!answered || (answered->is_ok() && (*answered)->epoch != walk.epoch)) {
     refresh_map();
-    const Walk rewalk = lookup_walk(host, path);
+    const Walk rewalk = walk_for(host, path, /*write=*/false);
     if (rewalk.epoch != walk.epoch) answered = attempt(rewalk);
   }
   if (answered) {
@@ -318,36 +289,55 @@ Result<std::optional<FileMapping>> ReplicatedNameService::lookup(
 
 Status ReplicatedNameService::write(const MappingRule& rule,
                                     bool tombstone) {
-  Status last = unavailable("gns: no replicas registered");
-  for (Replica* replica_ptr : rule_walk(rule).order) {
-    Replica& replica = *replica_ptr;
-    if (!replica_alive(replica.name)) {
-      last = unavailable(strings::cat("injected fault: gns ", replica.name));
-      continue;
-    }
-    if (!admit(replica)) continue;
-    // A non-owner (the client's map is missing or stale) forwards the
-    // write to the shard's owner and replies with its own epoch.
-    const Result<std::uint64_t> put_result =
-        replica.peer->put(rule, tombstone, /*allow_forward=*/true);
-    if (put_result.is_ok()) {
-      record_success(replica);
-      if (*put_result != map_epoch()) refresh_map();
-      // Write-through invalidation: without it this client's own remap
-      // would stay invisible until its cached answer went stale.
-      MutexLock lock(mu_);
-      std::erase_if(cache_, [&](const auto& entry) {
-        return strings::glob_match(rule.host_pattern, entry.first.first) &&
-               strings::glob_match(rule.path_pattern, entry.first.second);
-      });
-      return Status::ok();
-    }
-    if (put_result.status().code() == ErrorCode::kUnavailable) {
+  if (map_epoch() == 0) refresh_map();
+  const auto attempt = [&](const Walk& walk) -> Status {
+    Status last = unavailable("gns: no owner reachable for the rule");
+    for (Replica* replica_ptr : walk.order) {
+      Replica& replica = *replica_ptr;
+      if (Status alive = replica_alive(replica.name); !alive.is_ok()) {
+        last = std::move(alive);
+        continue;
+      }
+      if (!admit(replica)) continue;
+      const Result<std::uint64_t> put_result =
+          replica.peer->put(rule, tombstone);
+      if (put_result.is_ok()) {
+        record_success(replica);
+        if (*put_result != walk.epoch) refresh_map();
+        return Status::ok();
+      }
+      last = put_result.status();
+      // A refusal (the replica does not own the shard under its map)
+      // moves on to the next owner; any error but kUnavailable is final.
+      if (last.code() == ErrorCode::kFailedPrecondition) continue;
+      if (last.code() != ErrorCode::kUnavailable) return last;
       record_failure(replica);
     }
-    last = put_result.status();
+    return last;
+  };
+
+  const Walk walk = walk_for(rule.host_pattern, rule.path_pattern,
+                             /*write=*/true);
+  Status written = attempt(walk);
+  // A refusal means the map is stale, and an unanswered walk may have
+  // missed the shard's new owners: refetch the map once and re-walk
+  // under the new epoch, as lookup does.
+  if (written.code() == ErrorCode::kFailedPrecondition ||
+      written.code() == ErrorCode::kUnavailable) {
+    refresh_map();
+    const Walk rewalk = walk_for(rule.host_pattern, rule.path_pattern,
+                                 /*write=*/true);
+    if (rewalk.epoch != walk.epoch) written = attempt(rewalk);
   }
-  return last;
+  GL_RETURN_IF_ERROR(written);
+  // Write-through invalidation: without it this client's own remap
+  // would stay invisible until its cached answer went stale.
+  MutexLock lock(mu_);
+  std::erase_if(cache_, [&](const auto& entry) {
+    return strings::glob_match(rule.host_pattern, entry.first.first) &&
+           strings::glob_match(rule.path_pattern, entry.first.second);
+  });
+  return Status::ok();
 }
 
 Status ReplicatedNameService::add_rule(const MappingRule& rule) {

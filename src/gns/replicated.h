@@ -9,7 +9,10 @@
 // re-walks before it accepts an answer — so a client routing by an old
 // epoch never takes "no mapping" from an owner that has handed the
 // shard off and dropped it. A walk that nobody answers refetches the
-// map once too (the roster may have moved).
+// map once too (the roster may have moved). Writes walk the same way
+// over the shard's owners only: a node that does not own the shard
+// refuses the write (kFailedPrecondition), and a refusal refetches the
+// map and re-walks once.
 //
 // Resilience per replica attempt:
 //   - circuit breakers: closed -> open after `failure_threshold`
@@ -133,11 +136,12 @@ class ReplicatedNameService {
   void refresh_map();
 
   std::vector<Replica*> replicas_snapshot() const;
-  /// The owners of `shard` under the cached map first, then every other
-  /// replica as a stale-map fallback.
-  Walk walk_for(std::uint32_t shard) const REQUIRES(mu_);
-  Walk lookup_walk(const std::string& host, const std::string& path) const;
-  Walk rule_walk(const MappingRule& rule) const;
+  /// The replicas to try for the key (host, path), or for the rule with
+  /// those patterns when `write`: the shard's owners under the cached
+  /// map, then, for lookups only, every other replica as a stale-map
+  /// fallback.
+  Walk walk_for(const std::string& host, const std::string& path,
+                bool write) const;
   void add_replica_locked(std::string name, net::Endpoint endpoint)
       REQUIRES(mu_);
 
@@ -145,7 +149,8 @@ class ReplicatedNameService {
   /// other than the one it last reported.
   void note_version(Replica& replica, std::uint64_t version);
 
-  /// Coordinates a write (or tombstone) on the first healthy owner.
+  /// Coordinates a write (or tombstone) on the first healthy owner; a
+  /// refusal or an unanswered walk refetches the map and re-walks once.
   Status write(const MappingRule& rule, bool tombstone);
 
   net::Transport& transport_;

@@ -88,16 +88,6 @@ std::vector<std::uint32_t> ShardMap::shards_of(
   return result;
 }
 
-std::vector<std::uint32_t> ShardMap::all_shards() const {
-  std::vector<std::uint32_t> result;
-  result.reserve(num_shards + 1);
-  for (std::uint32_t shard = 0; shard < num_shards; ++shard) {
-    result.push_back(shard);
-  }
-  result.push_back(kGlobalShard);
-  return result;
-}
-
 void ShardMap::encode(xdr::Encoder& enc) const {
   enc.put_u64(epoch);
   enc.put_u32(num_shards);

@@ -53,9 +53,6 @@ struct ShardMap {
   /// Every shard id a replica owns, kGlobalShard included.
   std::vector<std::uint32_t> shards_of(std::string_view replica) const;
 
-  /// All shard ids: 0..num_shards-1 plus kGlobalShard.
-  std::vector<std::uint32_t> all_shards() const;
-
   std::uint32_t effective_replication() const noexcept;
 
   void encode(xdr::Encoder& enc) const;

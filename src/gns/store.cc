@@ -25,16 +25,6 @@ struct ConflictMetrics {
 };
 }  // namespace
 
-std::string_view applied_name(ReplicaStore::Applied applied) noexcept {
-  switch (applied) {
-    case ReplicaStore::Applied::kNew: return "new";
-    case ReplicaStore::Applied::kEqual: return "equal";
-    case ReplicaStore::Applied::kStale: return "stale";
-    case ReplicaStore::Applied::kConflict: return "conflict";
-  }
-  return "?";
-}
-
 void encode_versioned(xdr::Encoder& enc, const VersionedRule& entry) {
   encode_rule(enc, entry.rule);
   enc.put_bool(entry.tombstone);

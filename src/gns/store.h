@@ -52,8 +52,6 @@ class ReplicaStore {
   explicit ReplicaStore(std::string replica_id)
       : replica_id_(std::move(replica_id)) {}
 
-  const std::string& replica_id() const noexcept { return replica_id_; }
-
   /// What apply() did with an incoming entry.
   enum class Applied : std::uint8_t {
     kNew,       // incoming dominated (or key was absent): stored
@@ -109,7 +107,5 @@ class ReplicaStore {
       GUARDED_BY(mu_);
   std::uint64_t lamport_ GUARDED_BY(mu_) = 0;
 };
-
-std::string_view applied_name(ReplicaStore::Applied applied) noexcept;
 
 }  // namespace griddles::gns

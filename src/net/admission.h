@@ -30,7 +30,7 @@ class AdmissionController {
  public:
   struct Options {
     // Cost units servable concurrently. Each admitted request holds its
-    // method's cost (default 1) from admit() until Permit release.
+    // cost (one unit from RpcServer) from admit() until Permit release.
     std::uint32_t capacity = 64;
     // Cost units allowed to wait beyond capacity before reject-newest.
     std::uint32_t max_queued = 256;

@@ -136,16 +136,15 @@ RpcServer::RpcServer(Transport& transport, Endpoint bind, WireFormat format)
 
 RpcServer::~RpcServer() { stop(); }
 
-void RpcServer::register_method(std::uint16_t method, RpcHandler handler,
-                                std::uint32_t cost) {
+void RpcServer::register_method(std::uint16_t method, RpcHandler handler) {
   MutexLock lock(mu_);
-  handlers_[method] = Method{std::move(handler), cost, /*admitted=*/true};
+  handlers_[method] = Method{std::move(handler), /*admitted=*/true};
 }
 
 void RpcServer::register_method_unadmitted(std::uint16_t method,
                                            RpcHandler handler) {
   MutexLock lock(mu_);
-  handlers_[method] = Method{std::move(handler), 0, /*admitted=*/false};
+  handlers_[method] = Method{std::move(handler), /*admitted=*/false};
 }
 
 void RpcServer::set_admission(AdmissionController::Options options) {
@@ -326,7 +325,7 @@ void RpcServer::serve_connection(std::shared_ptr<Connection> conn) {
         gate = deadline_exceeded(strings::cat(
             "rpc ", frame->method, ": budget exhausted on arrival"));
       } else if (entry->admitted && admission != nullptr) {
-        auto admitted = admission->admit(entry->cost, frame->method);
+        auto admitted = admission->admit(/*cost=*/1, frame->method);
         if (admitted.is_ok()) {
           permit = std::move(*admitted);
           if (deadline_expired()) {

@@ -51,11 +51,10 @@ class RpcServer {
   RpcServer& operator=(const RpcServer&) = delete;
 
   /// Registers a handler; must happen before start(). Admitted: the
-  /// request acquires `cost` units from the admission controller (and
-  /// may be shed with kResourceExhausted under overload) before the
-  /// handler runs.
-  void register_method(std::uint16_t method, RpcHandler handler,
-                       std::uint32_t cost = 1);
+  /// request acquires one unit from the admission controller (and may
+  /// be shed with kResourceExhausted under overload) before the handler
+  /// runs.
+  void register_method(std::uint16_t method, RpcHandler handler);
 
   /// Registers a handler that bypasses admission control. Reserved for
   /// handlers that block server-side for application reasons (Grid
@@ -85,7 +84,6 @@ class RpcServer {
  private:
   struct Method {
     RpcHandler handler;
-    std::uint32_t cost = 1;
     bool admitted = true;
   };
 

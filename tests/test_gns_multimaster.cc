@@ -469,6 +469,106 @@ TEST_F(GnsClusterTest, StaleEpochClientRewalksAfterOwnerDropsShard) {
   EXPECT_EQ(service->map_epoch(), new_map.epoch);
 }
 
+TEST_F(GnsClusterTest, FailedLiveAddLeavesMembershipUnchanged) {
+  auto cluster = make_cluster(2);
+  ASSERT_TRUE(
+      cluster->add_rule(make_rule("jagan", "/ghost/k.dat", IoMode::kLocal))
+          .is_ok());
+  const ShardMap before = cluster->map();
+  ASSERT_EQ(before.epoch, 2u);
+
+  // gns-0 holds this endpoint, so the joiner cannot start.
+  const Status added =
+      cluster->add_replica("gns-2", net::inproc_endpoint("gh", "gns-0"));
+  EXPECT_EQ(added.code(), ErrorCode::kAlreadyExists) << added;
+  EXPECT_EQ(cluster->replica_count(), 2u);
+  EXPECT_EQ(cluster->map(), before);
+  EXPECT_EQ(cluster->node("gns-2"), nullptr);
+  EXPECT_TRUE(cluster->converge(3).is_ok());
+}
+
+TEST_F(GnsClusterTest, StaleEpochClientWriteLandsOnNewOwner) {
+  GnsCluster::Options options;
+  options.num_shards = 8;
+  options.replication = 1;  // one owner per shard: the join moves some
+  auto cluster = make_cluster(2, options);
+  auto service = make_service(*cluster);
+  ASSERT_TRUE(service->lookup("jagan", "/stale/warm.dat").is_ok());
+  const std::uint64_t old_epoch = cluster->map().epoch;
+  ASSERT_EQ(service->map_epoch(), old_epoch);
+
+  ASSERT_TRUE(
+      cluster->add_replica("gns-2", net::inproc_endpoint("gh", "gns-2"))
+          .is_ok());
+  const ShardMap new_map = cluster->map();
+  std::string path;
+  for (int i = 0; path.empty(); ++i) {
+    const std::string candidate = strings::cat("/stale/f", i, ".dat");
+    if (new_map.owners(new_map.shard_of("jagan", candidate)).front() ==
+        "gns-2") {
+      path = candidate;
+    }
+  }
+
+  // The client still routes by the old epoch, which gives the key's
+  // shard to an old owner; the write must still land on gns-2.
+  ASSERT_EQ(service->map_epoch(), old_epoch);
+  ASSERT_TRUE(
+      service->add_rule(make_rule("jagan", path, IoMode::kGridBuffer))
+          .is_ok());
+  const auto joiner = cluster->node("gns-2");
+  ASSERT_NE(joiner, nullptr);
+  const auto stored = joiner->store().lookup(
+      new_map.shard_of("jagan", path), "jagan", path);
+  ASSERT_TRUE(stored.has_value());
+  EXPECT_EQ(stored->mode, IoMode::kGridBuffer);
+
+  auto fresh = make_service(*cluster);
+  auto found = fresh->lookup("jagan", path);
+  ASSERT_TRUE(found.is_ok()) << found.status();
+  ASSERT_TRUE(found->has_value());
+  EXPECT_EQ((*found)->mode, IoMode::kGridBuffer);
+}
+
+TEST_F(GnsClusterTest, ShardHandedBackWithinItsLeaseIsKept) {
+  GnsCluster::Options options;
+  options.num_shards = 8;
+  options.replication = 1;  // the old owner holds the only copy
+  options.handoff_lease = std::chrono::milliseconds(20);
+  auto cluster = make_cluster(2, options);
+  const ShardMap before = cluster->map();
+  ShardMap joined = before;
+  joined.replicas.push_back("gns-2");
+  std::string path;
+  for (int i = 0; path.empty(); ++i) {
+    const std::string candidate = strings::cat("/back/f", i, ".dat");
+    if (joined.owners(joined.shard_of("jagan", candidate)).front() ==
+        "gns-2") {
+      path = candidate;
+    }
+  }
+  const std::uint32_t shard = before.shard_of("jagan", path);
+  const std::string owner = before.owners(shard).front();
+  ASSERT_TRUE(
+      cluster->add_rule(make_rule("jagan", path, IoMode::kLocal)).is_ok());
+
+  // gns-2 takes the shard and leaves again inside the lease, so the
+  // shard is back with its old owner when that owner's drop falls due.
+  ASSERT_TRUE(
+      cluster->add_replica("gns-2", net::inproc_endpoint("gh", "gns-2"))
+          .is_ok());
+  ASSERT_TRUE(cluster->remove_replica("gns-2").is_ok());
+  ASSERT_EQ(cluster->map().owners(shard).front(), owner);
+  std::this_thread::sleep_for(options.handoff_lease +
+                              std::chrono::milliseconds(30));
+  cluster->run_antientropy_round();
+  EXPECT_TRUE(
+      cluster->node(owner)->store().lookup(shard, "jagan", path).has_value());
+  auto found = make_service(*cluster)->lookup("jagan", path);
+  ASSERT_TRUE(found.is_ok()) << found.status();
+  EXPECT_TRUE(found->has_value());
+}
+
 TEST_F(GnsClusterTest, AntiEntropyLoopRunsOnlyWithAPairToSync) {
   // Default options: a 100 ms background anti-entropy period.
   GnsCluster cluster(*transport_, GnsCluster::Options{});
