@@ -89,7 +89,6 @@ inline workflow::WorkflowRunner::Options paper_options(
   // measurement overhead without touching modelled time.
   options.buffer_block_fast_link = 65536;
   options.writer_window = 4;
-  options.read_deadline_ms = 120000;
   return options;
 }
 

@@ -36,7 +36,6 @@ int main() {
 
   workflow::WorkflowRunner::Options options;
   options.mode = workflow::CouplingMode::kGridBuffers;
-  options.buffer_cache = true;  // DARLAM's re-read needs the cache file
 
   std::printf("Coupling C-CAM -> cc2lam -> DARLAM with Grid Buffers...\n");
   auto report = runner.run(*spec, options);

@@ -24,7 +24,6 @@ Result<std::unique_ptr<GridBufferFileClient>> GridBufferFileClient::open(
   }
   GridBufferReader::Options options;
   options.channel = config;
-  options.read_deadline_ms = tuning.read_deadline_ms;
   GL_ASSIGN_OR_RETURN(auto reader,
                       GridBufferReader::open(transport, server, channel,
                                              options));

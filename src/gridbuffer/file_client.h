@@ -19,7 +19,6 @@ class GridBufferFileClient final : public vfs::FileClient {
   /// Tuning beyond the channel config itself.
   struct Tuning {
     std::size_t writer_window_blocks = 32;
-    std::uint64_t read_deadline_ms = 120000;
   };
 
   static Result<std::unique_ptr<GridBufferFileClient>> open(

@@ -26,12 +26,13 @@ Buffer relay_write_request(const multicast::RelayNode& node,
 
 Buffer relay_close_request(const multicast::RelayNode& node,
                            const ChannelConfig& config,
-                           const StreamExtent& extent) {
+                           const StreamExtent& extent, bool failed) {
   xdr::Encoder enc;
   multicast::encode_node(enc, node);
   encode_channel_config(enc, config);
   enc.put_u64(extent.frontier);
   enc.put_u64(extent.stored);
+  enc.put_bool(failed);
   return std::move(enc).finish();
 }
 
@@ -94,36 +95,79 @@ void GridBufferServer::set_broadcast(
 
 std::shared_ptr<const GridBufferServer::Broadcast>
 GridBufferServer::broadcast(const std::string& channel) const {
+  static const auto plain = std::make_shared<const Broadcast>();
   MutexLock lock(mu_);
   const auto it = broadcast_.find(channel);
-  return it == broadcast_.end() ? nullptr : it->second;
+  return it == broadcast_.end() ? plain : it->second;
 }
 
-void GridBufferServer::relay_run(
-    const std::string& channel,
-    const std::vector<multicast::RelayNode>& children,
-    const ChannelConfig& config, std::uint64_t offset, const Buffer& data,
-    std::vector<std::string>& dead) {
-  std::shared_ptr<multicast::RelayFanOut> fan_out;
+Status GridBufferServer::store_and_forward(Channel& chan,
+                                           const Broadcast& hop,
+                                           std::uint64_t offset,
+                                           const Buffer& data,
+                                           std::vector<std::string>& dead) {
+  if (const Status written = chan.write(offset, data); !written.is_ok()) {
+    // No close will come to drop a failed stream's fan-out.
+    if (chan.writer_failed()) settle_fan_out(chan.name(), dead);
+    return written;
+  }
+  if (hop.children.empty()) return Status::ok();
+  std::shared_ptr<FanOut> fan_out = nullptr;
   {
     MutexLock lock(mu_);
-    std::shared_ptr<multicast::RelayFanOut>& slot = fan_outs_[channel];
+    std::shared_ptr<FanOut>& slot = fan_outs_[chan.name()];
     if (slot == nullptr) {
-      slot = std::make_shared<multicast::RelayFanOut>(forwarder_, children,
-                                                      kRunsOnWire);
+      slot = std::make_shared<FanOut>(forwarder_, hop.children);
     }
     fan_out = slot;
   }
-  fan_out->forward(method_id(Method::kRelayWrite),
-                   [config, offset, data](const multicast::RelayNode& child) {
-                     return relay_write_request(child, config, offset, data);
-                   },
-                   dead);
+  MutexLock lock(fan_out->mu);
+  fan_out->edges.forward(
+      method_id(Method::kRelayWrite),
+      [config = hop.config, offset, data](const multicast::RelayNode& child) {
+        return relay_write_request(child, config, offset, data);
+      },
+      dead);
+  return Status::ok();
+}
+
+Status GridBufferServer::close_and_forward(Channel& chan,
+                                           const Broadcast& hop,
+                                           const StreamExtent* extent,
+                                           bool failed,
+                                           std::vector<std::string>& dead) {
+  failed = failed || chan.writer_failed();
+  if (failed) chan.fail_writer("the stream's writer failed upstream");
+  StreamExtent closed_at;
+  Status closed = Status::ok();
+  if (extent != nullptr && !failed) {
+    // A close that the parent adopted from a failed relay can overtake
+    // runs that relay still has on their way here. The close waits for
+    // them; a copy that stays short fails it, so the parent reports
+    // this machine dead rather than its readers seeing a short stream.
+    closed_at = *extent;
+    closed = chan.close_writer_at(*extent, clamp_to_budget_ms(kCloseIdleMs));
+  } else {
+    // The writer's own close, or a failed stream's, whose readers get
+    // kDataLoss once they have drained it.
+    closed_at = chan.close_writer();
+  }
+  settle_fan_out(chan.name(), dead);
+  GL_RETURN_IF_ERROR(closed);
+  if (!hop.children.empty()) {
+    multicast::relay_block(
+        forwarder_, hop.children, method_id(Method::kRelayClose),
+        [&](const multicast::RelayNode& child) {
+          return relay_close_request(child, hop.config, closed_at, failed);
+        },
+        dead);
+  }
+  return Status::ok();
 }
 
 void GridBufferServer::settle_fan_out(const std::string& channel,
                                       std::vector<std::string>& dead) {
-  std::shared_ptr<multicast::RelayFanOut> fan_out;
+  std::shared_ptr<FanOut> fan_out = nullptr;
   {
     MutexLock lock(mu_);
     const auto it = fan_outs_.find(channel);
@@ -131,16 +175,8 @@ void GridBufferServer::settle_fan_out(const std::string& channel,
     fan_out = std::move(it->second);
     fan_outs_.erase(it);
   }
-  fan_out->settle(dead);
-}
-
-void GridBufferServer::drop_fan_out(const std::string& channel) {
-  std::vector<std::string> dead;
-  settle_fan_out(channel, dead);
-  if (!dead.empty()) {
-    GL_LOG(kWarn, "grid buffer broadcast ", channel, ": writer failed; ",
-           dead.size(), " machine(s) unreachable");
-  }
+  MutexLock lock(fan_out->mu);
+  fan_out->edges.settle(dead);
 }
 
 GridBufferServer::~GridBufferServer() { stop(); }
@@ -173,23 +209,13 @@ void GridBufferServer::register_handlers() {
         GL_ASSIGN_OR_RETURN(const std::uint64_t offset, dec.u64());
         GL_ASSIGN_OR_RETURN(const Buffer data, dec.bytes());
         GL_ASSIGN_OR_RETURN(auto chan, store_.find(channel));
-        if (const Status written = chan->write(offset, data);
-            !written.is_ok()) {
-          if (chan->writer_failed()) drop_fan_out(channel);
-          return written;
-        }
-        // Broadcast channels also send the run down the relay tree, cut
-        // through: the reply does not wait for the children.
-        const std::shared_ptr<const Broadcast> route = broadcast(channel);
-        if (route != nullptr) {
-          std::vector<std::string> dead;
-          relay_run(channel, route->children, route->config, offset, data,
-                    dead);
-          if (!dead.empty()) {
-            GL_LOG(kWarn, "grid buffer broadcast ", channel, ": ",
-                   dead.size(), " machine(s) unreachable; their local ",
-                   "readers will miss a run");
-          }
+        std::vector<std::string> dead;
+        GL_RETURN_IF_ERROR(
+            store_and_forward(*chan, *broadcast(channel), offset, data, dead));
+        if (!dead.empty()) {
+          GL_LOG(kWarn, "grid buffer broadcast ", channel, ": ", dead.size(),
+                 " machine(s) unreachable; their local readers will miss a ",
+                 "run");
         }
         return Buffer{};
       });
@@ -199,21 +225,13 @@ void GridBufferServer::register_handlers() {
         xdr::Decoder dec(request);
         GL_ASSIGN_OR_RETURN(const std::string channel, dec.string());
         GL_ASSIGN_OR_RETURN(auto chan, store_.find(channel));
-        const StreamExtent extent = chan->close_writer();
-        const std::shared_ptr<const Broadcast> route = broadcast(channel);
-        if (route != nullptr) {
-          std::vector<std::string> dead;
-          settle_fan_out(channel, dead);
-          multicast::relay_block(
-              forwarder_, route->children, method_id(Method::kRelayClose),
-              [&](const multicast::RelayNode& child) {
-                return relay_close_request(child, route->config, extent);
-              },
-              dead);
-          if (!dead.empty()) {
-            GL_LOG(kWarn, "grid buffer broadcast ", channel, ": close did ",
-                   "not reach ", dead.size(), " machine(s)");
-          }
+        std::vector<std::string> dead;
+        GL_RETURN_IF_ERROR(close_and_forward(*chan, *broadcast(channel),
+                                             /*extent=*/nullptr,
+                                             /*failed=*/false, dead));
+        if (!dead.empty()) {
+          GL_LOG(kWarn, "grid buffer broadcast ", channel, ": close did ",
+                 "not reach ", dead.size(), " machine(s)");
         }
         return Buffer{};
       });
@@ -302,7 +320,7 @@ void GridBufferServer::register_handlers() {
       method_id(Method::kRelayWrite),
       [this](const Buffer& request, const net::RpcContext&) -> Result<Buffer> {
         xdr::Decoder dec(request);
-        GL_ASSIGN_OR_RETURN(const multicast::RelayNode node,
+        GL_ASSIGN_OR_RETURN(multicast::RelayNode node,
                             multicast::decode_node(dec));
         GL_ASSIGN_OR_RETURN(ChannelConfig config,
                             decode_channel_config(dec));
@@ -326,33 +344,26 @@ void GridBufferServer::register_handlers() {
         // block_size/cache agreement across machines.
         if (node.readers != 0) config.expected_readers = node.readers;
         GL_ASSIGN_OR_RETURN(auto chan, store_.open(node.path, config));
-        if (const Status written = chan->write(offset, data);
-            !written.is_ok()) {
-          if (chan->writer_failed()) drop_fan_out(node.path);
-          return written;
-        }
-
         // Cut through: the reply carries only the dead hosts found while
         // settling older runs; the close's reply carries the rest.
         std::vector<std::string> dead;
-        if (!node.children.empty()) {
-          relay_run(node.path, node.children, config, offset, data, dead);
-        }
-        xdr::Encoder enc;
-        multicast::encode_dead_hosts(enc, dead);
-        return std::move(enc).finish();
+        GL_RETURN_IF_ERROR(store_and_forward(
+            *chan, Broadcast{config, std::move(node.children)}, offset, data,
+            dead));
+        return multicast::encode_dead_hosts(dead);
       });
   rpc_.register_method(
       method_id(Method::kRelayClose),
       [this](const Buffer& request, const net::RpcContext&) -> Result<Buffer> {
         xdr::Decoder dec(request);
-        GL_ASSIGN_OR_RETURN(const multicast::RelayNode node,
+        GL_ASSIGN_OR_RETURN(multicast::RelayNode node,
                             multicast::decode_node(dec));
         GL_ASSIGN_OR_RETURN(ChannelConfig config,
                             decode_channel_config(dec));
         StreamExtent extent;
         GL_ASSIGN_OR_RETURN(extent.frontier, dec.u64());
         GL_ASSIGN_OR_RETURN(extent.stored, dec.u64());
+        GL_ASSIGN_OR_RETURN(const bool failed, dec.boolean());
 
         const std::string host = rpc_.endpoint().host;
         GL_RETURN_IF_ERROR(multicast::consult_relay_fault(
@@ -360,24 +371,11 @@ void GridBufferServer::register_handlers() {
 
         if (node.readers != 0) config.expected_readers = node.readers;
         GL_ASSIGN_OR_RETURN(auto chan, store_.open(node.path, config));
-        // A close that the parent adopted from a failed relay can overtake
-        // runs that relay still has on their way here. The close waits for
-        // them; a copy that stays short fails it, so the parent reports
-        // this machine dead rather than its readers seeing a short stream.
-        const Status closed =
-            chan->close_writer_at(extent, clamp_to_budget_ms(kCloseIdleMs));
         std::vector<std::string> dead;
-        settle_fan_out(node.path, dead);
-        GL_RETURN_IF_ERROR(closed);
-        multicast::relay_block(
-            forwarder_, node.children, method_id(Method::kRelayClose),
-            [&](const multicast::RelayNode& child) {
-              return relay_close_request(child, config, extent);
-            },
-            dead);
-        xdr::Encoder enc;
-        multicast::encode_dead_hosts(enc, dead);
-        return std::move(enc).finish();
+        GL_RETURN_IF_ERROR(close_and_forward(
+            *chan, Broadcast{config, std::move(node.children)}, &extent,
+            failed, dead));
+        return multicast::encode_dead_hosts(dead);
       });
 }
 

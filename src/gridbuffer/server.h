@@ -38,9 +38,10 @@ enum class Method : std::uint16_t {
                     // open+write the run locally, forward it down the
                     // subtree and reply without waiting for it
                     // (broadcast relay hop, DESIGN.md §12)
-  kRelayClose = 10, // (subtree, config, frontier, stored) -> dead hosts:
-                    // close the local writer once the channel holds the
-                    // source's stream, settle the forwarded runs,
+  kRelayClose = 10, // (subtree, config, frontier, stored, failed) ->
+                    // dead hosts: close the local writer once the
+                    // channel holds the source's stream (or fail it, for
+                    // a failed stream), settle the forwarded runs,
                     // forward the close down the subtree
 };
 
@@ -75,7 +76,8 @@ class GridBufferServer {
   /// kWrite is also fanned out to `children` (cut-through kRelayWrite
   /// hops carrying the subtree in-band) and kCloseWrite closes the whole
   /// tree: each machine closes its channel once it holds the stream the
-  /// source closed, and a machine that cannot is reported dead. Each
+  /// source closed, and a machine that cannot is reported dead. The close
+  /// of a stream whose writer failed fails every machine's channel. Each
   /// subtree node opens the channel locally with `config`, overriding
   /// expected_readers with its own node-local reader count.
   void set_broadcast(const std::string& channel,
@@ -83,26 +85,48 @@ class GridBufferServer {
                      std::vector<multicast::RelayNode> children);
 
  private:
+  /// Where a hop sends a channel's runs and its close: the config each
+  /// child opens the channel with, and the child subtrees (none for a
+  /// plain channel).
   struct Broadcast {
     ChannelConfig config;
     std::vector<multicast::RelayNode> children;
   };
+  /// A channel's fan-out. Its forwards and settles take turns under `mu`,
+  /// held across a child's reply, so the channel's runs go down each
+  /// edge in order.
+  struct FanOut {
+    FanOut(multicast::RelayForwarder& forwarder,
+           std::vector<multicast::RelayNode> children)
+        : edges(forwarder, std::move(children), kRunsOnWire) {}
+    Mutex mu;
+    multicast::RelayFanOut edges GUARDED_BY(mu);
+  };
 
-  /// The broadcast route of `channel`, or null for a plain channel.
+  /// The broadcast route of `channel`; one without children for a plain
+  /// channel.
   std::shared_ptr<const Broadcast> broadcast(const std::string& channel) const;
-  /// Sends one run of `channel` to `children` through the channel's
-  /// cut-through fan-out, which the channel's first run makes. Appends
-  /// the dead hosts found while settling older runs.
-  void relay_run(const std::string& channel,
-                 const std::vector<multicast::RelayNode>& children,
-                 const ChannelConfig& config, std::uint64_t offset,
-                 const Buffer& data, std::vector<std::string>& dead);
+  /// One hop of a stream (DESIGN.md §12), the writer's first hop and an
+  /// interior relay alike: stores the run in `chan`, then sends it down
+  /// `hop`'s children, cut through, on the channel's fan-out, which the
+  /// first run makes. A run the channel refuses is never relayed, and a
+  /// write that finds the writer failed drops the fan-out. Appends the
+  /// dead hosts found while settling older runs.
+  Status store_and_forward(Channel& chan, const Broadcast& hop,
+                           std::uint64_t offset, const Buffer& data,
+                           std::vector<std::string>& dead);
+  /// Closes one hop: at what the channel holds for the writer's close
+  /// (`extent` null), at the source's `extent` for a relayed one. A
+  /// failed stream (`failed` from the parent, or a writer failed here)
+  /// fails the channel instead, so its readers drain what was written
+  /// and then get kDataLoss. Then settles the channel's fan-out and
+  /// sends the close down `hop`'s children.
+  Status close_and_forward(Channel& chan, const Broadcast& hop,
+                           const StreamExtent* extent, bool failed,
+                           std::vector<std::string>& dead);
   /// Drops `channel`'s fan-out, if any, once it has settled every run.
   void settle_fan_out(const std::string& channel,
                       std::vector<std::string>& dead);
-  /// settle_fan_out() for a stream whose writer failed: no close will
-  /// come to drop its fan-out.
-  void drop_fan_out(const std::string& channel);
   void register_handlers();
 
   ChannelStore store_;
@@ -119,8 +143,7 @@ class GridBufferServer {
   /// One per channel this server relays, from its first run to its
   /// relayed close (or to a write that finds the writer failed). Declared
   /// after forwarder_, which lends their clients.
-  std::map<std::string, std::shared_ptr<multicast::RelayFanOut>> fan_outs_
-      GUARDED_BY(mu_);
+  std::map<std::string, std::shared_ptr<FanOut>> fan_outs_ GUARDED_BY(mu_);
 };
 
 }  // namespace griddles::gridbuffer

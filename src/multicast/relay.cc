@@ -63,14 +63,16 @@ Result<RelayNode> decode_node(xdr::Decoder& dec, int depth) {
   return node;
 }
 
-void encode_dead_hosts(xdr::Encoder& enc,
-                       const std::vector<std::string>& dead) {
+Buffer encode_dead_hosts(const std::vector<std::string>& dead) {
+  xdr::Encoder enc;
   enc.put_vector(dead, [](xdr::Encoder& e, const std::string& host) {
     e.put_string(host);
   });
+  return std::move(enc).finish();
 }
 
-Result<std::vector<std::string>> decode_dead_hosts(xdr::Decoder& dec) {
+Result<std::vector<std::string>> decode_dead_hosts(const Buffer& reply) {
+  xdr::Decoder dec(reply);
   return dec.vector<std::string>(
       [](xdr::Decoder& d) { return d.string(); });
 }
@@ -102,8 +104,7 @@ namespace {
 /// Appends the dead hosts `child`'s relay reply reports.
 void note_reply(const RelayNode& child, const Buffer& reply,
                 std::vector<std::string>& dead) {
-  xdr::Decoder dec(reply);
-  auto reported = decode_dead_hosts(dec);
+  auto reported = decode_dead_hosts(reply);
   if (reported.is_ok()) {
     dead.insert(dead.end(), reported->begin(), reported->end());
     return;
@@ -134,39 +135,10 @@ void adopt(RelayForwarder& forwarder, const RelayNode& child,
 }
 }  // namespace
 
-void relay_block(RelayForwarder& forwarder,
-                 const std::vector<RelayNode>& children,
-                 std::uint16_t method, const RelayPayloadFn& payload,
-                 std::vector<std::string>& dead) {
-  std::vector<Result<std::unique_ptr<net::RpcClient>>> clients;
-  std::vector<Status> sent;
-  clients.reserve(children.size());
-  sent.reserve(children.size());
-  for (const RelayNode& child : children) {
-    clients.push_back(forwarder.borrow(child));
-    sent.push_back(clients.back().is_ok()
-                       ? (*clients.back())->send(method, payload(child))
-                       : clients.back().status());
-  }
-  for (std::size_t i = 0; i < children.size(); ++i) {
-    const Result<Buffer> reply =
-        sent[i].is_ok() ? (*clients[i])->receive() : Result<Buffer>(sent[i]);
-    if (clients[i].is_ok()) {
-      forwarder.give_back(children[i], std::move(*clients[i]));
-    }
-    if (reply.is_ok()) {
-      note_reply(children[i], *reply, dead);
-    } else {
-      adopt(forwarder, children[i], method, payload, reply.status(), dead);
-    }
-  }
-}
-
 RelayFanOut::RelayFanOut(RelayForwarder& forwarder,
                          std::vector<RelayNode> children,
                          std::size_t max_unanswered)
     : forwarder_(forwarder), max_unanswered_(max_unanswered) {
-  MutexLock lock(mu_);
   edges_.reserve(children.size());
   for (RelayNode& child : children) {
     auto client = forwarder_.borrow(child);
@@ -175,7 +147,6 @@ RelayFanOut::RelayFanOut(RelayForwarder& forwarder,
 }
 
 RelayFanOut::~RelayFanOut() {
-  MutexLock lock(mu_);
   for (Edge& edge : edges_) {
     if (edge.client.is_ok()) {
       forwarder_.give_back(edge.child, std::move(*edge.client));
@@ -185,7 +156,6 @@ RelayFanOut::~RelayFanOut() {
 
 void RelayFanOut::forward(std::uint16_t method, const RelayPayloadFn& payload,
                           std::vector<std::string>& dead) {
-  MutexLock lock(mu_);
   for (Edge& edge : edges_) {
     if (edge.unanswered.size() >= max_unanswered_) settle_oldest(edge, dead);
     const Status sent =
@@ -201,7 +171,6 @@ void RelayFanOut::forward(std::uint16_t method, const RelayPayloadFn& payload,
 }
 
 void RelayFanOut::settle(std::vector<std::string>& dead) {
-  MutexLock lock(mu_);
   for (Edge& edge : edges_) {
     while (!edge.unanswered.empty()) settle_oldest(edge, dead);
   }
@@ -224,6 +193,15 @@ void RelayFanOut::settle_oldest(Edge& edge, std::vector<std::string>& dead) {
     adopt(forwarder_, edge.child, run.method, run.payload, reply.status(),
           dead);
   }
+}
+
+void relay_block(RelayForwarder& forwarder,
+                 const std::vector<RelayNode>& children,
+                 std::uint16_t method, const RelayPayloadFn& payload,
+                 std::vector<std::string>& dead) {
+  RelayFanOut once(forwarder, children, /*max_unanswered=*/1);
+  once.forward(method, payload, dead);
+  once.settle(dead);
 }
 
 Status consult_relay_fault(const std::string& host,

@@ -56,10 +56,9 @@ inline constexpr int kMaxRelayDepth = 64;
 void encode_node(xdr::Encoder& enc, const RelayNode& node);
 Result<RelayNode> decode_node(xdr::Decoder& dec, int depth = 0);
 
-/// The dead-host list every relay response carries.
-void encode_dead_hosts(xdr::Encoder& enc,
-                       const std::vector<std::string>& dead);
-Result<std::vector<std::string>> decode_dead_hosts(xdr::Decoder& dec);
+/// The dead-host list every relay response carries, as the response.
+Buffer encode_dead_hosts(const std::vector<std::string>& dead);
+Result<std::vector<std::string>> decode_dead_hosts(const Buffer& reply);
 
 /// Lends RPC clients to relay forwards from an idle pool per endpoint.
 /// A client serves one borrower at a time, so concurrent forwards to one
@@ -89,26 +88,17 @@ class RelayForwarder {
 /// to `node`'s subtree.
 using RelayPayloadFn = std::function<Buffer(const RelayNode& node)>;
 
-/// Delivers one payload to every subtree in `children`: it sends to
-/// every child before it takes any reply, so sibling subtrees are served
-/// in parallel, and adopts each failure (the dead child's own children
-/// get direct forwards from here, recursively). Appends every dead host
-/// seen — locally or reported by a child's response — to `dead`. Never
-/// fails: total subtree loss just means every host lands in `dead`.
-void relay_block(RelayForwarder& forwarder,
-                 const std::vector<RelayNode>& children,
-                 std::uint16_t method, const RelayPayloadFn& payload,
-                 std::vector<std::string>& dead);
-
 /// Cut-through forwarding of one transfer's runs to a relay's children
 /// (DESIGN.md §12). Each edge holds one client to one child. forward()
 /// sends a run down every edge and returns without waiting; an edge
 /// takes its child's acknowledgements only when `max_unanswered` runs
 /// are on it (the oldest first) and in settle(). An edge keeps each
 /// unanswered run's payload function, which shares the run's bytes, so
-/// a run whose acknowledgement fails is adopted onto the child's
-/// children through relay_block, as a synchronous forward would be.
-/// Thread-safe: forwards and settles take turns.
+/// a run whose send or acknowledgement fails is adopted: a one-shot
+/// fan-out of its own delivers it to the failed child's children. Not
+/// thread-safe: a caller that forwards from several threads takes
+/// turns under one lock, held across the calls so that a transfer's
+/// runs go down each edge in order.
 class RelayFanOut {
  public:
   RelayFanOut(RelayForwarder& forwarder, std::vector<RelayNode> children,
@@ -137,16 +127,24 @@ class RelayFanOut {
     std::deque<Run> unanswered;  // oldest first
   };
 
-  void settle_oldest(Edge& edge, std::vector<std::string>& dead)
-      REQUIRES(mu_);
+  void settle_oldest(Edge& edge, std::vector<std::string>& dead);
 
   RelayForwarder& forwarder_;
   const std::size_t max_unanswered_;
-  // Held across a child's reply: a relay's runs of one transfer go down
-  // its edges in order.
-  Mutex mu_;
-  std::vector<Edge> edges_ GUARDED_BY(mu_);
+  std::vector<Edge> edges_;
 };
+
+/// Delivers one payload to every subtree in `children` as a one-shot
+/// RelayFanOut: one forward, then one settle. It sends to every child
+/// before it takes any reply, so sibling subtrees are served in
+/// parallel, and adopts each failure (recursively). Appends every dead
+/// host seen — locally or reported by a child's response — to `dead`.
+/// Never fails: total subtree loss just means every host lands in
+/// `dead`.
+void relay_block(RelayForwarder& forwarder,
+                 const std::vector<RelayNode>& children,
+                 std::uint16_t method, const RelayPayloadFn& payload,
+                 std::vector<std::string>& dead);
 
 /// Consults the armed fault plan at the relay site for `host`, with the
 /// relay's cumulative forwarded bytes as the `after=` high-water mark.

@@ -342,9 +342,7 @@ Result<Buffer> FileServer::handle_relay_chunk(const Buffer& request) {
       },
       dead);
 
-  xdr::Encoder enc;
-  multicast::encode_dead_hosts(enc, dead);
-  return std::move(enc).finish();
+  return multicast::encode_dead_hosts(dead);
 }
 
 Result<Buffer> FileServer::handle_truncate(const Buffer& request) {

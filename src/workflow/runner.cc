@@ -156,6 +156,22 @@ const TaskResult* WorkflowReport::task(const std::string& name) const {
   return nullptr;
 }
 
+/// Where one edge's bytes go, worked out once per run.
+struct WorkflowRunner::EdgePlan {
+  const Edge* edge = nullptr;
+  std::string producer;             // the producer's machine
+  std::vector<std::string> remote;  // other consumer machines, each once
+  // Grid Buffer edges (DESIGN.md §12): one relay tree rooted at
+  // `first_hop`, the server the producer writes to. A consumer reads
+  // from its own machine's server when that machine is a tree node, and
+  // from the first hop otherwise.
+  std::string channel;
+  std::string first_hop;
+  std::vector<multicast::RelayNode> relays;  // the first hop's subtrees
+  std::map<std::string, std::string> reads_from;  // consumer -> server
+  std::map<std::string, std::uint32_t> readers;   // server -> readers
+};
+
 struct WorkflowRunner::RunContext {
   std::unique_ptr<net::Transport> service_transport;
   // Multi-master GNS: `gns_replicas` nodes, each owning its own store
@@ -175,6 +191,7 @@ struct WorkflowRunner::RunContext {
       buffer_servers;
   Duration start{0};
   std::string run_tag;
+  std::vector<EdgePlan> plans;  // one per edge
 };
 
 Result<WorkflowReport> WorkflowRunner::run(const WorkflowSpec& spec,
@@ -254,8 +271,18 @@ Result<WorkflowReport> WorkflowRunner::run(const WorkflowSpec& spec,
     }
   }
 
-  GL_RETURN_IF_ERROR(prepare_external_inputs(spec, edges, ctx));
-  GL_RETURN_IF_ERROR(install_rules(spec, edges, options, ctx));
+  for (std::size_t t = 0; t < spec.tasks.size(); ++t) {
+    for (const apps::StreamSpec& input : external_inputs(spec, edges, t)) {
+      GL_RETURN_IF_ERROR(materialize_stream(
+          canonical_in(ctx.dirs.at(spec.tasks[t].machine), input.path),
+          input.path, input.bytes));
+    }
+  }
+  for (const Edge& edge : edges) {
+    GL_ASSIGN_OR_RETURN(EdgePlan plan, plan_edge(spec, edge, options, ctx));
+    ctx.plans.push_back(std::move(plan));
+  }
+  GL_RETURN_IF_ERROR(install_rules(spec, options, ctx));
 
   WorkflowReport report;
   ctx.start = testbed_.clock().now();
@@ -303,62 +330,10 @@ Result<WorkflowReport> WorkflowRunner::run(const WorkflowSpec& spec,
       report.tasks.push_back(result);
 
       // Stage outputs that remote consumers need (GridFTP-style copy).
-      for (const Edge& edge : edges) {
-        if (edge.producer != index) continue;
-        std::vector<std::string> destinations;
-        for (const std::size_t consumer : edge.consumers) {
-          const std::string& machine = spec.tasks[consumer].machine;
-          if (machine != producer.machine &&
-              std::find(destinations.begin(), destinations.end(),
-                        machine) == destinations.end()) {
-            destinations.push_back(machine);
-          }
-        }
-        // Checkpoint-skip first; what remains actually needs shipping.
-        std::vector<std::string> pending;
-        for (const std::string& destination : destinations) {
-          if (ctx.checkpoint) {
-            const CopyRecord* copied = ctx.checkpoint->copy(
-                edge.path, producer.machine, destination);
-            if (copied != nullptr) {
-              const auto on_disk = hash_file(
-                  canonical_in(ctx.dirs.at(destination), edge.path));
-              if (on_disk.is_ok() && *on_disk == copied->dest_hash) {
-                checkpoint_copy_skipped_counter().add();
-                report.copies.push_back(CopyResult{
-                    copied->path, copied->from, copied->to,
-                    copied->finished_s, copied->seconds});
-                continue;
-              }
-            }
-          }
-          pending.push_back(destination);
-        }
-        // 2+ cross-machine consumers: one multicast distribution instead
-        // of N point-to-point copies (DESIGN.md §12).
-        if (pending.size() >= 2 && options.multicast_fanout > 0) {
-          GL_RETURN_IF_ERROR(stage_copy_many(edge.path, producer.machine,
-                                             pending, options, ctx,
-                                             report));
-        } else {
-          for (const std::string& destination : pending) {
-            GL_RETURN_IF_ERROR(stage_copy(edge.path, producer.machine,
-                                          destination, ctx, report));
-          }
-        }
-        if (ctx.checkpoint && !pending.empty()) {
-          // The fresh copies are the last `pending.size()` report rows.
-          const std::size_t first = report.copies.size() - pending.size();
-          for (std::size_t i = first; i < report.copies.size(); ++i) {
-            const CopyResult& copy = report.copies[i];
-            GL_ASSIGN_OR_RETURN(
-                const std::uint64_t dest_hash,
-                hash_file(canonical_in(ctx.dirs.at(copy.to), edge.path)));
-            GL_RETURN_IF_ERROR(ctx.checkpoint->append_copy(
-                CopyRecord{copy.path, copy.from, copy.to, copy.finished_s,
-                           copy.seconds, dest_hash}));
-          }
-        }
+      for (const EdgePlan& plan : ctx.plans) {
+        if (plan.edge->producer != index) continue;
+        GL_RETURN_IF_ERROR(ship(plan.edge->path, plan.producer, plan.remote,
+                                options, ctx, report));
       }
     }
   } else {
@@ -391,8 +366,8 @@ Result<WorkflowReport> WorkflowRunner::run(const WorkflowSpec& spec,
       });
     }
     for (std::thread& thread : threads) thread.join();
-    GL_RETURN_IF_ERROR(recover_failed_tasks(spec, edges, order, options, ctx,
-                                            results, report));
+    GL_RETURN_IF_ERROR(
+        recover_failed_tasks(spec, order, options, ctx, results, report));
     for (std::size_t index = 0; index < spec.tasks.size(); ++index) {
       GL_ASSIGN_OR_RETURN(TaskResult result, std::move(results[index]));
       report.tasks.push_back(result);
@@ -427,193 +402,55 @@ Result<WorkflowReport> WorkflowRunner::run(const WorkflowSpec& spec,
   return report;
 }
 
-Status WorkflowRunner::prepare_external_inputs(const WorkflowSpec& spec,
-                                               const std::vector<Edge>& edges,
-                                               RunContext& ctx) {
-  for (std::size_t t = 0; t < spec.tasks.size(); ++t) {
-    for (const apps::StreamSpec& input : external_inputs(spec, edges, t)) {
-      const std::string full =
-          canonical_in(ctx.dirs.at(spec.tasks[t].machine), input.path);
-      GL_RETURN_IF_ERROR(materialize_stream(full, input.path, input.bytes));
+Result<WorkflowRunner::EdgePlan> WorkflowRunner::plan_edge(
+    const WorkflowSpec& spec, const Edge& edge, const Options& options,
+    RunContext& ctx) {
+  EdgePlan plan;
+  plan.edge = &edge;
+  plan.producer = spec.tasks[edge.producer].machine;
+  for (const std::size_t consumer : edge.consumers) {
+    const std::string& machine = spec.tasks[consumer].machine;
+    if (machine != plan.producer &&
+        std::find(plan.remote.begin(), plan.remote.end(), machine) ==
+            plan.remote.end()) {
+      plan.remote.push_back(machine);
     }
   }
-  return Status::ok();
-}
+  if (options.mode != CouplingMode::kGridBuffers) return plan;
 
-Status WorkflowRunner::install_rules(const WorkflowSpec& spec,
-                                     const std::vector<Edge>& edges,
-                                     const Options& options,
-                                     RunContext& ctx) {
-  switch (options.mode) {
-    case CouplingMode::kSequentialFiles: {
-      // Plain local IO everywhere; cross-machine edges need the
-      // producer's file server up for the staging copies.
-      for (const Edge& edge : edges) {
-        const std::string& producer_machine =
-            spec.tasks[edge.producer].machine;
-        const bool crosses = std::any_of(
-            edge.consumers.begin(), edge.consumers.end(),
-            [&](std::size_t c) {
-              return spec.tasks[c].machine != producer_machine;
-            });
-        if (!crosses) continue;
-        GL_RETURN_IF_ERROR(
-            ensure_file_server(producer_machine, ctx).status());
-      }
-      return Status::ok();
-    }
-
-    case CouplingMode::kConcurrentFiles: {
-      // Tail-read every edge file. (The paper ran this on one machine;
-      // we also require it, since a tailing read needs a shared FS.)
-      for (const TaskSpec& task : spec.tasks) {
-        if (task.machine != spec.tasks.front().machine) {
-          return invalid_argument(
-              "concurrent-files coupling requires a single machine");
-        }
-      }
-      for (const Edge& edge : edges) {
-        for (const std::size_t consumer : edge.consumers) {
-          const std::string& machine = spec.tasks[consumer].machine;
-          gns::MappingRule rule;
-          rule.host_pattern = machine;
-          rule.path_pattern = canonical_in(ctx.dirs.at(machine), edge.path);
-          rule.mapping.mode = gns::IoMode::kLocal;
-          rule.mapping.tail = true;
-          GL_RETURN_IF_ERROR(ctx.gns->add_rule(rule));
-        }
-      }
-      return Status::ok();
-    }
-
-    case CouplingMode::kGridBuffers: {
-      for (const Edge& edge : edges) {
-        // Consumers spanning 2+ machines get a broadcast channel routed
-        // through the multicast relay tree (DESIGN.md §12); single-
-        // machine readerships keep the paper's reader-end placement.
-        if (options.multicast_fanout > 0) {
-          const std::string& producer_machine =
-              spec.tasks[edge.producer].machine;
-          std::vector<std::string> remote_machines;
-          std::map<std::string, std::uint32_t> local_readers;
-          for (const std::size_t consumer : edge.consumers) {
-            const std::string& machine = spec.tasks[consumer].machine;
-            if (++local_readers[machine] == 1 &&
-                machine != producer_machine) {
-              remote_machines.push_back(machine);
-            }
-          }
-          if (remote_machines.size() >= 2) {
-            GL_RETURN_IF_ERROR(install_broadcast_edge(
-                spec, edge, remote_machines, local_readers, options, ctx));
-            continue;
-          }
-        }
-
-        // Buffer placed at the (first) reader's end (paper §3.1).
-        const std::string& buffer_machine =
-            spec.tasks[edge.consumers.front()].machine;
-        GL_ASSIGN_OR_RETURN(gridbuffer::GridBufferServer * server,
-                            ensure_buffer_server(buffer_machine, ctx));
-        const std::string channel = strings::cat(ctx.run_tag, "/",
-                                                 edge.path);
-        const std::string buffer_endpoint =
-            server->endpoint().to_string();
-
-        std::uint32_t block_size = options.buffer_block;
-        if (options.buffer_block_fast_link != 0) {
-          const auto producer_spec =
-              testbed::find_machine(spec.tasks[edge.producer].machine);
-          const auto buffer_spec = testbed::find_machine(buffer_machine);
-          if (producer_spec.is_ok() && buffer_spec.is_ok() &&
-              testbed::link_between(*producer_spec, *buffer_spec)
-                      .latency_s < kFastLinkLatencyS) {
-            // Keep ~64 blocks per stream so small edges still flow with
-            // fine granularity, capped by the configured fast block.
-            const std::uint64_t proportional =
-                std::max<std::uint64_t>(512, edge.bytes / 64);
-            block_size = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                std::max<std::uint64_t>(options.buffer_block,
-                                        proportional),
-                options.buffer_block_fast_link));
-          }
-        }
-
-        gns::FileMapping mapping;
-        mapping.mode = gns::IoMode::kGridBuffer;
-        mapping.channel = channel;
-        mapping.buffer_endpoint = buffer_endpoint;
-        mapping.block_size = block_size;
-        mapping.cache_enabled = options.buffer_cache;
-        mapping.reader_count =
-            static_cast<std::uint32_t>(edge.consumers.size());
-
-        gns::MappingRule producer_rule;
-        producer_rule.host_pattern = spec.tasks[edge.producer].machine;
-        producer_rule.path_pattern = canonical_in(
-            ctx.dirs.at(spec.tasks[edge.producer].machine), edge.path);
-        producer_rule.mapping = mapping;
-        GL_RETURN_IF_ERROR(ctx.gns->add_rule(producer_rule));
-
-        for (const std::size_t consumer : edge.consumers) {
-          gns::MappingRule consumer_rule;
-          consumer_rule.host_pattern = spec.tasks[consumer].machine;
-          consumer_rule.path_pattern = canonical_in(
-              ctx.dirs.at(spec.tasks[consumer].machine), edge.path);
-          consumer_rule.mapping = mapping;
-          GL_RETURN_IF_ERROR(ctx.gns->add_rule(consumer_rule));
-        }
-      }
-      return Status::ok();
-    }
+  // Consumers on 2+ other machines get a relay tree of their servers, and
+  // the producer writes each run once, into the cheapest first hop
+  // (root_fanout=1). Otherwise the buffer sits at the first reader's end
+  // (paper §3.1) and the tree has no relay children.
+  plan.channel = strings::cat(ctx.run_tag, "/", edge.path);
+  multicast::DistTree tree;
+  if (plan.remote.size() >= 2 && options.multicast_fanout > 0) {
+    multicast::TreeOptions tree_options;
+    tree_options.max_fanout = options.multicast_fanout;
+    tree_options.root_fanout = 1;
+    GL_ASSIGN_OR_RETURN(tree, multicast::plan_tree(plan.producer, plan.remote,
+                                                   testbed_pair_estimator(),
+                                                   tree_options));
+    plan.first_hop =
+        tree.nodes[static_cast<std::size_t>(tree.source().children.front())]
+            .host;
+  } else {
+    plan.first_hop = spec.tasks[edge.consumers.front()].machine;
   }
-  return internal_error("unhandled coupling mode");
-}
-
-Status WorkflowRunner::install_broadcast_edge(
-    const WorkflowSpec& spec, const Edge& edge,
-    const std::vector<std::string>& machines,
-    const std::map<std::string, std::uint32_t>& local_readers,
-    const Options& options, RunContext& ctx) {
-  const std::string& producer_machine = spec.tasks[edge.producer].machine;
-  for (const std::string& machine : machines) {
-    GL_RETURN_IF_ERROR(ensure_buffer_server(machine, ctx).status());
+  for (const std::size_t consumer : edge.consumers) {
+    const std::string& machine = spec.tasks[consumer].machine;
+    const bool node = machine == plan.first_hop ||
+                      (!tree.nodes.empty() && machine != plan.producer);
+    plan.reads_from[machine] = node ? machine : plan.first_hop;
+    ++plan.readers[plan.reads_from[machine]];
+  }
+  for (const auto& [server, readers] : plan.readers) {
+    GL_RETURN_IF_ERROR(ensure_buffer_server(server, ctx).status());
   }
 
-  // root_fanout=1: the producer sends each block exactly once, into the
-  // cheapest first hop; the relay tree does the wide fan-out.
-  multicast::TreeOptions tree_options;
-  tree_options.max_fanout = options.multicast_fanout;
-  tree_options.root_fanout = 1;
-  GL_ASSIGN_OR_RETURN(
-      const multicast::DistTree tree,
-      multicast::plan_tree(producer_machine, machines,
-                           testbed_pair_estimator(), tree_options));
-  const int first_hop_index = tree.source().children.front();
-  const std::string& first_hop = tree.nodes[static_cast<std::size_t>(
-                                                first_hop_index)]
-                                     .host;
-  // Consumers on the producer's own machine read from the first hop too,
-  // so its channel expects them on top of its local readers.
-  const auto producer_local_it = local_readers.find(producer_machine);
-  const std::uint32_t producer_local =
-      producer_local_it == local_readers.end() ? 0
-                                               : producer_local_it->second;
-  const auto readers_at = [&](const std::string& machine) {
-    std::uint32_t readers = local_readers.at(machine);
-    if (machine == first_hop) readers += producer_local;
-    return readers;
-  };
-
-  const std::string channel = strings::cat(ctx.run_tag, "/", edge.path);
-
-  gridbuffer::ChannelConfig config;
-  config.block_size = options.buffer_block;
-  config.cache_enabled = options.buffer_cache;
-
-  // The wire subtrees the first hop fans every write out to. Every node
-  // carries its machine-local reader count — expected_readers is the one
-  // channel parameter that legitimately differs per machine.
+  // The subtrees the first hop relays every run to. Every node carries
+  // its machine-local reader count — expected_readers is the one channel
+  // parameter that legitimately differs per machine.
   const std::function<multicast::RelayNode(int)> build =
       [&](int index) -> multicast::RelayNode {
     const multicast::TreeNode& planned =
@@ -622,60 +459,108 @@ Status WorkflowRunner::install_broadcast_edge(
     node.host = planned.host;
     node.endpoint =
         ctx.buffer_servers.at(planned.host)->endpoint().to_string();
-    node.path = channel;
-    node.readers = readers_at(planned.host);
-    node.children.reserve(planned.children.size());
+    node.path = plan.channel;
+    node.readers = plan.readers.at(planned.host);
     for (const int child : planned.children) {
       node.children.push_back(build(child));
     }
     return node;
   };
-  std::vector<multicast::RelayNode> fan_children;
-  for (const int child :
-       tree.nodes[static_cast<std::size_t>(first_hop_index)].children) {
-    fan_children.push_back(build(child));
+  if (!tree.nodes.empty()) {
+    plan.relays = build(tree.source().children.front()).children;
   }
-  ctx.buffer_servers.at(first_hop)->set_broadcast(channel, config,
-                                                  fan_children);
-  GL_LOG(kInfo, "broadcast channel ", channel, ": producer ",
-         producer_machine, " -> ", first_hop, " -> ", machines.size() - 1,
-         " relayed machine(s), depth ", tree.depth);
+  return plan;
+}
 
-  gns::FileMapping base;
-  base.mode = gns::IoMode::kGridBuffer;
-  base.channel = channel;
-  base.block_size = options.buffer_block;
-  base.cache_enabled = options.buffer_cache;
-
-  // The producer writes once into the first hop's server.
-  gns::FileMapping producer_mapping = base;
-  producer_mapping.buffer_endpoint =
-      ctx.buffer_servers.at(first_hop)->endpoint().to_string();
-  producer_mapping.reader_count = readers_at(first_hop);
-  gns::MappingRule producer_rule;
-  producer_rule.host_pattern = producer_machine;
-  producer_rule.path_pattern =
-      canonical_in(ctx.dirs.at(producer_machine), edge.path);
-  producer_rule.mapping = producer_mapping;
-  GL_RETURN_IF_ERROR(ctx.gns->add_rule(producer_rule));
-
-  // Every consumer reads from its machine-local server (producer-machine
-  // consumers from the first hop's).
-  for (const std::size_t consumer : edge.consumers) {
-    const std::string& machine = spec.tasks[consumer].machine;
-    gns::FileMapping mapping = base;
-    const std::string& served_by =
-        machine == producer_machine ? first_hop : machine;
-    mapping.buffer_endpoint =
-        ctx.buffer_servers.at(served_by)->endpoint().to_string();
-    mapping.reader_count = readers_at(served_by);
-    gns::MappingRule rule;
-    rule.host_pattern = machine;
-    rule.path_pattern = canonical_in(ctx.dirs.at(machine), edge.path);
-    rule.mapping = mapping;
-    GL_RETURN_IF_ERROR(ctx.gns->add_rule(rule));
+Status WorkflowRunner::install_rules(const WorkflowSpec& spec,
+                                     const Options& options,
+                                     RunContext& ctx) {
+  if (options.mode == CouplingMode::kConcurrentFiles) {
+    // The paper ran this on one machine; we also require it, since a
+    // tailing read needs a shared FS.
+    for (const TaskSpec& task : spec.tasks) {
+      if (task.machine != spec.tasks.front().machine) {
+        return invalid_argument(
+            "concurrent-files coupling requires a single machine");
+      }
+    }
+  }
+  for (const EdgePlan& plan : ctx.plans) {
+    if (options.mode == CouplingMode::kGridBuffers) {
+      GL_RETURN_IF_ERROR(install_buffer_edge(plan, options, ctx));
+    } else if (options.mode == CouplingMode::kConcurrentFiles) {
+      // Tail-read every edge file.
+      gns::FileMapping tail;
+      tail.tail = true;
+      for (const std::size_t consumer : plan.edge->consumers) {
+        GL_RETURN_IF_ERROR(map_path(ctx, spec.tasks[consumer].machine,
+                                    plan.edge->path, tail));
+      }
+    } else if (!plan.remote.empty()) {
+      // Plain local IO everywhere; cross-machine edges need the
+      // producer's file server up for the staging copies.
+      GL_RETURN_IF_ERROR(ensure_file_server(plan.producer, ctx).status());
+    }
   }
   return Status::ok();
+}
+
+Status WorkflowRunner::install_buffer_edge(const EdgePlan& plan,
+                                           const Options& options,
+                                           RunContext& ctx) {
+  gns::FileMapping mapping;
+  mapping.mode = gns::IoMode::kGridBuffer;
+  mapping.channel = plan.channel;
+  mapping.block_size = options.buffer_block;
+  if (!plan.relays.empty()) {
+    gridbuffer::ChannelConfig config;
+    config.block_size = options.buffer_block;
+    ctx.buffer_servers.at(plan.first_hop)
+        ->set_broadcast(plan.channel, config, plan.relays);
+    GL_LOG(kInfo, "broadcast channel ", plan.channel, ": producer ",
+           plan.producer, " -> ", plan.first_hop, " -> ",
+           plan.remote.size() - 1, " relayed machine(s)");
+  } else if (options.buffer_block_fast_link != 0) {
+    const auto producer_spec = testbed::find_machine(plan.producer);
+    const auto buffer_spec = testbed::find_machine(plan.first_hop);
+    if (producer_spec.is_ok() && buffer_spec.is_ok() &&
+        testbed::link_between(*producer_spec, *buffer_spec).latency_s <
+            kFastLinkLatencyS) {
+      // Keep ~64 blocks per stream so small edges still flow with fine
+      // granularity, capped by the configured fast block.
+      const std::uint64_t proportional =
+          std::max<std::uint64_t>(512, plan.edge->bytes / 64);
+      mapping.block_size = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+          std::max<std::uint64_t>(options.buffer_block, proportional),
+          options.buffer_block_fast_link));
+    }
+  }
+  // The producer writes into the first hop's server; every consumer
+  // reads from its own server.
+  const auto served_by = [&](const std::string& server) {
+    gns::FileMapping served = mapping;
+    served.buffer_endpoint =
+        ctx.buffer_servers.at(server)->endpoint().to_string();
+    served.reader_count = plan.readers.at(server);
+    return served;
+  };
+  GL_RETURN_IF_ERROR(map_path(ctx, plan.producer, plan.edge->path,
+                              served_by(plan.first_hop)));
+  for (const auto& [machine, server] : plan.reads_from) {
+    GL_RETURN_IF_ERROR(
+        map_path(ctx, machine, plan.edge->path, served_by(server)));
+  }
+  return Status::ok();
+}
+
+Status WorkflowRunner::map_path(RunContext& ctx, const std::string& machine,
+                                const std::string& path,
+                                const gns::FileMapping& mapping) {
+  gns::MappingRule rule;
+  rule.host_pattern = machine;
+  rule.path_pattern = canonical_in(ctx.dirs.at(machine), path);
+  rule.mapping = mapping;
+  return ctx.gns->add_rule(std::move(rule));
 }
 
 Result<TaskResult> WorkflowRunner::run_task(const WorkflowSpec& spec,
@@ -707,7 +592,6 @@ Result<TaskResult> WorkflowRunner::run_task(const WorkflowSpec& spec,
   fm_options.transport = transport.get();
   fm_options.clock = &testbed_.clock();
   fm_options.buffer.writer_window_blocks = options.writer_window;
-  fm_options.buffer.read_deadline_ms = options.read_deadline_ms;
   fm_options.tail_poll_interval = options.poll_interval;
   if (options.mode == CouplingMode::kConcurrentFiles) {
     Clock* clock = &testbed_.clock();
@@ -767,38 +651,60 @@ Result<gridbuffer::GridBufferServer*> WorkflowRunner::ensure_buffer_server(
   return server.get();
 }
 
-Status WorkflowRunner::stage_copy(const std::string& path,
-                                  const std::string& from,
-                                  const std::string& to, RunContext& ctx,
-                                  WorkflowReport& report) {
-  GL_ASSIGN_OR_RETURN(remote::FileServer * server,
-                      ensure_file_server(from, ctx));
-  auto transport = testbed_.transport(to);
-  remote::FileCopier copier(*transport, testbed_.clock());
-  GL_ASSIGN_OR_RETURN(
-      const remote::CopyStats stats,
-      copier.fetch(server->endpoint(), path,
-                   canonical_in(ctx.dirs.at(to), path)));
-  CopyResult copy;
-  copy.path = path;
-  copy.from = from;
-  copy.to = to;
-  copy.seconds = stats.seconds;
-  copy.finished_s = to_seconds_d(testbed_.clock().now() - ctx.start);
-  report.copies.push_back(copy);
-  return Status::ok();
-}
-
-Status WorkflowRunner::stage_copy_many(
-    const std::string& path, const std::string& from,
-    const std::vector<std::string>& destinations, const Options& options,
-    RunContext& ctx, WorkflowReport& report) {
-  // Push-based: the copier runs at the source and streams chunks into
-  // the relay tree; every destination's file server can be recruited as
-  // an interior relay, so each needs to be up.
+Status WorkflowRunner::ship(const std::string& path, const std::string& from,
+                            const std::vector<std::string>& destinations,
+                            const Options& options, RunContext& ctx,
+                            WorkflowReport& report) {
+  // Checkpoint-skip first; what remains actually needs shipping.
+  std::vector<std::string> pending;
+  for (const std::string& to : destinations) {
+    const CopyRecord* copied =
+        ctx.checkpoint ? ctx.checkpoint->copy(path, from, to) : nullptr;
+    if (copied != nullptr) {
+      const auto on_disk = hash_file(canonical_in(ctx.dirs.at(to), path));
+      if (on_disk.is_ok() && *on_disk == copied->dest_hash) {
+        checkpoint_copy_skipped_counter().add();
+        report.copies.push_back(CopyResult{copied->path, copied->from,
+                                           copied->to, copied->finished_s,
+                                           copied->seconds});
+        continue;
+      }
+    }
+    pending.push_back(to);
+  }
+  // Reports a fresh copy and journals it.
+  const auto record = [&](const std::string& to, double finished_s,
+                          double seconds) -> Status {
+    report.copies.push_back(CopyResult{path, from, to, finished_s, seconds});
+    if (!ctx.checkpoint) return Status::ok();
+    GL_ASSIGN_OR_RETURN(const std::uint64_t dest_hash,
+                        hash_file(canonical_in(ctx.dirs.at(to), path)));
+    return ctx.checkpoint->append_copy(
+        CopyRecord{path, from, to, finished_s, seconds, dest_hash});
+  };
+  if (pending.size() < 2 || options.multicast_fanout <= 0) {
+    for (const std::string& to : pending) {
+      GL_ASSIGN_OR_RETURN(remote::FileServer * server,
+                          ensure_file_server(from, ctx));
+      auto transport = testbed_.transport(to);
+      remote::FileCopier copier(*transport, testbed_.clock());
+      GL_ASSIGN_OR_RETURN(
+          const remote::CopyStats stats,
+          copier.fetch(server->endpoint(), path,
+                       canonical_in(ctx.dirs.at(to), path)));
+      GL_RETURN_IF_ERROR(record(
+          to, to_seconds_d(testbed_.clock().now() - ctx.start),
+          stats.seconds));
+    }
+    return Status::ok();
+  }
+  // One multicast distribution instead of N point-to-point copies
+  // (DESIGN.md §12). Push-based: the copier runs at the source and
+  // streams chunks into the relay tree; every destination's file server
+  // can be recruited as an interior relay, so each needs to be up.
   std::vector<remote::MultiCopyTarget> targets;
-  targets.reserve(destinations.size());
-  for (const std::string& destination : destinations) {
+  targets.reserve(pending.size());
+  for (const std::string& destination : pending) {
     GL_ASSIGN_OR_RETURN(remote::FileServer * server,
                         ensure_file_server(destination, ctx));
     targets.push_back(
@@ -814,29 +720,21 @@ Status WorkflowRunner::stage_copy_many(
       const remote::MultiCopyStats stats,
       copier.copy_to_many(canonical_in(ctx.dirs.at(from), path), targets,
                           tree_options, testbed_pair_estimator()));
-  const double finished_s =
-      to_seconds_d(testbed_.clock().now() - ctx.start);
-  for (const std::string& destination : destinations) {
-    CopyResult copy;
-    copy.path = path;
-    copy.from = from;
-    copy.to = destination;
-    copy.seconds = stats.seconds;
-    copy.finished_s = finished_s;
-    report.copies.push_back(copy);
+  const double finished_s = to_seconds_d(testbed_.clock().now() - ctx.start);
+  for (const std::string& destination : pending) {
+    GL_RETURN_IF_ERROR(record(destination, finished_s, stats.seconds));
   }
   GL_LOG(kInfo, "multicast staged ", path, " from ", from, " to ",
-         destinations.size(), " machine(s): depth ", stats.tree_depth,
+         pending.size(), " machine(s): depth ", stats.tree_depth,
          ", source bytes ", stats.source_bytes_sent, ", reparents ",
          stats.reparents);
   return Status::ok();
 }
 
 Status WorkflowRunner::recover_failed_tasks(
-    const WorkflowSpec& spec, const std::vector<Edge>& edges,
-    const std::vector<std::size_t>& order, const Options& options,
-    RunContext& ctx, std::vector<Result<TaskResult>>& results,
-    WorkflowReport& report) {
+    const WorkflowSpec& spec, const std::vector<std::size_t>& order,
+    const Options& options, RunContext& ctx,
+    std::vector<Result<TaskResult>>& results, WorkflowReport& report) {
   std::vector<std::size_t> failed;  // topological order
   for (const std::size_t index : order) {
     if (!results[index].is_ok() &&
@@ -856,25 +754,14 @@ Status WorkflowRunner::recover_failed_tasks(
   // their original mapping: a closed Grid Buffer channel replays its
   // cache file to the fresh reader, and a tailed file is complete on
   // disk with its done marker published.
-  for (const std::size_t index : failed) {
-    const TaskSpec& task = spec.tasks[index];
-    for (const Edge& edge : edges) {
-      if (edge.producer != index) continue;
-      gns::MappingRule rule;
-      rule.host_pattern = task.machine;
-      rule.path_pattern = canonical_in(ctx.dirs.at(task.machine), edge.path);
-      rule.mapping.mode = gns::IoMode::kLocal;
-      GL_RETURN_IF_ERROR(ctx.gns->add_rule(rule));
-      for (const std::size_t consumer : edge.consumers) {
-        if (!rerun.contains(consumer)) continue;
-        const std::string& machine = spec.tasks[consumer].machine;
-        gns::MappingRule consumer_rule;
-        consumer_rule.host_pattern = machine;
-        consumer_rule.path_pattern =
-            canonical_in(ctx.dirs.at(machine), edge.path);
-        consumer_rule.mapping.mode = gns::IoMode::kLocal;
-        GL_RETURN_IF_ERROR(ctx.gns->add_rule(consumer_rule));
-      }
+  const gns::FileMapping local;
+  for (const EdgePlan& plan : ctx.plans) {
+    if (!rerun.contains(plan.edge->producer)) continue;
+    GL_RETURN_IF_ERROR(map_path(ctx, plan.producer, plan.edge->path, local));
+    for (const std::size_t consumer : plan.edge->consumers) {
+      if (!rerun.contains(consumer)) continue;
+      GL_RETURN_IF_ERROR(map_path(ctx, spec.tasks[consumer].machine,
+                                  plan.edge->path, local));
     }
   }
 
@@ -891,23 +778,19 @@ Status WorkflowRunner::recover_failed_tasks(
     recovery_span.add_attr("error", results[index].status().message());
     GL_ASSIGN_OR_RETURN(TaskResult result, run_task(spec, index, options,
                                                     ctx));
-    // Ship re-staged outputs to re-run consumers on other machines.
-    for (const Edge& edge : edges) {
-      if (edge.producer != index) continue;
-      std::vector<std::string> destinations;
-      for (const std::size_t consumer : edge.consumers) {
-        if (!rerun.contains(consumer)) continue;
-        const std::string& machine = spec.tasks[consumer].machine;
-        if (machine != task.machine &&
-            std::find(destinations.begin(), destinations.end(), machine) ==
-                destinations.end()) {
-          destinations.push_back(machine);
-        }
-      }
-      for (const std::string& destination : destinations) {
-        GL_RETURN_IF_ERROR(stage_copy(edge.path, task.machine, destination,
-                                      ctx, report));
-      }
+    // Ship re-staged outputs to the machines of re-run consumers.
+    for (const EdgePlan& plan : ctx.plans) {
+      if (plan.edge->producer != index) continue;
+      std::vector<std::string> destinations = plan.remote;
+      std::erase_if(destinations, [&](const std::string& machine) {
+        return std::none_of(
+            plan.edge->consumers.begin(), plan.edge->consumers.end(),
+            [&](std::size_t c) {
+              return rerun.contains(c) && spec.tasks[c].machine == machine;
+            });
+      });
+      GL_RETURN_IF_ERROR(ship(plan.edge->path, plan.producer, destinations,
+                              options, ctx, report));
     }
     results[index] = std::move(result);
   }

@@ -10,7 +10,9 @@
 //       files tail-read with poll-and-retry (Table 4 "With Files").
 //   kGridBuffers — every stage launched at once, edges mapped to Grid
 //       Buffer channels with the buffer server at the reader's end
-//       (Table 2 exps 2-3; Table 4 "Buffers"; Table 5 "Buffers").
+//       (Table 2 exps 2-3; Table 4 "Buffers"; Table 5 "Buffers"). Every
+//       edge is one relay tree rooted at the server the producer writes
+//       to; a 1->1 stream is the tree with no relay children.
 //
 // Switching discipline changes ONLY the GNS rules the runner installs —
 // the application kernels are bit-identical across modes, which is the
@@ -72,9 +74,10 @@ class WorkflowRunner {
   struct Options {
     CouplingMode mode = CouplingMode::kSequentialFiles;
     Duration poll_interval = std::chrono::milliseconds(500);
-    /// Grid Buffer channel parameters.
+    /// Grid Buffer block size. Channels always keep their cache file:
+    /// DARLAM re-reads its input, and recovery replays a closed channel's
+    /// cache file to a fresh reader.
     std::uint32_t buffer_block = 4096;
-    bool buffer_cache = true;
     /// Block size override for low-latency (same-site, under 5 ms one
     /// way) edges; 0 keeps buffer_block. Byte-scaled benches shrink
     /// buffer_block to keep WAN streams latency-faithful, which makes
@@ -94,8 +97,6 @@ class WorkflowRunner {
     /// with 2+ consumer machines become broadcast channels) instead of
     /// N point-to-point transfers. 0 disables multicast entirely.
     int multicast_fanout = 4;
-    /// Fail a stuck run after this much wall time per buffer read.
-    std::uint64_t read_deadline_ms = 120000;
     /// End-to-end deadline for the whole run, in *model* seconds
     /// (0 = none). Installed as the ambient budget (src/common/deadline.h)
     /// for every stage, copy, and nested RPC hop: expired work is
@@ -127,51 +128,47 @@ class WorkflowRunner {
                              const Options& options);
 
  private:
+  struct EdgePlan;
   struct RunContext;
 
-  Status prepare_external_inputs(const WorkflowSpec& spec,
-                                 const std::vector<Edge>& edges,
-                                 RunContext& ctx);
-  Status install_rules(const WorkflowSpec& spec,
-                       const std::vector<Edge>& edges, const Options& options,
+  /// Works out where `edge`'s bytes go; for Grid Buffer edges it starts
+  /// the buffer servers of the relay tree.
+  Result<EdgePlan> plan_edge(const WorkflowSpec& spec, const Edge& edge,
+                             const Options& options, RunContext& ctx);
+  Status install_rules(const WorkflowSpec& spec, const Options& options,
                        RunContext& ctx);
+  /// Installs a Grid Buffer edge's relay tree and its rules.
+  Status install_buffer_edge(const EdgePlan& plan, const Options& options,
+                             RunContext& ctx);
+  /// Writes the GNS rule that maps `path` as `machine` opens it: the one
+  /// place the runner builds a gns::MappingRule.
+  static Status map_path(RunContext& ctx, const std::string& machine,
+                         const std::string& path,
+                         const gns::FileMapping& mapping);
   Result<TaskResult> run_task(const WorkflowSpec& spec, std::size_t index,
                               const Options& options, RunContext& ctx);
 
   /// Starts (or reuses) the staging file server on `machine`.
   Result<remote::FileServer*> ensure_file_server(const std::string& machine,
                                                  RunContext& ctx);
-  /// GridFTP-style staging copy of `path` from `from` to `to`; appends a
-  /// CopyResult to the report.
-  Status stage_copy(const std::string& path, const std::string& from,
-                    const std::string& to, RunContext& ctx,
-                    WorkflowReport& report);
-  /// Multicast staging of `path` from `from` to 2+ machines through a
-  /// relay tree of their file servers; appends one CopyResult per
-  /// destination to the report.
-  Status stage_copy_many(const std::string& path, const std::string& from,
-                         const std::vector<std::string>& destinations,
-                         const Options& options, RunContext& ctx,
-                         WorkflowReport& report);
+  /// Ships `path` from `from` to `destinations` and reports (and
+  /// journals) one CopyResult each: one push through a relay tree of
+  /// their file servers for 2+ destinations when multicast is on, else
+  /// one GridFTP-style fetch each. Journaled intact copies are skipped.
+  Status ship(const std::string& path, const std::string& from,
+              const std::vector<std::string>& destinations,
+              const Options& options, RunContext& ctx,
+              WorkflowReport& report);
 
   /// Starts (or reuses) the Grid Buffer server on `machine`.
   Result<gridbuffer::GridBufferServer*> ensure_buffer_server(
       const std::string& machine, RunContext& ctx);
-  /// Installs the broadcast-channel rules for an edge whose consumers
-  /// span 2+ machines: one buffer server per consumer machine, writes
-  /// routed through the multicast relay tree.
-  Status install_broadcast_edge(
-      const WorkflowSpec& spec, const Edge& edge,
-      const std::vector<std::string>& machines,
-      const std::map<std::string, std::uint32_t>& local_readers,
-      const Options& options, RunContext& ctx);
 
   /// Re-runs tasks that failed with a recoverable Status (kUnavailable,
   /// kTimeout, kDataLoss) after remapping their edges to staged-file
   /// mode via GNS overrides — the paper's fallback coupling. Results of
   /// recovered tasks are replaced in `results`.
   Status recover_failed_tasks(const WorkflowSpec& spec,
-                              const std::vector<Edge>& edges,
                               const std::vector<std::size_t>& order,
                               const Options& options, RunContext& ctx,
                               std::vector<Result<TaskResult>>& results,

@@ -613,6 +613,20 @@ TEST_F(FaultWorkflowTest, GridBufferWriterDeathRecoversViaStagedRerun) {
   EXPECT_EQ(counter_value("fault.injected.peer_death"), 1u);
 }
 
+TEST_F(FaultWorkflowTest, GridBufferWriterDeathRecoversAcrossMachines) {
+  // As above, with every stage on its own machine: the re-run filter's
+  // out.dat is shipped from dione to the re-run sink on freak.
+  const std::vector<std::string> machines{"brecca", "dione", "freak"};
+  const std::uint64_t clean =
+      run_and_hash(workflow::CouplingMode::kGridBuffers, machines, "");
+  const std::uint64_t faulted =
+      run_and_hash(workflow::CouplingMode::kGridBuffers, machines,
+                   "seed=3;die@peer:*out.dat:after=30000");
+  EXPECT_EQ(faulted, clean);
+  EXPECT_EQ(counter_value("stage.reruns"), 2u);
+  EXPECT_EQ(counter_value("fault.injected.peer_death"), 1u);
+}
+
 TEST_F(FaultWorkflowTest, GridBufferWriterRetriesDroppedPipelinedRun) {
   // gen on brecca streams mid.dat to the Grid Buffer server on dione.
   // Its first brecca>dione RPC is the open; the second is the send of

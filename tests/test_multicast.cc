@@ -5,6 +5,7 @@
 // runner's use of both.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -801,6 +802,44 @@ TEST_F(BroadcastBufferTest, BrokenEdgeResendsUnansweredRuns) {
   root.stop();
 }
 
+TEST_F(BroadcastBufferTest, FailedWriterFailsEveryRelayedCopy) {
+  // The writer dies on m0 once its stream would pass 30,000 bytes, and
+  // then closes. Every machine's readers drain what was written and then
+  // get kDataLoss: a relayed copy must never end in EOF on a short
+  // stream.
+  install_chain("bf");
+  ArmedPlan armed("seed=14;die@peer:bf:after=30000");
+  const Bytes data = pattern(20 * 4096);
+  auto writer = gridbuffer::GridBufferWriter::open(
+      *client_transport_, servers_[0]->endpoint(), "bf");
+  ASSERT_TRUE(writer.is_ok()) << writer.status();
+  Status written = Status::ok();
+  for (std::size_t at = 0; at < data.size() && written.is_ok(); at += 4096) {
+    written = (*writer)->write({data.data() + at, 4096});
+  }
+  const Status closed = (*writer)->close();
+  EXPECT_FALSE(written.is_ok() && closed.is_ok());
+
+  for (int machine = 0; machine < kMachines; ++machine) {
+    SCOPED_TRACE("machine m" + std::to_string(machine));
+    auto reader = gridbuffer::GridBufferReader::open(
+        *client_transport_, servers_[machine]->endpoint(), "bf");
+    ASSERT_TRUE(reader.is_ok()) << reader.status();
+    Bytes got;
+    Bytes buffer(8192);
+    Result<std::size_t> n = std::size_t{0};
+    while ((n = (*reader)->read({buffer.data(), buffer.size()})).is_ok() &&
+           *n > 0) {
+      got.insert(got.end(), buffer.begin(),
+                 buffer.begin() + static_cast<std::ptrdiff_t>(*n));
+    }
+    EXPECT_EQ(n.status().code(), ErrorCode::kDataLoss) << "EOF at "
+                                                        << got.size();
+    ASSERT_LE(got.size(), 30000u);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), data.begin()));
+  }
+}
+
 TEST_F(BroadcastBufferTest, ReaderlessChildStallsTheWriter) {
   // m1 expects a reader that has not come, and bounds unread bytes, so
   // its channel stalls. m0's edge then fills up to kRunsOnWire unanswered
@@ -948,19 +987,63 @@ TEST_F(RunnerMulticastTest, SequentialStagingSurvivesRelayDeaths) {
   EXPECT_GT(counter_value("multicast.reparents"), reparents_before);
 }
 
-TEST_F(RunnerMulticastTest, GridBufferBroadcastAcrossThreeMachines) {
+TEST_F(RunnerMulticastTest, BroadcastWriterDeathRecoversOnEveryMachine) {
+  // src's stream dies at its first hop partway through. The relayed copy
+  // on the other machine must fail too, not end short, so that all three
+  // stages re-run over staged files and every sink verifies its input.
   auto testbed = make_testbed();
+  ArmedPlan armed("seed=5;die@peer:*shared.dat:after=30000");
+  const std::uint64_t reruns_before = counter_value("stage.reruns");
   workflow::WorkflowRunner runner(testbed);
-  const auto spec = fan_spec({"dione", "freak", "bouscat"}, 60 * 1000);
+  const auto spec = fan_spec({"dione", "freak"}, 120 * 1000);
   workflow::WorkflowRunner::Options options;
   options.mode = workflow::CouplingMode::kGridBuffers;
   auto report = runner.run(spec, options);
   ASSERT_TRUE(report.is_ok()) << report.status();
-  EXPECT_EQ(report->tasks.size(), 4u);
+  EXPECT_EQ(report->tasks.size(), 3u);
+  EXPECT_EQ(counter_value("stage.reruns") - reruns_before, 3u);
+}
+
+/// Consumer machines of fan_spec (whose producer is on brecca) and the
+/// multicast fanout.
+struct BufferLayout {
+  std::vector<std::string> machines;
+  int fanout = 4;
+};
+
+class RunnerMulticastLayoutTest
+    : public RunnerMulticastTest,
+      public ::testing::WithParamInterface<BufferLayout> {};
+
+TEST_P(RunnerMulticastLayoutTest, GridBufferBroadcastAcrossThreeMachines) {
+  auto testbed = make_testbed();
+  workflow::WorkflowRunner runner(testbed);
+  const auto spec = fan_spec(GetParam().machines, 60 * 1000);
+  workflow::WorkflowRunner::Options options;
+  options.mode = workflow::CouplingMode::kGridBuffers;
+  options.multicast_fanout = GetParam().fanout;
+  auto report = runner.run(spec, options);
+  ASSERT_TRUE(report.is_ok()) << report.status();
+  EXPECT_EQ(report->tasks.size(), spec.tasks.size());
   EXPECT_TRUE(report->copies.empty());
   // verify_inputs=true on every sink already proved the broadcast
-  // delivered identical bytes to all three consumer machines.
+  // delivered identical bytes to all the consumer machines.
 }
+
+// The last four layouts, each with and without multicast, put a consumer
+// on the producer's machine.
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, RunnerMulticastLayoutTest,
+    ::testing::Values(
+        BufferLayout{{"dione", "freak", "bouscat"}, 4},
+        BufferLayout{{"brecca", "dione"}, 0},
+        BufferLayout{{"brecca", "dione"}, 4},
+        BufferLayout{{"dione", "brecca"}, 0},
+        BufferLayout{{"dione", "brecca"}, 4},
+        BufferLayout{{"brecca", "dione", "freak"}, 0},
+        BufferLayout{{"brecca", "dione", "freak"}, 4},
+        BufferLayout{{"dione", "brecca", "freak"}, 0},
+        BufferLayout{{"dione", "brecca", "freak"}, 4}));
 
 }  // namespace
 }  // namespace griddles

@@ -294,7 +294,6 @@ TEST_F(RunnerTest, RerreadThroughBufferCache) {
   ASSERT_TRUE(spec.is_ok());
   WorkflowRunner::Options options;
   options.mode = CouplingMode::kGridBuffers;
-  options.buffer_cache = true;
   auto report = runner.run(*spec, options);
   ASSERT_TRUE(report.is_ok()) << report.status();
 }
