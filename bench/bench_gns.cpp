@@ -10,8 +10,11 @@
 //               partition@gns:* while the writes land; after the heal,
 //               anti-entropy converges the divergent stores. Every
 //               divergent write must be repaired onto exactly the 2
-//               replicas that missed it, so repaired/write == 2 exactly
-//               (the deterministic metric the perf gate holds).
+//               replicas that missed it, so repaired/write == 2 exactly.
+//
+// It is also a relation gate: it exits nonzero unless the repair leg
+// repaired exactly 2 entries per divergent write. (The perf gate's
+// tolerance only catches a rise in repairs/write, never a drop.)
 //
 // `BENCH_gns.json` records the two write+lookup model times and the
 // repair invariants; repair model time is printed but not gated (its
@@ -214,6 +217,11 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(repaired),
       static_cast<unsigned long long>(rounds), repaired_per_write);
 
+  const bool exact_repair = repaired == 2 * static_cast<std::uint64_t>(n);
+  std::printf("gate: repaired %llu == 2 x %d divergent writes %s\n",
+              static_cast<unsigned long long>(repaired), n,
+              exact_repair ? "ok" : "FAIL");
+
   bench::BenchJson json("gns");
   json.add_time("full_s", full_s);
   json.add_time("sharded_s", sharded_s);
@@ -221,5 +229,5 @@ int main(int argc, char** argv) {
   json.add_time("repair_rounds", static_cast<double>(rounds));
   const bool wrote_json = json.write();
   const bool wrote_spans = bench::write_spans(config);
-  return wrote_json && wrote_spans ? 0 : 1;
+  return wrote_json && wrote_spans && exact_repair ? 0 : 1;
 }

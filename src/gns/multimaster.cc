@@ -209,11 +209,7 @@ Result<std::shared_ptr<PeerClient>> ReplicaNode::sync_peer(
 bool ReplicaNode::merge_entry(std::uint32_t shard,
                               const VersionedRule& entry,
                               bool count_repair) {
-  const ReplicaStore::Applied applied = store_.apply(shard, entry);
-  if (applied != ReplicaStore::Applied::kNew &&
-      applied != ReplicaStore::Applied::kConflict) {
-    return false;
-  }
+  if (!store_.apply(shard, entry)) return false;
   bump_version();
   if (count_repair) MultiMasterMetrics::get().repaired.add();
   return true;

@@ -2,10 +2,10 @@
 //
 // A ReplicaNode owns its OWN ReplicaStore, so replicas can diverge
 // under partition and converge again: writes coordinate on one owner
-// (vector-clock bump + Lamport priority), replicate synchronously to the
-// shard's co-owners, and tolerate replication failure — a partitioned or
-// dead peer simply misses the write and anti-entropy repairs it after
-// the fault heals.
+// (which stamps them with its next Lamport priority), replicate
+// synchronously to the shard's co-owners, and tolerate replication
+// failure — a partitioned or dead peer simply misses the write and
+// anti-entropy repairs it after the fault heals.
 //
 // kLookup replies carry the node's lookup version (clients flush their
 // cache when it moves) and its map epoch (clients routing by another
@@ -133,9 +133,9 @@ class ReplicaNode {
   /// entries for the divergent shards. Anti-entropy passes the shards
   /// both own and counts repairs (gns.antientropy.repaired); handoff
   /// priming passes a shard the node is about to own and does not.
-  /// Returns the number of entries this side repaired (kNew/kConflict
-  /// applies). Fails typed when the pair is partitioned, either end is
-  /// dead, or `peer` is not in the roster.
+  /// Returns the number of the peer's entries this side stored. Fails
+  /// typed when the pair is partitioned, either end is dead, or `peer`
+  /// is not in the roster.
   Result<std::uint64_t> sync_with(const std::string& peer,
                                   const std::vector<std::uint32_t>& shards,
                                   bool count_repair);

@@ -1,34 +1,23 @@
 #include "src/gns/store.h"
 
+#include <tuple>
+
 #include "src/common/bytes.h"
-#include "src/common/strings.h"
 #include "src/gns/shard_map.h"
-#include "src/obs/metrics.h"
-#include "src/obs/span.h"
 
 namespace griddles::gns {
 
 namespace {
-/// Handles cached once; see src/obs/metrics.h naming scheme.
-struct ConflictMetrics {
-  obs::Counter& detected;  // concurrent version pairs seen by apply()
-  obs::Counter& resolved;  // pairs joined deterministically (== detected)
-
-  static ConflictMetrics& get() {
-    auto& registry = obs::MetricsRegistry::global();
-    static ConflictMetrics metrics{
-        registry.counter("gns.conflict.detected"),
-        registry.counter("gns.conflict.resolved"),
-    };
-    return metrics;
-  }
-};
+/// The one order on versions: true when `a` carries the larger
+/// (priority, writer) stamp.
+bool newer(const VersionedRule& a, const VersionedRule& b) {
+  return std::tie(a.priority, a.writer) > std::tie(b.priority, b.writer);
+}
 }  // namespace
 
 void encode_versioned(xdr::Encoder& enc, const VersionedRule& entry) {
   encode_rule(enc, entry.rule);
   enc.put_bool(entry.tombstone);
-  entry.version.encode(enc);
   enc.put_string(entry.writer);
   enc.put_u64(entry.priority);
 }
@@ -37,83 +26,32 @@ Result<VersionedRule> decode_versioned(xdr::Decoder& dec) {
   VersionedRule entry;
   GL_ASSIGN_OR_RETURN(entry.rule, decode_rule(dec));
   GL_ASSIGN_OR_RETURN(entry.tombstone, dec.boolean());
-  GL_ASSIGN_OR_RETURN(entry.version, VClock::decode(dec));
   GL_ASSIGN_OR_RETURN(entry.writer, dec.string());
   GL_ASSIGN_OR_RETURN(entry.priority, dec.u64());
   return entry;
 }
 
-bool ReplicaStore::concurrent_winner(const VersionedRule& incoming,
-                                     const VersionedRule& current) {
-  if (incoming.priority != current.priority) {
-    return incoming.priority > current.priority;
-  }
-  // Same writer cannot produce concurrent versions (its own counter
-  // orders them), so the ids differ and the comparison is total.
-  return incoming.writer > current.writer;
-}
-
 VersionedRule ReplicaStore::coordinate(std::uint32_t shard,
                                        MappingRule rule, bool tombstone) {
   MutexLock lock(mu_);
-  auto& bucket = shards_[shard];
-  const Key key = key_of(rule);
   VersionedRule entry;
   entry.rule = std::move(rule);
   entry.tombstone = tombstone;
-  const auto it = bucket.find(key);
-  if (it != bucket.end()) entry.version = it->second.version;
-  entry.version.bump(replica_id_);
   entry.writer = replica_id_;
   entry.priority = ++lamport_;
-  bucket[key] = entry;
+  shards_[shard][key_of(entry.rule)] = entry;
   return entry;
 }
 
-ReplicaStore::Applied ReplicaStore::apply(std::uint32_t shard,
-                                          const VersionedRule& entry) {
+bool ReplicaStore::apply(std::uint32_t shard, const VersionedRule& entry) {
   MutexLock lock(mu_);
   if (entry.priority > lamport_) lamport_ = entry.priority;
-  auto& bucket = shards_[shard];
-  const Key key = key_of(entry.rule);
-  const auto it = bucket.find(key);
-  if (it == bucket.end()) {
-    bucket.emplace(key, entry);
-    return Applied::kNew;
-  }
-  VersionedRule& current = it->second;
-  switch (current.version.compare(entry.version)) {
-    case VOrder::kEqual:
-      return Applied::kEqual;
-    case VOrder::kBefore:
-      current = entry;
-      return Applied::kNew;
-    case VOrder::kAfter:
-      return Applied::kStale;
-    case VOrder::kConcurrent:
-      break;
-  }
-  // Divergent writes met: deterministic semilattice join. Both sides
-  // of the exchange run the same rule, so they converge to identical
-  // bytes regardless of merge order.
-  ConflictMetrics::get().detected.add();
-  obs::Span conflict_span(
-      obs::SpanKind::kConflict,
-      strings::cat("gns.conflict:", key.first, "|", key.second));
-  conflict_span.add_attr("local", current.version.to_string());
-  conflict_span.add_attr("remote", entry.version.to_string());
-  VClock joined = current.version;
-  joined.join(entry.version);
-  if (concurrent_winner(entry, current)) {
-    const std::uint64_t priority =
-        std::max(current.priority, entry.priority);
-    current = entry;
-    current.priority = priority;
-  }
-  conflict_span.add_attr("winner", current.writer);
-  current.version = std::move(joined);
-  ConflictMetrics::get().resolved.add();
-  return Applied::kConflict;
+  const auto [it, inserted] =
+      shards_[shard].try_emplace(key_of(entry.rule), entry);
+  if (inserted) return true;
+  if (!newer(entry, it->second)) return false;
+  it->second = entry;
+  return true;
 }
 
 std::optional<FileMapping> ReplicaStore::lookup(std::uint32_t shard,
@@ -127,11 +65,7 @@ std::optional<FileMapping> ReplicaStore::lookup(std::uint32_t shard,
     for (const auto& [key, entry] : bucket_it->second) {
       if (entry.tombstone) continue;
       if (!entry.rule.matches(host, path)) continue;
-      if (best == nullptr || entry.priority > best->priority ||
-          (entry.priority == best->priority &&
-           entry.writer > best->writer)) {
-        best = &entry;
-      }
+      if (best == nullptr || newer(entry, *best)) best = &entry;
     }
   };
   consider(shard);

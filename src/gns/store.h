@@ -1,19 +1,21 @@
 // Per-replica versioned rule store for the multi-master GNS.
 //
 // Every GNS replica owns a ReplicaStore: shard buckets of
-// (host_pattern, path_pattern) -> VersionedRule entries, where each
-// entry carries a vector clock, the coordinating replica's id, and a
-// Lamport priority used for rule precedence ("latest write wins" across
+// (host_pattern, path_pattern) -> VersionedRule entries. Each entry is
+// stamped (priority, writer): a Lamport priority and the id of the
+// replica that coordinated the write. The stamp is the one order on
+// versions. It decides which of two versions of a key a replica keeps
+// and which matching rule a lookup returns ("latest write wins" across
 // replicas without a shared insertion order).
 //
 // apply() is the single merge point for replicated and repaired
-// entries. Its conflict rule is a semilattice join: when two versions
-// compare concurrent, the surviving value is the one with the higher
-// (priority, writer-id) pair, the surviving clock is the pointwise max
-// of both, and the surviving priority is the max — so two replicas
-// resolving the same pair independently, in either order, converge to
-// byte-identical state. Every such resolution bumps gns.conflict.* and
-// emits a kConflict trace span.
+// entries: it keeps the version with the larger stamp. A write that
+// causally follows another was coordinated on a replica whose Lamport
+// counter had already passed the earlier priority, so it always carries
+// the larger stamp; two concurrent writes fall to the greater stamp on
+// every replica, in either merge order, so replicas converge to
+// byte-identical state. A writer never reuses a priority, so equal
+// stamps mean the same write.
 //
 // Removals write tombstones (versioned like any write) so anti-entropy
 // can replicate deletion instead of resurrecting removed rules.
@@ -28,7 +30,6 @@
 
 #include "src/common/thread_annotations.h"
 #include "src/gns/mapping.h"
-#include "src/gns/vclock.h"
 
 namespace griddles::gns {
 
@@ -36,7 +37,6 @@ namespace griddles::gns {
 struct VersionedRule {
   MappingRule rule;
   bool tombstone = false;
-  VClock version;
   std::string writer;          // replica that coordinated the write
   std::uint64_t priority = 0;  // Lamport height: rule precedence
 
@@ -52,25 +52,18 @@ class ReplicaStore {
   explicit ReplicaStore(std::string replica_id)
       : replica_id_(std::move(replica_id)) {}
 
-  /// What apply() did with an incoming entry.
-  enum class Applied : std::uint8_t {
-    kNew,       // incoming dominated (or key was absent): stored
-    kEqual,     // identical version: no-op
-    kStale,     // local version dominates: dropped
-    kConflict,  // concurrent: deterministically joined and stored
-  };
-
-  /// Coordinates a local write on this replica: joins the stored
-  /// version, bumps this replica's counter, assigns the next Lamport
+  /// Coordinates a local write on this replica: assigns the next Lamport
   /// priority, stores, and returns the entry to replicate to peers.
   VersionedRule coordinate(std::uint32_t shard, MappingRule rule,
                            bool tombstone);
 
   /// Merges an already-versioned entry (replication or anti-entropy).
-  Applied apply(std::uint32_t shard, const VersionedRule& entry);
+  /// True when it was stored: the key was absent or its stored version
+  /// carries a smaller stamp.
+  bool apply(std::uint32_t shard, const VersionedRule& entry);
 
   /// Resolves (host, path) against `shard`'s entries plus the broadcast
-  /// glob rules in kGlobalShard. Highest (priority, writer) match wins.
+  /// glob rules in kGlobalShard. The match with the largest stamp wins.
   std::optional<FileMapping> lookup(std::uint32_t shard,
                                     std::string_view host,
                                     std::string_view path) const;
@@ -94,11 +87,6 @@ class ReplicaStore {
   static Key key_of(const MappingRule& rule) {
     return {rule.host_pattern, rule.path_pattern};
   }
-
-  /// True when `incoming` beats `current` under the deterministic
-  /// concurrent-write rule: higher (priority, writer id).
-  static bool concurrent_winner(const VersionedRule& incoming,
-                                const VersionedRule& current);
 
   const std::string replica_id_;
 

@@ -92,8 +92,6 @@ std::string_view span_kind_name(SpanKind kind) noexcept {
       return "shed";
     case SpanKind::kDeadlineExpired:
       return "deadline_expired";
-    case SpanKind::kConflict:
-      return "conflict";
     case SpanKind::kFile:
       return "file";
     case SpanKind::kOther:

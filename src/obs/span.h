@@ -65,7 +65,6 @@ enum class SpanKind : std::uint8_t {
   kFailover,    // a replica failure survived by moving to the next one
   kRecovery,    // a failed stage re-run via the fallback coupling
   kRelay,       // one multicast relay hop (write + forward to children)
-  kConflict,    // one divergent GNS write pair joined deterministically
   kShed,        // a request rejected by admission control (overload)
   kDeadlineExpired,  // work abandoned because its budget ran out
   kFile,        // one FileMultiplexer descriptor, open to close (detached)

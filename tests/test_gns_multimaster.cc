@@ -1,14 +1,20 @@
-// Tests for the multi-master GNS: vector clocks, the rendezvous shard
-// map, deterministic conflict resolution, the partition divergence
-// drill (write both sides, heal, anti-entropy converges), and
-// lease-safe runtime replica add/remove with zero lost lookups.
+// Tests for the multi-master GNS: the rendezvous shard map, stamp-ordered
+// versions, the partition divergence drill (write both sides, heal,
+// anti-entropy converges), a seeded convergence property over random
+// writes, faults and repair rounds, and lease-safe runtime replica
+// add/remove with zero lost lookups.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <iterator>
+#include <optional>
+#include <random>
 #include <set>
 #include <thread>
 
+#include "src/common/bytes.h"
 #include "src/common/strings.h"
 #include "src/fault/plan.h"
 #include "src/gns/antientropy.h"
@@ -16,7 +22,6 @@
 #include "src/gns/replicated.h"
 #include "src/gns/shard_map.h"
 #include "src/gns/store.h"
-#include "src/gns/vclock.h"
 #include "src/net/inproc.h"
 #include "src/obs/metrics.h"
 
@@ -41,57 +46,6 @@ struct ArmedPlan {
   }
   ~ArmedPlan() { fault::disarm(); }
 };
-
-// ---------------------------------------------------------------------
-// Vector clocks.
-
-TEST(VClockTest, BumpJoinAndCompare) {
-  VClock a;
-  EXPECT_TRUE(a.empty());
-  a.bump("n0");
-  a.bump("n0");
-  EXPECT_EQ(a.count("n0"), 2u);
-  EXPECT_EQ(a.count("n1"), 0u);
-
-  VClock b = a;
-  EXPECT_EQ(a.compare(b), VOrder::kEqual);
-  b.bump("n0");
-  EXPECT_EQ(a.compare(b), VOrder::kBefore);
-  EXPECT_EQ(b.compare(a), VOrder::kAfter);
-
-  // Writes coordinated on different replicas during a partition
-  // dominate in neither direction: divergence is detectable.
-  VClock c = a;
-  c.bump("n1");
-  EXPECT_EQ(b.compare(c), VOrder::kConcurrent);
-  EXPECT_EQ(c.compare(b), VOrder::kConcurrent);
-
-  // The join is a semilattice: commutative and absorbing both sides.
-  VClock joined_bc = b;
-  joined_bc.join(c);
-  VClock joined_cb = c;
-  joined_cb.join(b);
-  EXPECT_EQ(joined_bc, joined_cb);
-  EXPECT_EQ(joined_bc.compare(b), VOrder::kAfter);
-  EXPECT_EQ(joined_bc.compare(c), VOrder::kAfter);
-  EXPECT_EQ(joined_bc.count("n0"), 3u);
-  EXPECT_EQ(joined_bc.count("n1"), 1u);
-  EXPECT_EQ(joined_bc.height(), 4u);
-}
-
-TEST(VClockTest, EncodeDecodeRoundTrips) {
-  VClock clock;
-  clock.bump("gns-0");
-  clock.bump("gns-2");
-  clock.bump("gns-2");
-  xdr::Encoder enc;
-  clock.encode(enc);
-  xdr::Decoder dec(enc.buffer());
-  auto decoded = VClock::decode(dec);
-  ASSERT_TRUE(decoded.is_ok()) << decoded.status();
-  EXPECT_EQ(*decoded, clock);
-  EXPECT_EQ(clock.to_string(), "{gns-0:1,gns-2:2}");
-}
 
 // ---------------------------------------------------------------------
 // Shard map.
@@ -153,7 +107,7 @@ TEST(ShardMapTest, ShardsOfPartitionsTheKeyspace) {
 }
 
 // ---------------------------------------------------------------------
-// Versioned store: deterministic conflict join.
+// Versioned store: the (priority, writer) stamp orders versions.
 
 MappingRule make_rule(const std::string& host, const std::string& path,
                       IoMode mode) {
@@ -165,7 +119,6 @@ MappingRule make_rule(const std::string& host, const std::string& path,
 }
 
 TEST(ReplicaStoreTest, ConcurrentWritesJoinDeterministically) {
-  obs::MetricsRegistry::global().reset();
   ReplicaStore a("gns-a");
   ReplicaStore b("gns-b");
   const std::uint32_t shard = 3;
@@ -175,16 +128,15 @@ TEST(ReplicaStoreTest, ConcurrentWritesJoinDeterministically) {
       shard, make_rule("jagan", "/d/k.dat", IoMode::kLocal), false);
   const VersionedRule wrote_b = b.coordinate(
       shard, make_rule("jagan", "/d/k.dat", IoMode::kGridBuffer), false);
-  EXPECT_EQ(wrote_a.version.compare(wrote_b.version), VOrder::kConcurrent);
+  ASSERT_EQ(wrote_a.priority, wrote_b.priority);
 
-  // Heal: each side applies the other's entry — in opposite orders.
-  EXPECT_EQ(a.apply(shard, wrote_b), ReplicaStore::Applied::kConflict);
-  EXPECT_EQ(b.apply(shard, wrote_a), ReplicaStore::Applied::kConflict);
-  EXPECT_EQ(counter_value("gns.conflict.detected"), 2u);
-  EXPECT_EQ(counter_value("gns.conflict.resolved"), 2u);
+  // Heal: each side applies the other's entry. Only the side whose own
+  // write loses stores anything.
+  EXPECT_TRUE(a.apply(shard, wrote_b));
+  EXPECT_FALSE(b.apply(shard, wrote_a));
 
   // Both replicas converge to identical bytes: same winner (priority
-  // tie broken by the greater writer id), same joined version.
+  // tie broken by the greater writer id), same stamp.
   EXPECT_EQ(a.digest(shard), b.digest(shard));
   const auto via_a = a.lookup(shard, "jagan", "/d/k.dat");
   const auto via_b = b.lookup(shard, "jagan", "/d/k.dat");
@@ -193,10 +145,36 @@ TEST(ReplicaStoreTest, ConcurrentWritesJoinDeterministically) {
   EXPECT_EQ(via_a->mode, via_b->mode);
   EXPECT_EQ(via_a->mode, IoMode::kGridBuffer);  // "gns-b" > "gns-a"
 
-  // Re-applying after the join is idempotent (kStale/kEqual, no new
-  // conflict): anti-entropy can re-send without flapping.
-  EXPECT_NE(a.apply(shard, wrote_b), ReplicaStore::Applied::kConflict);
-  EXPECT_EQ(counter_value("gns.conflict.detected"), 2u);
+  // Re-applying after the join is idempotent: anti-entropy can re-send
+  // either entry without flapping.
+  EXPECT_FALSE(a.apply(shard, wrote_b));
+  EXPECT_FALSE(a.apply(shard, wrote_a));
+  EXPECT_EQ(a.digest(shard), b.digest(shard));
+}
+
+TEST(ReplicaStoreTest, CausallyLaterWriteBeatsGreaterWriterId) {
+  ReplicaStore a("gns-a");
+  ReplicaStore b("gns-b");
+  const std::uint32_t shard = 2;
+
+  // gns-b writes; gns-a sees that write and then overwrites the key.
+  const VersionedRule first = b.coordinate(
+      shard, make_rule("jagan", "/d/k.dat", IoMode::kLocal), false);
+  EXPECT_TRUE(a.apply(shard, first));
+  const VersionedRule later = a.coordinate(
+      shard, make_rule("jagan", "/d/k.dat", IoMode::kGridBuffer), false);
+  EXPECT_GT(later.priority, first.priority);
+
+  // The later write wins on both sides although "gns-a" < "gns-b".
+  EXPECT_TRUE(b.apply(shard, later));
+  EXPECT_FALSE(a.apply(shard, first));
+  EXPECT_FALSE(b.apply(shard, first));
+  EXPECT_EQ(a.digest(shard), b.digest(shard));
+  for (const ReplicaStore* store : {&a, &b}) {
+    const auto found = store->lookup(shard, "jagan", "/d/k.dat");
+    ASSERT_TRUE(found.has_value());
+    EXPECT_EQ(found->mode, IoMode::kGridBuffer);
+  }
 }
 
 TEST(ReplicaStoreTest, TombstoneShadowsTheRule) {
@@ -208,6 +186,43 @@ TEST(ReplicaStoreTest, TombstoneShadowsTheRule) {
   store.coordinate(shard, make_rule("h", "/p", IoMode::kLocal), true);
   EXPECT_FALSE(store.lookup(shard, "h", "/p").has_value());
   EXPECT_EQ(store.live_count(shard), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Replica node: a merge bumps the lookup version only when it stores.
+
+TEST(ReplicaNodeTest, LosingConcurrentEntryLeavesLookupVersion) {
+  RealClock clock;
+  net::InProcNetwork network(clock);
+  const std::unique_ptr<net::Transport> transport = network.transport("gh");
+  ReplicaNode node("gns-b", *transport, net::inproc_endpoint("gh", "gns-b"));
+  ASSERT_TRUE(node.start().is_ok());
+  PeerClient peer(*transport, node.endpoint());
+  const std::uint32_t shard = 5;
+  const MappingRule rule = make_rule("jagan", "/n/k.dat", IoMode::kLocal);
+  node.store().coordinate(
+      shard, make_rule("jagan", "/n/k.dat", IoMode::kGridBuffer), false);
+
+  // A concurrent write from a smaller writer id loses to the stored one:
+  // nothing changes, so the client caches' flush key stays put.
+  const std::uint64_t before = node.version();
+  ReplicaStore smaller("gns-a");
+  ASSERT_TRUE(
+      peer.replicate(shard, smaller.coordinate(shard, rule, false)).is_ok());
+  EXPECT_EQ(node.version(), before);
+  const auto kept = node.store().lookup(shard, "jagan", "/n/k.dat");
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_EQ(kept->mode, IoMode::kGridBuffer);
+
+  // The winning side of a concurrent pair is stored and moves the key.
+  ReplicaStore greater("gns-c");
+  ASSERT_TRUE(
+      peer.replicate(shard, greater.coordinate(shard, rule, false)).is_ok());
+  EXPECT_GT(node.version(), before);
+  const auto moved = node.store().lookup(shard, "jagan", "/n/k.dat");
+  ASSERT_TRUE(moved.has_value());
+  EXPECT_EQ(moved->mode, IoMode::kLocal);
+  node.stop();
 }
 
 // ---------------------------------------------------------------------
@@ -311,13 +326,11 @@ TEST_F(GnsClusterTest, DivergenceDrillHealsDeterministically) {
         cluster->add_rule(make_rule(host, path, IoMode::kGridBuffer))
             .is_ok());
   }
-  // Fault healed (disarmed). Anti-entropy must detect the concurrent
-  // pair, join it deterministically, and converge every digest.
+  // Fault healed (disarmed). Anti-entropy must settle the concurrent
+  // pair on the larger stamp and converge every digest.
   ASSERT_TRUE(cluster->converge(4).is_ok());
   EXPECT_GE(counter_value("gns.antientropy.rounds"), 1u);
   EXPECT_GE(counter_value("gns.antientropy.repaired"), 1u);
-  EXPECT_GE(counter_value("gns.conflict.detected"), 1u);
-  EXPECT_GE(counter_value("gns.conflict.resolved"), 1u);
 
   // Both writes had Lamport priority 1 on their coordinator, so the
   // deterministic tie-break is the greater writer id.
@@ -636,6 +649,152 @@ TEST_F(GnsClusterTest, WriteThroughInvalidationClosesStaleReadWindow) {
   auto removed = service->lookup("jagan", "/inv/k.dat");
   ASSERT_TRUE(removed.is_ok()) << removed.status();
   EXPECT_FALSE(removed->has_value());
+}
+
+// ---------------------------------------------------------------------
+// Seeded convergence property: random histories of writes, removals,
+// fault plans and anti-entropy rounds across three replicas.
+
+/// A rule key, plus one (host, path) the rule matches.
+struct PropertyKey {
+  const char* host;
+  const char* path;
+  const char* probe_host;
+  const char* probe_path;
+};
+
+constexpr PropertyKey kPropertyKeys[] = {
+    {"jagan", "/prop/a.dat", "jagan", "/prop/a.dat"},
+    {"jagan", "/prop/b.dat", "jagan", "/prop/b.dat"},
+    {"dione", "/prop/a.dat", "dione", "/prop/a.dat"},
+    {"jagan", "*.dat", "jagan", "/prop/c.dat"},
+    {"*", "/prop/a.dat", "freak", "/prop/a.dat"},
+    {"d?one", "/prop/*", "dione", "/prop/b.dat"},
+};
+
+class GnsConvergenceTest : public GnsClusterTest {
+ protected:
+  /// The fault plan of one step: none, every sync link severed, one
+  /// replica pair severed, or one replica dead.
+  static std::string draw_plan(std::mt19937& rng) {
+    const unsigned kind = rng() % 4;
+    const unsigned a = rng() % 3;
+    const unsigned b = (a + 1 + rng() % 2) % 3;
+    switch (kind) {
+      case 0:
+        return "";
+      case 1:
+        return "partition@gns:*";
+      case 2:
+        return strings::cat("partition@gns:",
+                            sync_pair_key(strings::cat("gns-", a),
+                                          strings::cat("gns-", b)));
+      default:
+        return strings::cat("die@gns:gns-", a);
+    }
+  }
+
+  static std::optional<FileMapping> resolve(const ReplicaNode& node,
+                                            const ShardMap& map,
+                                            const PropertyKey& key) {
+    return node.store().lookup(map.shard_of(key.probe_host, key.probe_path),
+                               key.probe_host, key.probe_path);
+  }
+
+  /// The winning version of every key: mode, value, writer, tombstone
+  /// and priority. Printed per seed so that two builds can be compared.
+  static std::string fingerprint(const ReplicaNode& node,
+                                 const ShardMap& map) {
+    std::string text;
+    for (const PropertyKey& key : kPropertyKeys) {
+      for (const VersionedRule& entry :
+           node.store().entries(map.shard_of_rule(key.host, key.path))) {
+        if (entry.rule.host_pattern != key.host ||
+            entry.rule.path_pattern != key.path) {
+          continue;
+        }
+        text += strings::cat(key.host, "|", key.path, "=",
+                             io_mode_name(entry.rule.mapping.mode), ",",
+                             entry.rule.mapping.local_path, ",",
+                             entry.writer, ",",
+                             entry.tombstone ? "removed" : "live", ",",
+                             entry.priority, ";");
+      }
+    }
+    return text;
+  }
+};
+
+TEST_F(GnsConvergenceTest, SeededHistoriesConvergeToOneState) {
+  constexpr IoMode kModes[] = {IoMode::kLocal, IoMode::kRemoteProxy,
+                               IoMode::kGridBuffer};
+  for (unsigned seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE(strings::cat("seed ", seed));
+    std::mt19937 rng(seed);
+    auto cluster = make_cluster(3);
+    int written = 0;
+    for (int step = 0; step < 40; ++step) {
+      const unsigned action = rng() % 8;  // 0-1 round, 2-6 add, 7 remove
+      const PropertyKey& key = kPropertyKeys[rng() % std::size(kPropertyKeys)];
+      const IoMode mode = kModes[rng() % std::size(kModes)];
+      const std::string spec = draw_plan(rng);
+      std::optional<ArmedPlan> armed;
+      if (!spec.empty()) armed.emplace(spec);
+      if (action < 2) {
+        cluster->run_antientropy_round();
+        continue;
+      }
+      MappingRule rule = make_rule(key.host, key.path, mode);
+      rule.mapping.local_path = strings::cat("/v", step);
+      const Status status = action < 7
+                                ? cluster->add_rule(rule)
+                                : cluster->remove_rule(key.host, key.path);
+      if (status.is_ok()) {
+        ++written;
+      } else {
+        EXPECT_EQ(status.code(), ErrorCode::kUnavailable) << status;
+      }
+    }
+    fault::disarm();
+    ASSERT_TRUE(cluster->converge(8).is_ok());
+
+    // One state: every replica holds the same entries in every shard and
+    // resolves every probe to the same mapping.
+    const ShardMap map = cluster->map();
+    const auto first = cluster->node("gns-0");
+    const std::vector<ReplicaAddress> replicas = cluster->endpoints();
+    for (const ReplicaAddress& replica : replicas) {
+      const auto node = cluster->node(replica.name);
+      for (const std::uint32_t shard : map.shards_of("gns-0")) {
+        EXPECT_TRUE(node->store().entries(shard) ==
+                    first->store().entries(shard))
+            << replica.name << " shard " << shard;
+      }
+      for (const PropertyKey& key : kPropertyKeys) {
+        EXPECT_TRUE(resolve(*node, map, key) == resolve(*first, map, key))
+            << replica.name << " " << key.host << " " << key.path;
+      }
+    }
+    const std::string state = fingerprint(*first, map);
+    std::printf("convergence seed %u written %d fingerprint %016llx\n", seed,
+                written,
+                static_cast<unsigned long long>(fnv1a(as_bytes_view(state))));
+
+    // A write issued after convergence beats every older version on every
+    // replica, even when gns-0, the smallest writer id, coordinates it.
+    for (const PropertyKey& key : kPropertyKeys) {
+      MappingRule rule = make_rule(key.host, key.path, IoMode::kReplicated);
+      rule.mapping.local_path = strings::cat("/final/", key.host, key.path);
+      ASSERT_TRUE(first->put(rule, /*tombstone=*/false).is_ok());
+      for (const ReplicaAddress& replica : replicas) {
+        const auto found = resolve(*cluster->node(replica.name), map, key);
+        ASSERT_TRUE(found.has_value()) << replica.name;
+        EXPECT_TRUE(*found == rule.mapping)
+            << replica.name << " " << key.host << " " << key.path;
+      }
+    }
+    cluster->stop();
+  }
 }
 
 }  // namespace
