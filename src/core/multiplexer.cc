@@ -256,23 +256,9 @@ Result<FileMultiplexer::BuiltClient> FileMultiplexer::build_remote_auto(
   remote::RemoteStrategy strategy = remote::RemoteStrategy::kCopy;
   if (!flags.write) {
     // Ask the server for the size, then cost both plans.
-    std::uint64_t file_size = 0;
-    {
-      net::RpcClient stat_rpc(*options_.transport, server);
-      xdr::Encoder enc;
-      enc.put_string(mapping.remote_path);
-      GL_ASSIGN_OR_RETURN(
-          const Buffer reply,
-          stat_rpc.call(remote::method_id(remote::Method::kStat),
-                        enc.buffer()));
-      xdr::Decoder dec(reply);
-      GL_ASSIGN_OR_RETURN(const bool exists, dec.boolean());
-      GL_ASSIGN_OR_RETURN(file_size, dec.u64());
-      if (!exists) {
-        return not_found(
-            strings::cat("remote file missing: ", mapping.remote_path));
-      }
-    }
+    net::RpcClient stat_rpc(*options_.transport, server);
+    GL_ASSIGN_OR_RETURN(const std::uint64_t file_size,
+                        remote::remote_size(stat_rpc, mapping.remote_path));
     nws::LinkEstimate link{0.05, 1e6};  // conservative default
     if (nws::LinkEstimator* estimator = link_estimator();
         estimator != nullptr) {

@@ -15,6 +15,7 @@
 #include "src/fault/plan.h"
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
+#include "src/vfs/local_client.h"
 
 namespace griddles::gridbuffer {
 
@@ -141,19 +142,7 @@ Status Channel::cache_write(std::uint64_t offset, ByteSpan data) const {
     return io_error(strings::cat("grid buffer cache ", cache_path_,
                                  " could not be created"));
   }
-  std::size_t put = 0;
-  while (put < data.size()) {
-    const ssize_t n = ::pwrite(cache_fd_, data.data() + put,
-                               data.size() - put,
-                               static_cast<off_t>(offset + put));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return io_error(strings::cat("grid buffer cache write: ",
-                                   strings::errno_message(errno)));
-    }
-    put += static_cast<std::size_t>(n);
-  }
-  return Status::ok();
+  return vfs::pwrite_full(cache_fd_, offset, data, cache_path_);
 }
 
 Result<std::size_t> Channel::cache_read(std::uint64_t offset,
@@ -162,19 +151,7 @@ Result<std::size_t> Channel::cache_read(std::uint64_t offset,
     return out_of_range(
         strings::cat("channel ", name_, ": block evicted and no cache file"));
   }
-  std::size_t got = 0;
-  while (got < out.size()) {
-    const ssize_t n = ::pread(cache_fd_, out.data() + got, out.size() - got,
-                              static_cast<off_t>(offset + got));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return io_error(strings::cat("grid buffer cache read: ",
-                                   strings::errno_message(errno)));
-    }
-    if (n == 0) break;
-    got += static_cast<std::size_t>(n);
-  }
-  return got;
+  return vfs::pread_full(cache_fd_, offset, out, cache_path_);
 }
 
 Status Channel::write(std::uint64_t offset, const Buffer& data) {

@@ -150,8 +150,11 @@ Status GridBufferWriter::close() {
   if (closed_) return Status::ok();
   const Status flushed = flush();
   closed_ = true;
+  // A failed flush fails the stream, so that its readers get kDataLoss
+  // rather than a clean end of a short stream.
   xdr::Encoder enc;
   enc.put_string(channel_);
+  enc.put_bool(!flushed.is_ok());
   auto reply = rpc_.call(method_id(Method::kCloseWrite), enc.buffer());
   GL_RETURN_IF_ERROR(flushed);
   return reply.status();

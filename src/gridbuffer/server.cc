@@ -224,11 +224,12 @@ void GridBufferServer::register_handlers() {
       [this](const Buffer& request, const net::RpcContext&) -> Result<Buffer> {
         xdr::Decoder dec(request);
         GL_ASSIGN_OR_RETURN(const std::string channel, dec.string());
+        GL_ASSIGN_OR_RETURN(const bool failed, dec.boolean());
         GL_ASSIGN_OR_RETURN(auto chan, store_.find(channel));
         std::vector<std::string> dead;
         GL_RETURN_IF_ERROR(close_and_forward(*chan, *broadcast(channel),
-                                             /*extent=*/nullptr,
-                                             /*failed=*/false, dead));
+                                             /*extent=*/nullptr, failed,
+                                             dead));
         if (!dead.empty()) {
           GL_LOG(kWarn, "grid buffer broadcast ", channel, ": close did ",
                  "not reach ", dead.size(), " machine(s)");

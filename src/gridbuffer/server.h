@@ -26,7 +26,8 @@ enum class Method : std::uint16_t {
   kOpenWrite = 1,   // (channel, block_size, cache, readers, max_bytes)
   kWrite = 2,       // (channel, offset, bytes): a run of blocks, all
                     // whole but the last
-  kCloseWrite = 3,  // (channel)
+  kCloseWrite = 3,  // (channel, failed): failed when the writer could
+                    // not flush, so readers get kDataLoss, not EOF
   kOpenRead = 4,    // (channel, block_size, cache, readers, max_bytes)
                     //   -> reader_id
   kRead = 5,        // (channel, reader_id, offset, length, deadline_ms)

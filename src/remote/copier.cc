@@ -65,19 +65,6 @@ struct CopyRecord {
   const Duration start;
 };
 
-Result<std::uint64_t> remote_size(net::RpcClient& rpc,
-                                  const std::string& path) {
-  xdr::Encoder enc;
-  enc.put_string(path);
-  GL_ASSIGN_OR_RETURN(const Buffer reply,
-                      rpc.call(method_id(Method::kStat), enc.buffer()));
-  xdr::Decoder dec(reply);
-  GL_ASSIGN_OR_RETURN(const bool exists, dec.boolean());
-  GL_ASSIGN_OR_RETURN(const std::uint64_t size, dec.u64());
-  if (!exists) return not_found(strings::cat("remote file missing: ", path));
-  return size;
-}
-
 /// Applies any injected copy-site fault to a chunk in flight. Truncation
 /// is caught right away by the length check; corruption survives until
 /// the whole-file checksum pass. Returns non-OK only for drop-style
@@ -144,17 +131,6 @@ multicast::RelayNode build_relay_node(
   return node;
 }
 
-/// Encodes one kRelayChunk request: the receiver's subtree plus the block.
-Buffer relay_chunk_request(const multicast::RelayNode& node,
-                           std::uint64_t offset, bool truncate_to_offset,
-                           ByteSpan data) {
-  xdr::Encoder enc;
-  multicast::encode_node(enc, node);
-  enc.put_u64(offset);
-  enc.put_bool(truncate_to_offset);
-  return std::move(enc).finish_with_bytes(data);
-}
-
 /// A chunk failure worth re-requesting at the same offset: transient
 /// transport trouble, or a verifiably short/mangled delivery. Inherits
 /// RetryPolicy's deliberate exclusions — kResourceExhausted (a shed
@@ -179,34 +155,9 @@ Result<Buffer> read_chunk(int fd, const std::string& path,
                           const Chunk& chunk) {
   MutableByteSpan out;
   const Buffer data = Buffer::uninitialized(chunk.length, out);
-  std::size_t got = 0;
-  while (got < chunk.length) {
-    const ssize_t n = ::pread(fd, out.data() + got, chunk.length - got,
-                              static_cast<off_t>(chunk.offset + got));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return errno_status("pread", path);
-    }
-    if (n == 0) break;
-    got += static_cast<std::size_t>(n);
-  }
+  GL_ASSIGN_OR_RETURN(const std::size_t got,
+                      vfs::pread_full(fd, chunk.offset, out, path));
   return data.slice(0, got);
-}
-
-/// Streaming FNV-1a of a local file (matches the server's kChecksum).
-Result<std::uint64_t> local_checksum(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return errno_status("open", path);
-  std::uint64_t hash = kFnv1aSeed;
-  Result<Buffer> data = Buffer();
-  for (Chunk block{0, 0, 1u << 20, 0};; block.offset += block.length) {
-    data = read_chunk(fd, path, block);
-    if (!data.is_ok() || data->empty()) break;
-    hash = fnv1a_update(hash, *data);
-  }
-  ::close(fd);
-  if (!data.is_ok()) return data.status();
-  return hash;
 }
 
 /// Compares the local copy against the server's checksum; kDataLoss on
@@ -221,14 +172,12 @@ Status verify_transfer(net::RpcClient& rpc, const std::string& remote_path,
   xdr::Decoder dec(reply);
   GL_ASSIGN_OR_RETURN(const std::uint64_t remote_hash, dec.u64());
   GL_ASSIGN_OR_RETURN(const std::uint64_t remote_bytes, dec.u64());
-  GL_ASSIGN_OR_RETURN(const std::uint64_t local_bytes,
-                      vfs::file_size(local_path));
-  GL_ASSIGN_OR_RETURN(const std::uint64_t local_hash,
-                      local_checksum(local_path));
-  if (local_bytes != remote_bytes || local_hash != remote_hash) {
+  GL_ASSIGN_OR_RETURN(const vfs::FileDigest local,
+                      vfs::digest_file(local_path));
+  if (local.size != remote_bytes || local.fnv1a != remote_hash) {
     return data_loss(strings::cat(
         "copy verification failed for ", remote_path, ": local ",
-        local_bytes, "B/", local_hash, " vs remote ", remote_bytes, "B/",
+        local.size, "B/", local.fnv1a, " vs remote ", remote_bytes, "B/",
         remote_hash));
   }
   return Status::ok();
@@ -350,51 +299,22 @@ Result<CopyStats> retry_copy(
   }
 }
 
-/// Writes `data` into `remote_path` at `offset`, first cutting the file
-/// to `offset` when `truncate_to_offset` is set.
-Status put_chunk(net::RpcClient& rpc, const std::string& remote_path,
-                 std::uint64_t offset, bool truncate_to_offset, Buffer data) {
-  xdr::Encoder enc;
-  enc.put_string(remote_path);
-  enc.put_u64(offset);
-  enc.put_bool(truncate_to_offset);
-  return rpc
-      .call(method_id(Method::kPutChunk),
-            std::move(enc).finish_with_bytes(std::move(data)))
-      .status();
-}
-
 /// Fetches `chunk` of `remote_path` into `fd` at its offset. A short or
 /// malformed delivery is kDataLoss, so the chunk is fetched again.
 Status fetch_chunk(net::RpcClient& rpc, const std::string& remote_path,
                    int fd, const std::string& local_path,
                    const Chunk& chunk) {
-  xdr::Encoder enc;
-  enc.put_string(remote_path);
-  enc.put_u64(chunk.offset);
-  enc.put_u32(static_cast<std::uint32_t>(chunk.length));
-  GL_ASSIGN_OR_RETURN(const Buffer reply,
-                      rpc.call(method_id(Method::kGetChunk), enc.buffer()));
-  xdr::Decoder dec(reply);
-  auto data = dec.bytes();
-  if (!data.is_ok()) return data_loss("fetch: malformed chunk");
-  GL_RETURN_IF_ERROR(apply_copy_fault(remote_path, *data));
-  if (data->size() != chunk.length) {
+  GL_ASSIGN_OR_RETURN(
+      Buffer data,
+      get_chunk(rpc, remote_path, chunk.offset,
+                static_cast<std::uint32_t>(chunk.length)));
+  GL_RETURN_IF_ERROR(apply_copy_fault(remote_path, data));
+  if (data.size() != chunk.length) {
     return data_loss(strings::cat("fetch ", remote_path,
                                   ": truncated chunk at offset ",
                                   chunk.offset));
   }
-  std::size_t put = 0;
-  while (put < data->size()) {
-    const ssize_t n = ::pwrite(fd, data->data() + put, data->size() - put,
-                               static_cast<off_t>(chunk.offset + put));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return errno_status("pwrite", local_path);
-    }
-    put += static_cast<std::size_t>(n);
-  }
-  return Status::ok();
+  return vfs::pwrite_full(fd, chunk.offset, data, local_path);
 }
 
 /// Pushes `chunk` of the file open at `fd` to `remote_path`. A chunk an

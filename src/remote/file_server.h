@@ -1,20 +1,19 @@
 // The remote file server: GriddLeS' stand-in for a GridFTP server.
 //
 // Serves one exported directory tree over RPC. Paths are validated so a
-// client can never escape the root. Positioned reads/writes (pread/
-// pwrite) make concurrent handles and parallel copy streams safe.
+// client can never escape the root. The server keeps no per-client
+// state: every request names its path and range, and positioned reads
+// and writes (pread/pwrite) make concurrent proxy clients and parallel
+// copy streams safe.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
-#include <map>
-#include <memory>
 #include <string>
 
 #include "src/multicast/relay.h"
 #include "src/net/rpc.h"
-#include "src/common/thread_annotations.h"
 #include "src/remote/protocol.h"
 
 namespace griddles::remote {
@@ -32,28 +31,12 @@ class FileServer {
   net::Endpoint endpoint() const { return rpc_.endpoint(); }
   const std::filesystem::path& root() const noexcept { return root_; }
 
-  /// Open handles currently held by clients (for leak tests).
-  std::size_t open_handles() const;
-
  private:
-  struct OpenFile {
-    int fd = -1;
-    bool writable = false;
-    std::string path;
-  };
-
   void register_handlers();
   Result<std::filesystem::path> resolve(const std::string& path) const;
-  Result<Buffer> handle_open(const Buffer& request);
-  Result<Buffer> handle_close(const Buffer& request);
-  Result<Buffer> handle_pread(const Buffer& request);
-  Result<Buffer> handle_pwrite(const Buffer& request);
   Result<Buffer> handle_stat(const Buffer& request);
   Result<Buffer> handle_get_chunk(const Buffer& request);
   Result<Buffer> handle_put_chunk(const Buffer& request);
-  Result<Buffer> handle_truncate(const Buffer& request);
-  Result<Buffer> handle_remove(const Buffer& request);
-  Result<Buffer> handle_list(const Buffer& request);
   Result<Buffer> handle_checksum(const Buffer& request);
   Result<Buffer> handle_relay_chunk(const Buffer& request);
 
@@ -68,9 +51,6 @@ class FileServer {
   /// high-water mark of `die@relay:<host>` fault rules.
   // lint: not-a-metric (fault-site high-water mark)
   std::atomic<std::uint64_t> relayed_bytes_{0};
-  mutable Mutex mu_;
-  std::map<std::uint64_t, OpenFile> handles_ GUARDED_BY(mu_);
-  std::uint64_t next_handle_ GUARDED_BY(mu_) = 1;
 };
 
 }  // namespace griddles::remote

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/common/strings.h"
-#include "src/xdr/codec.h"
 
 namespace griddles::remote {
 
@@ -14,35 +13,32 @@ Result<std::unique_ptr<RemoteFileClient>> RemoteFileClient::open(
     return invalid_argument("remote client block size must be positive");
   }
   auto rpc = std::make_unique<net::RpcClient>(transport, server_endpoint);
-  xdr::Encoder enc;
-  enc.put_string(remote_path);
-  enc.put_bool(flags.read);
-  enc.put_bool(flags.write);
-  enc.put_bool(flags.create);
-  enc.put_bool(flags.truncate);
-  GL_ASSIGN_OR_RETURN(const Buffer reply,
-                      rpc->call(method_id(Method::kOpen), enc.buffer()));
-  xdr::Decoder dec(reply);
-  GL_ASSIGN_OR_RETURN(const std::uint64_t handle, dec.u64());
-  GL_ASSIGN_OR_RETURN(std::uint64_t size, dec.u64());
-  if (flags.truncate) size = 0;
-  std::uint64_t cursor = flags.append ? size : 0;
-  auto client = std::unique_ptr<RemoteFileClient>(
-      new RemoteFileClient(std::move(rpc), handle, size, remote_path, flags,
-                           options));
-  client->cursor_ = cursor;
+  // An empty put creates the file (and its directories) or cuts it. The
+  // put always creates, so a cut without `create` checks existence first.
+  if (flags.create || flags.truncate) {
+    if (!flags.create) {
+      GL_RETURN_IF_ERROR(remote_size(*rpc, remote_path).status());
+    }
+    GL_RETURN_IF_ERROR(
+        put_chunk(*rpc, remote_path, 0, flags.truncate, Buffer()));
+  }
+  std::uint64_t size = 0;
+  if (!flags.truncate) {
+    GL_ASSIGN_OR_RETURN(size, remote_size(*rpc, remote_path));
+  }
+  auto client = std::unique_ptr<RemoteFileClient>(new RemoteFileClient(
+      std::move(rpc), size, remote_path, flags, options));
+  client->cursor_ = flags.append ? size : 0;
   return client;
 }
 
 RemoteFileClient::RemoteFileClient(std::unique_ptr<net::RpcClient> rpc,
-                                   std::uint64_t handle, std::uint64_t size,
+                                   std::uint64_t size,
                                    std::string remote_path,
                                    vfs::OpenFlags flags, Options options)
-    : rpc_(std::move(rpc)), handle_(handle), size_(size),
+    : rpc_(std::move(rpc)), size_(size),
       remote_path_(std::move(remote_path)), flags_(flags),
       options_(options) {}
-
-RemoteFileClient::~RemoteFileClient() { (void)close(); }
 
 void RemoteFileClient::cache_insert(std::uint64_t block_start,
                                     const Buffer& data) {
@@ -92,14 +88,9 @@ Result<const Buffer*> RemoteFileClient::block_at(
     return &hit->second;
   }
   ++cache_misses_;
-  xdr::Encoder enc;
-  enc.put_u64(handle_);
-  enc.put_u64(block_start);
-  enc.put_u32(options_.block_size);
-  GL_ASSIGN_OR_RETURN(const Buffer reply,
-                      rpc_->call(method_id(Method::kPread), enc.buffer()));
-  xdr::Decoder dec(reply);
-  GL_ASSIGN_OR_RETURN(const Buffer data, dec.bytes());
+  GL_ASSIGN_OR_RETURN(
+      const Buffer data,
+      get_chunk(*rpc_, remote_path_, block_start, options_.block_size));
   bytes_fetched_ += data.size();
   cache_insert(block_start, data);
   return &cache_[block_start];
@@ -142,19 +133,11 @@ Result<std::size_t> RemoteFileClient::read(MutableByteSpan out) {
 Result<std::size_t> RemoteFileClient::write(ByteSpan data) {
   if (closed_) return failed_precondition("write on closed remote file");
   if (!flags_.write) return permission_denied("file not open for writing");
-  xdr::Encoder enc;
-  enc.put_u64(handle_);
-  enc.put_u64(cursor_);
-  GL_ASSIGN_OR_RETURN(
-      const Buffer reply,
-      rpc_->call(method_id(Method::kPwrite),
-                 std::move(enc).finish_with_bytes(data)));
-  xdr::Decoder dec(reply);
-  GL_ASSIGN_OR_RETURN(const std::uint64_t written, dec.u64());
+  GL_RETURN_IF_ERROR(put_chunk(*rpc_, remote_path_, cursor_, false, data));
   cache_invalidate_range(cursor_, data.size());
-  cursor_ += written;
+  cursor_ += data.size();
   size_ = std::max(size_, cursor_);
-  return static_cast<std::size_t>(written);
+  return data.size();
 }
 
 Result<std::uint64_t> RemoteFileClient::seek(std::int64_t offset,
@@ -183,12 +166,8 @@ Result<std::uint64_t> RemoteFileClient::size() {
 Status RemoteFileClient::flush() { return Status::ok(); }
 
 Status RemoteFileClient::close() {
-  if (closed_) return Status::ok();
   closed_ = true;
-  xdr::Encoder enc;
-  enc.put_u64(handle_);
-  auto reply = rpc_->call(method_id(Method::kClose), enc.buffer());
-  return reply.status();
+  return Status::ok();
 }
 
 std::string RemoteFileClient::describe() const {

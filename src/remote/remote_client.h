@@ -1,9 +1,15 @@
 // RemoteFileClient: proxy-mode access to a file on a remote FileServer
 // (the paper's "Remote File Client", Figure 4).
 //
-// Reads go through a client-side LRU block cache with sequential
-// read-ahead sizing; writes are write-through (and invalidate overlapping
-// cached blocks) so a reopened file always observes its own writes.
+// The client holds all the state of an open file; the server holds none.
+// Open stats the file (after one empty put when it creates or truncates
+// it), a read miss fetches one block as a ranged chunk, a write puts a
+// chunk at the cursor, and close sends nothing. Every request is thus
+// safe to resend, and an open file survives a restart of its server.
+//
+// Reads go through a client-side LRU block cache; writes are
+// write-through (and invalidate overlapping cached blocks) so a reopened
+// file always observes its own writes.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +40,6 @@ class RemoteFileClient final : public vfs::FileClient {
     return open(transport, server_endpoint, remote_path, flags, Options{});
   }
 
-  ~RemoteFileClient() override;
-
   Result<std::size_t> read(MutableByteSpan out) override;
   Result<std::size_t> write(ByteSpan data) override;
   Result<std::uint64_t> seek(std::int64_t offset, vfs::Whence whence) override;
@@ -51,9 +55,9 @@ class RemoteFileClient final : public vfs::FileClient {
   std::uint64_t bytes_fetched() const noexcept { return bytes_fetched_; }
 
  private:
-  RemoteFileClient(std::unique_ptr<net::RpcClient> rpc, std::uint64_t handle,
-                   std::uint64_t size, std::string remote_path,
-                   vfs::OpenFlags flags, Options options);
+  RemoteFileClient(std::unique_ptr<net::RpcClient> rpc, std::uint64_t size,
+                   std::string remote_path, vfs::OpenFlags flags,
+                   Options options);
 
   /// Returns the cached block starting at block_start, fetching on miss.
   Result<const Buffer*> block_at(std::uint64_t block_start);
@@ -61,7 +65,6 @@ class RemoteFileClient final : public vfs::FileClient {
   void cache_invalidate_range(std::uint64_t offset, std::size_t length);
 
   std::unique_ptr<net::RpcClient> rpc_;
-  std::uint64_t handle_;
   std::uint64_t size_;
   std::string remote_path_;
   vfs::OpenFlags flags_;

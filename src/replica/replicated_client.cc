@@ -42,24 +42,9 @@ Result<std::unique_ptr<ReplicatedFileClient>> ReplicatedFileClient::open(
                                std::move(copies)));
   // Attach cheapest-first; a copy whose host is down just moves us to the
   // next-best candidate instead of failing the open.
-  std::vector<PhysicalReplica> candidates = client->copies_;
-  Status last = not_found("no replicas to select from");
-  while (!candidates.empty()) {
-    GL_ASSIGN_OR_RETURN(const Selection chosen,
-                        select_replica(candidates, estimator));
-    last = client->attach(chosen.replica);
-    if (last.is_ok()) return client;
-    GL_LOG(kWarn, "replica open on ", chosen.replica.host, " failed: ",
-           last);
-    const std::string host = chosen.replica.host;
-    candidates.erase(
-        std::remove_if(candidates.begin(), candidates.end(),
-                       [&host](const PhysicalReplica& r) {
-                         return r.host == host;
-                       }),
-        candidates.end());
-  }
-  return last;
+  GL_RETURN_IF_ERROR(
+      client->attach_cheapest("", [] { return Status::ok(); }));
+  return client;
 }
 
 ReplicatedFileClient::ReplicatedFileClient(
@@ -94,6 +79,41 @@ Status ReplicatedFileClient::attach(const PhysicalReplica& replica) {
   return Status::ok();
 }
 
+Status ReplicatedFileClient::attach_cheapest(
+    const std::string& failed_host, const std::function<Status()>& use) {
+  auto& registry = obs::MetricsRegistry::global();
+  static obs::Counter& failover_attempts =
+      registry.counter("failover.attempts");
+  static obs::Counter& failover_switches =
+      registry.counter("failover.switches");
+  const bool failover = !failed_host.empty();
+  std::vector<PhysicalReplica> candidates;
+  for (const PhysicalReplica& copy : copies_) {
+    if (copy.host != failed_host) candidates.push_back(copy);
+  }
+  Status last = not_found("no replicas to select from");
+  while (!candidates.empty()) {
+    GL_ASSIGN_OR_RETURN(const Selection chosen,
+                        select_replica(candidates, estimator_));
+    const std::string host = chosen.replica.host;
+    if (failover) failover_attempts.add();
+    last = attach(chosen.replica);
+    if (last.is_ok()) {
+      if (failover) failover_switches.add();
+      last = use();
+      if (last.is_ok()) return last;
+    }
+    GL_LOG(kWarn, "replica on ", host, " failed: ", last);
+    candidates.erase(
+        std::remove_if(candidates.begin(), candidates.end(),
+                       [&host](const PhysicalReplica& r) {
+                         return r.host == host;
+                       }),
+        candidates.end());
+  }
+  return last;
+}
+
 void ReplicatedFileClient::maybe_reselect() {
   if (bytes_since_reselect_ < options_.reselect_interval_bytes) return;
   bytes_since_reselect_ = 0;
@@ -124,38 +144,11 @@ Result<std::size_t> ReplicatedFileClient::read(MutableByteSpan out) {
     // estimates rather than in catalog order.
     GL_LOG(kWarn, "replica read from ", current_.host, " failed: ",
            got.status());
-    auto& registry = obs::MetricsRegistry::global();
-    static obs::Counter& failover_attempts =
-        registry.counter("failover.attempts");
-    static obs::Counter& failover_switches =
-        registry.counter("failover.switches");
-    std::vector<PhysicalReplica> candidates;
-    for (const PhysicalReplica& candidate : copies_) {
-      if (candidate.host != current_.host) candidates.push_back(candidate);
-    }
-    while (!candidates.empty()) {
-      const auto chosen = select_replica(candidates, estimator_);
-      if (!chosen.is_ok()) break;
-      failover_attempts.add();
-      const std::string host = chosen->replica.host;
-      if (attach(chosen->replica).is_ok()) {
-        failover_switches.add();
-        got = source_->read(out);
-        if (got.is_ok()) {
-          bytes_since_reselect_ += *got;
-          return got;
-        }
-        GL_LOG(kWarn, "replica failover read from ", host, " failed: ",
-               got.status());
-      }
-      candidates.erase(
-          std::remove_if(candidates.begin(), candidates.end(),
-                         [&host](const PhysicalReplica& r) {
-                           return r.host == host;
-                         }),
-          candidates.end());
-    }
-    return got.status();
+    const Status failed_over = attach_cheapest(current_.host, [&] {
+      got = source_->read(out);
+      return got.status();
+    });
+    if (!failed_over.is_ok()) return got.status();
   }
   bytes_since_reselect_ += *got;
   return got;

@@ -4,6 +4,7 @@
 // it to adapt to changing network conditions").
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -71,6 +72,12 @@ class ReplicatedFileClient final : public vfs::FileClient {
 
   /// Reopens `replica` at the current cursor.
   Status attach(const PhysicalReplica& replica);
+  /// Attaches to the cheapest copy not on `failed_host` and runs `use`
+  /// on it; a host whose attach or `use` fails is dropped and the next
+  /// cheapest tried. Returns the last failure once no host is left. A
+  /// non-empty `failed_host` makes this a failover, which is counted.
+  Status attach_cheapest(const std::string& failed_host,
+                         const std::function<Status()>& use);
   /// Re-runs selection if due; may switch sources.
   void maybe_reselect();
 

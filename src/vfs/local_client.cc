@@ -162,4 +162,56 @@ Result<std::uint64_t> file_size(const std::string& path) {
   return static_cast<std::uint64_t>(st.st_size);
 }
 
+Result<std::size_t> pread_full(int fd, std::uint64_t offset,
+                               MutableByteSpan out, const std::string& what) {
+  std::size_t got = 0;
+  while (got < out.size()) {
+    const ssize_t n = ::pread(fd, out.data() + got, out.size() - got,
+                              static_cast<off_t>(offset + got));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return errno_status("pread", what);
+    }
+    if (n == 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  return got;
+}
+
+Status pwrite_full(int fd, std::uint64_t offset, ByteSpan data,
+                   const std::string& what) {
+  std::size_t put = 0;
+  while (put < data.size()) {
+    const ssize_t n = ::pwrite(fd, data.data() + put, data.size() - put,
+                               static_cast<off_t>(offset + put));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return errno_status("pwrite", what);
+    }
+    put += static_cast<std::size_t>(n);
+  }
+  return Status::ok();
+}
+
+Result<FileDigest> digest_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    if (errno == ENOENT) {
+      return not_found(strings::cat("no such file: ", path));
+    }
+    return errno_status("open", path);
+  }
+  FileDigest digest{kFnv1aSeed, 0};
+  Bytes chunk(1u << 20);
+  Result<std::size_t> got = std::size_t{0};
+  while ((got = pread_full(fd, digest.size, chunk, path)).is_ok() &&
+         *got > 0) {
+    digest.fnv1a = fnv1a_update(digest.fnv1a, ByteSpan(chunk).first(*got));
+    digest.size += *got;
+  }
+  ::close(fd);
+  GL_RETURN_IF_ERROR(got.status());
+  return digest;
+}
+
 }  // namespace griddles::vfs

@@ -52,4 +52,22 @@ Status write_file(const std::string& path, ByteSpan data);
 /// Size of a local file.
 Result<std::uint64_t> file_size(const std::string& path);
 
+/// Reads up to `out.size()` bytes of `fd` at `offset`, short only at end
+/// of file, retrying EINTR. Errors name `what`.
+Result<std::size_t> pread_full(int fd, std::uint64_t offset,
+                               MutableByteSpan out, const std::string& what);
+
+/// Writes all of `data` to `fd` at `offset`, retrying EINTR. Errors name
+/// `what`.
+Status pwrite_full(int fd, std::uint64_t offset, ByteSpan data,
+                   const std::string& what);
+
+/// A local file's FNV-1a and byte count, read in fixed-size chunks so the
+/// memory used does not grow with the file.
+struct FileDigest {
+  std::uint64_t fnv1a = 0;
+  std::uint64_t size = 0;
+};
+Result<FileDigest> digest_file(const std::string& path);
+
 }  // namespace griddles::vfs

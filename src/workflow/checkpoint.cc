@@ -10,6 +10,7 @@
 #include "src/common/logging.h"
 #include "src/common/strings.h"
 #include "src/obs/metrics.h"
+#include "src/vfs/local_client.h"
 #include "src/xdr/codec.h"
 
 namespace griddles::workflow {
@@ -87,22 +88,8 @@ Result<CopyRecord> decode_copy(const Buffer& payload) {
 }  // namespace
 
 Result<std::uint64_t> hash_file(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return errno_status("open", path);
-  std::uint64_t hash = kFnv1aSeed;
-  Bytes buffer(1u << 20);
-  while (true) {
-    const ssize_t n = ::read(fd, buffer.data(), buffer.size());
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return errno_status("read", path);
-    }
-    if (n == 0) break;
-    hash = fnv1a_update(hash, {buffer.data(), static_cast<std::size_t>(n)});
-  }
-  ::close(fd);
-  return hash;
+  GL_ASSIGN_OR_RETURN(const vfs::FileDigest digest, vfs::digest_file(path));
+  return digest.fnv1a;
 }
 
 Result<std::unique_ptr<CheckpointLog>> CheckpointLog::open(

@@ -840,6 +840,35 @@ TEST_F(BroadcastBufferTest, FailedWriterFailsEveryRelayedCopy) {
   }
 }
 
+TEST_F(BroadcastBufferTest, FailedFlushFailsTheStreamForItsReader) {
+  // A 1->1 stream whose runs are all lost on the way to m0, which stays
+  // up for every other call. The writer's flush fails, so its close must
+  // fail the stream: the reader gets kDataLoss, never a clean EOF on a
+  // stream that is short of what the writer wrote.
+  CutMethodTransport writer_transport(
+      network_.transport("client"), "m0",
+      gridbuffer::method_id(gridbuffer::Method::kWrite));
+  const Bytes data = pattern(4 * 32768);
+  auto writer = gridbuffer::GridBufferWriter::open(
+      writer_transport, servers_[0]->endpoint(), "cw");
+  ASSERT_TRUE(writer.is_ok()) << writer.status();
+  const Status written = (*writer)->write(data);
+  const Status closed = (*writer)->close();
+  EXPECT_FALSE(written.is_ok() && closed.is_ok());
+
+  auto reader = gridbuffer::GridBufferReader::open(
+      *client_transport_, servers_[0]->endpoint(), "cw");
+  ASSERT_TRUE(reader.is_ok()) << reader.status();
+  Bytes buffer(8192);
+  Result<std::size_t> n = std::size_t{0};
+  std::size_t got = 0;
+  while ((n = (*reader)->read({buffer.data(), buffer.size()})).is_ok() &&
+         *n > 0) {
+    got += *n;
+  }
+  EXPECT_EQ(n.status().code(), ErrorCode::kDataLoss) << "EOF at " << got;
+}
+
 TEST_F(BroadcastBufferTest, ReaderlessChildStallsTheWriter) {
   // m1 expects a reader that has not come, and bounds unread bytes, so
   // its channel stalls. m0's edge then fills up to kRunsOnWire unanswered

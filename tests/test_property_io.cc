@@ -169,6 +169,91 @@ TEST(IoPropertyTest, RemoteProxyMatchesReference) {
   server.stop();
 }
 
+/// Every fopen-style open mode behaves on a proxy file as on a local
+/// file: the same opens fail with the same code, and the same reads and
+/// writes from the same starting contents return and leave the same
+/// bytes. There are no seeks, so an append open's O_APPEND and the proxy
+/// client's cursor at the end agree.
+TEST(IoPropertyTest, RemoteProxyOpenFlagsMatchLocalClient) {
+  auto dir = TempDir::create("prop-flags");
+  RealClock clock;
+  net::InProcNetwork network(clock);
+  auto server_transport = network.transport("freak");
+  remote::FileServer server(dir->file("export"), *server_transport,
+                            net::inproc_endpoint("freak", "fs"));
+  ASSERT_TRUE(server.start().is_ok());
+  auto transport = network.transport("jagan");
+  struct Case {
+    std::string name;
+    vfs::OpenFlags flags;
+    bool exists;
+  };
+  const Case cases[] = {
+      {"output", vfs::OpenFlags::output(), true},
+      {"update", vfs::OpenFlags::update(), true},
+      {"append", vfs::OpenFlags::appending(), true},
+      {"append-new", vfs::OpenFlags::appending(), false},
+      {"missing/dir/output", vfs::OpenFlags::output(), false},
+      {"update-missing", vfs::OpenFlags::update(), false},
+      {"truncate", {.read = true, .write = true, .truncate = true}, true},
+      {"truncate-missing", {.write = true, .truncate = true}, false},
+      {"input-missing", vfs::OpenFlags::input(), false},
+  };
+  unsigned seed = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::mt19937 rng(++seed);
+    const std::string local_path = dir->file("local/" + c.name).string();
+    const std::string remote_path = (server.root() / c.name).string();
+    if (c.exists) {
+      Bytes initial(1000 + rng() % 5000);
+      for (std::byte& b : initial) b = static_cast<std::byte>(rng());
+      ASSERT_TRUE(vfs::write_file(local_path, initial).is_ok());
+      ASSERT_TRUE(vfs::write_file(remote_path, initial).is_ok());
+    }
+    auto local = vfs::LocalFileClient::open(local_path, c.flags);
+    remote::RemoteFileClient::Options options;
+    options.block_size = 512;
+    auto proxy = remote::RemoteFileClient::open(
+        *transport, server.endpoint(), c.name, c.flags, options);
+    ASSERT_EQ(proxy.is_ok(), local.is_ok()) << proxy.status();
+    if (!local.is_ok()) {
+      EXPECT_EQ(proxy.status().code(), local.status().code());
+      continue;
+    }
+    for (int op = 0; op < 60; ++op) {
+      if (c.flags.read && rng() % 2 == 0) {
+        Bytes ours(1 + rng() % 2000);
+        Bytes theirs(ours.size());
+        auto want = (*local)->read({ours.data(), ours.size()});
+        auto got = (*proxy)->read({theirs.data(), theirs.size()});
+        ASSERT_TRUE(want.is_ok() && got.is_ok()) << op << ": "
+                                                 << got.status();
+        ASSERT_EQ(*got, *want) << "op " << op;
+        ASSERT_TRUE(std::equal(ours.begin(),
+                               ours.begin() +
+                                   static_cast<std::ptrdiff_t>(*want),
+                               theirs.begin()))
+            << "op " << op;
+      } else {
+        Bytes chunk(1 + rng() % 2000);
+        for (std::byte& b : chunk) b = static_cast<std::byte>(rng());
+        ASSERT_TRUE((*local)->write(chunk).is_ok());
+        auto put = (*proxy)->write(chunk);
+        ASSERT_TRUE(put.is_ok()) << op << ": " << put.status();
+        ASSERT_EQ(*put, chunk.size()) << "op " << op;
+      }
+      ASSERT_EQ((*proxy)->size().value(), (*local)->size().value())
+          << "op " << op;
+    }
+    ASSERT_TRUE((*local)->close().is_ok());
+    ASSERT_TRUE((*proxy)->close().is_ok());
+    EXPECT_EQ(vfs::read_file(remote_path).value(),
+              vfs::read_file(local_path).value());
+  }
+  server.stop();
+}
+
 TEST(IoPropertyTest, StagedClientMatchesReference) {
   auto dir = TempDir::create("prop-staged");
   RealClock clock;

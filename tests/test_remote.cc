@@ -121,6 +121,56 @@ TEST(RemoteLifetimeTest, CachedBlocksOutliveConnectionTcp) {
                                           net::tcp_endpoint("127.0.0.1", 0));
 }
 
+/// Reads one block through a RemoteFileClient, then stops the server and
+/// starts another on the same endpoint and root: the open file is no
+/// state of the server's, so the reader goes on to read the rest.
+void expect_reader_survives_server_restart(net::Transport& transport,
+                                           const net::Endpoint& bind) {
+  auto dir = TempDir::create("remote-restart");
+  ASSERT_TRUE(dir.is_ok());
+  auto server =
+      std::make_unique<FileServer>(dir->file("export"), transport, bind);
+  ASSERT_TRUE(server->start().is_ok());
+  Bytes data(5 * kDefaultProxyBlock + 123);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::byte>(i * 11 + 5);
+  }
+  ASSERT_TRUE(
+      vfs::write_file((server->root() / "r.bin").string(), data).is_ok());
+  auto file = RemoteFileClient::open(transport, server->endpoint(), "r.bin",
+                                     vfs::OpenFlags::input());
+  ASSERT_TRUE(file.is_ok()) << file.status();
+  Bytes got(data.size());
+  ASSERT_EQ((*file)->read({got.data(), kDefaultProxyBlock}).value(),
+            kDefaultProxyBlock);
+
+  const net::Endpoint endpoint = server->endpoint();
+  server.reset();
+  server =
+      std::make_unique<FileServer>(dir->file("export"), transport, endpoint);
+  ASSERT_TRUE(server->start().is_ok());
+
+  std::size_t at = kDefaultProxyBlock;
+  while (at < got.size()) {
+    auto n = (*file)->read({got.data() + at, got.size() - at});
+    ASSERT_TRUE(n.is_ok()) << n.status();
+    ASSERT_GT(*n, 0u);
+    at += *n;
+  }
+  EXPECT_EQ(got, data);
+}
+
+TEST_F(RemoteTest, ProxyReaderSurvivesServerRestartInProc) {
+  expect_reader_survives_server_restart(
+      *server_transport_, net::inproc_endpoint("freak", "fs-restart"));
+}
+
+TEST_F(RemoteTest, ProxyReaderSurvivesServerRestartTcp) {
+  net::TcpTransport transport;
+  expect_reader_survives_server_restart(transport,
+                                        net::tcp_endpoint("127.0.0.1", 0));
+}
+
 TEST_F(RemoteTest, ProxyWriteReadBack) {
   auto file = RemoteFileClient::open(*client_transport_, server_.endpoint(),
                                      "w.bin", vfs::OpenFlags::output());
@@ -165,16 +215,6 @@ TEST_F(RemoteTest, PathEscapeRejected) {
                                     "/etc/passwd", vfs::OpenFlags::input());
   EXPECT_FALSE(abs.is_ok());
   EXPECT_EQ(abs.status().code(), ErrorCode::kPermissionDenied);
-}
-
-TEST_F(RemoteTest, HandlesAreReleasedOnClose) {
-  put_remote("h.bin", pattern(10));
-  auto file = RemoteFileClient::open(*client_transport_, server_.endpoint(),
-                                     "h.bin", vfs::OpenFlags::input());
-  ASSERT_TRUE(file.is_ok());
-  EXPECT_EQ(server_.open_handles(), 1u);
-  ASSERT_TRUE((*file)->close().is_ok());
-  EXPECT_EQ(server_.open_handles(), 0u);
 }
 
 TEST_F(RemoteTest, CopierFetchRoundTrip) {

@@ -262,7 +262,6 @@ TEST(StressTest, ManyHandlesOnOneFileServer) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(failures, 0);
-  EXPECT_EQ(server.open_handles(), 0u);
   server.stop();
 }
 
