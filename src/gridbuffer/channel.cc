@@ -66,6 +66,14 @@ Channel::Channel(std::string name, ChannelConfig config,
       cache_fd_(open_cache(cache_path_, config_.cache_enabled)) {}
 
 Channel::~Channel() {
+  {
+    // Blocks no reader consumed leave the process-wide gauges with us.
+    MutexLock lock(mu_);
+    GbMetrics::get().bytes_buffered.sub(
+        static_cast<std::int64_t>(table_bytes_));
+    GbMetrics::get().blocks_buffered.sub(
+        static_cast<std::int64_t>(blocks_.size()));
+  }
   if (cache_fd_ >= 0) {
     ::close(cache_fd_);
     std::error_code ec;

@@ -3,6 +3,8 @@
 // backpressure), the RPC server, and the writer/reader clients.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <random>
 #include <thread>
 
@@ -490,6 +492,249 @@ TEST_F(ChannelTest, WriteAfterCloseRejected) {
   auto channel = make_channel(ChannelConfig{});
   channel->close_writer();
   EXPECT_FALSE(channel->write(0, pattern(8)).is_ok());
+}
+
+TEST_F(ChannelTest, ResidencyMetricsCountBlocks) {
+  auto& registry = obs::MetricsRegistry::global();
+  auto& blocks = registry.gauge("gridbuffer.blocks.buffered");
+  auto& evicted = registry.counter("gridbuffer.blocks.evicted");
+  auto channel = make_channel(ChannelConfig{});  // 4 KiB blocks
+  const auto reader = channel->add_reader();
+  const std::int64_t blocks_before = blocks.value();
+  const std::uint64_t evicted_before = evicted.value();
+  ASSERT_TRUE(channel->write(0, pattern(16 * 4096, 9)).is_ok());  // one run
+  EXPECT_EQ(channel->buffered_blocks(), 16u);
+  EXPECT_EQ(blocks.value() - blocks_before, 16);
+  ASSERT_TRUE(channel->read(reader, 0, 5 * 4096, 1000).is_ok());
+  EXPECT_EQ(channel->buffered_blocks(), 11u);
+  EXPECT_EQ(blocks.value() - blocks_before, 11);
+  EXPECT_EQ(evicted.value() - evicted_before, 5u);
+  // A read that ends mid-block evicts nothing of that block.
+  ASSERT_TRUE(channel->read(reader, 5 * 4096, 4096 + 100, 1000).is_ok());
+  EXPECT_EQ(channel->buffered_blocks(), 10u);
+  EXPECT_EQ(channel->buffered_bytes(), 10u * 4096);
+  EXPECT_EQ(evicted.value() - evicted_before, 6u);
+}
+
+TEST_F(ChannelTest, DestroyedChannelReturnsItsResidentBytesToTheGauges) {
+  auto& registry = obs::MetricsRegistry::global();
+  auto& bytes = registry.gauge("gridbuffer.bytes.buffered");
+  auto& blocks = registry.gauge("gridbuffer.blocks.buffered");
+  const std::int64_t bytes_before = bytes.value();
+  const std::int64_t blocks_before = blocks.value();
+  {
+    auto channel = make_channel(ChannelConfig{});
+    ASSERT_TRUE(channel->write(0, pattern(3 * 4096)).is_ok());
+    channel->close_writer();
+    EXPECT_EQ(bytes.value() - bytes_before, 3 * 4096);
+    EXPECT_EQ(blocks.value() - blocks_before, 3);
+  }  // destroyed with no reader: its blocks were never consumed
+  EXPECT_EQ(bytes.value(), bytes_before);
+  EXPECT_EQ(blocks.value(), blocks_before);
+}
+
+// ---------------------------------------------------------------------
+// A seeded model of the channel: random block-aligned runs (in order or
+// shuffled, with resent prefixes, partial last blocks that later runs
+// extend, and shorter rewrites that must fail) interleaved with reads,
+// checked against a per-block table kept here.
+
+/// What every write carries at stream offset `at`: an extending rewrite
+/// resends the same prefix.
+std::byte stream_byte(std::uint64_t at) {
+  return static_cast<std::byte>((at * 131 + (at >> 8) * 7 + 11) & 0xFF);
+}
+
+Bytes stream_bytes(std::uint64_t from, std::uint64_t to) {
+  Bytes out;
+  for (std::uint64_t at = from; at < to; ++at) out.push_back(stream_byte(at));
+  return out;
+}
+
+struct ChannelModel {
+  std::uint64_t block;
+  std::map<std::uint64_t, std::uint64_t> sizes;  // block start -> bytes
+
+  std::uint64_t written(std::uint64_t start) const {
+    const auto it = sizes.find(start);
+    return it == sizes.end() ? 0 : it->second;
+  }
+  bool covers(std::uint64_t at) const {
+    return written(at / block * block) > at % block;
+  }
+  std::uint64_t frontier() const {
+    return sizes.empty() ? 0 : sizes.rbegin()->first + sizes.rbegin()->second;
+  }
+  std::uint64_t stored() const {
+    std::uint64_t sum = 0;
+    for (const auto& [start, size] : sizes) sum += size;
+    return sum;
+  }
+  /// Where the written bytes that begin at `at` stop.
+  std::uint64_t data_end(std::uint64_t at) const {
+    while (covers(at)) {
+      const std::uint64_t start = at / block * block;
+      at = start + written(start);
+      if (written(start) < block) break;
+    }
+    return at;
+  }
+  /// Where the zeros of a hole at `at` stop once the writer has closed.
+  std::uint64_t hole_end(std::uint64_t at) const {
+    const auto next = sizes.upper_bound(at);
+    return next == sizes.end() ? frontier() : next->first;
+  }
+  /// Applies the run [offset, end) if no block of it would shrink.
+  bool write(std::uint64_t offset, std::uint64_t end) {
+    for (std::uint64_t at = offset; at < end; at += block) {
+      if (std::min(block, end - at) < written(at)) return false;
+    }
+    for (std::uint64_t at = offset; at < end; at += block) {
+      sizes[at] = std::max(written(at), std::min(block, end - at));
+    }
+    return true;
+  }
+};
+
+TEST(ChannelModelTest, SeededRunsMatchAPerBlockModel) {
+  TempDir dir = *TempDir::create("gbuf-model");
+  constexpr std::uint64_t kBlock = 16;
+  for (const bool cache : {false, true}) {
+    for (unsigned seed = 1; seed <= 100; ++seed) {
+      SCOPED_TRACE(strings::cat("seed ", seed, " cache ", cache));
+      std::mt19937 rng(seed);
+      const auto pick = [&rng](std::uint64_t lo, std::uint64_t hi) {
+        return std::uniform_int_distribution<std::uint64_t>(lo, hi)(rng);
+      };
+      ChannelConfig config;
+      config.block_size = kBlock;
+      config.cache_enabled = cache;
+      config.expected_readers = static_cast<std::uint32_t>(pick(1, 2));
+      // With the cache on, a table of a few blocks: runs spill and trim.
+      if (cache) config.max_buffered_bytes = pick(2, 6) * kBlock;
+      const std::string name = strings::cat("model-", seed, "-", cache);
+      Channel channel(name, config, dir.file(name + ".cache").string());
+      ChannelModel model{kBlock, {}};
+      std::vector<std::uint64_t> readers, cursors;
+      for (std::uint32_t r = 0; r < config.expected_readers; ++r) {
+        readers.push_back(channel.add_reader());
+        cursors.push_back(0);
+      }
+
+      // The stream is cut into runs; the last block may be partial.
+      const std::uint64_t length = pick(8, 40) * kBlock - pick(0, kBlock - 1);
+      struct Run {
+        std::uint64_t order, offset, end;
+      };
+      std::vector<Run> runs;
+      for (std::uint64_t at = 0; at < length;) {
+        const std::uint64_t end = std::min(length, at + pick(1, 6) * kBlock);
+        runs.push_back({0, at, end});
+        at = end;
+      }
+      if (pick(0, 1) == 1) std::shuffle(runs.begin(), runs.end(), rng);
+      const bool holes = pick(0, 3) == 0;
+      std::vector<Run> writes;
+      for (std::uint64_t i = 0; i < runs.size(); ++i) {
+        Run run = runs[i];
+        if (holes && pick(0, 4) == 0) continue;  // never written
+        run.order = 4 * i;
+        if (pick(0, 3) == 0) {  // resend a prefix of earlier blocks
+          run.offset -= std::min(run.offset, pick(1, 2) * kBlock);
+        }
+        if (run.end - run.offset > 1 && pick(0, 2) == 0) {
+          // A cut of the run first; the whole run lands a little later.
+          writes.push_back({run.order, run.offset,
+                            pick(run.offset + 1, run.end - 1)});
+          run.order = 4 * (i + pick(0, 3)) + 1;
+        }
+        writes.push_back(run);
+      }
+      std::stable_sort(writes.begin(), writes.end(),
+                       [](const Run& a, const Run& b) {
+                         return a.order < b.order;
+                       });
+
+      const std::uint64_t cap = config.max_buffered_bytes;
+      // Checks one read at `offset` against the model.
+      const auto check_read = [&](std::size_t r, std::uint64_t offset,
+                                  bool closed) -> std::uint64_t {
+        const std::uint64_t want_length = pick(1, 3 * kBlock);
+        auto got = channel.read(readers[r], offset,
+                                static_cast<std::uint32_t>(want_length), 1000);
+        EXPECT_TRUE(got.is_ok()) << got.status() << " at " << offset;
+        if (!got.is_ok()) return 0;
+        EXPECT_EQ(got->frontier, model.frontier());
+        EXPECT_LE(channel.buffered_bytes(), cap);
+        const Bytes data(got->data.begin(), got->data.end());
+        if (closed && offset >= model.frontier()) {
+          EXPECT_TRUE(got->eof);
+          EXPECT_TRUE(data.empty());
+          return 0;
+        }
+        EXPECT_FALSE(got->eof);
+        if (model.covers(offset)) {
+          EXPECT_EQ(data, stream_bytes(offset,
+                                       std::min(offset + want_length,
+                                                model.data_end(offset))))
+              << " at " << offset;
+        } else {
+          EXPECT_EQ(data, Bytes(std::min(offset + want_length,
+                                         model.hole_end(offset)) -
+                                    offset,
+                                std::byte{0}))
+              << " hole at " << offset;
+        }
+        return data.size();
+      };
+
+      for (const Run& run : writes) {
+        // A shorter rewrite of a written block must fail, whole.
+        if (!model.sizes.empty() && pick(0, 5) == 0) {
+          auto block = model.sizes.begin();
+          std::advance(block, pick(0, model.sizes.size() - 1));
+          if (block->second > 1) {
+            const std::uint64_t from =
+                block->first - std::min(block->first, pick(0, 2) * kBlock);
+            const std::uint64_t to = block->first + pick(1, block->second - 1);
+            EXPECT_EQ(channel.write(from, stream_bytes(from, to)).code(),
+                      ErrorCode::kInvalidArgument);
+          }
+        }
+        const bool accepted = model.write(run.offset, run.end);
+        const Status status =
+            channel.write(run.offset, stream_bytes(run.offset, run.end));
+        if (accepted) {
+          EXPECT_TRUE(status.is_ok()) << status;
+        } else {
+          EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
+        }
+        EXPECT_LE(channel.buffered_bytes(), cap);
+        for (std::size_t r = 0; r < readers.size(); ++r) {
+          if (pick(0, 1) == 0) continue;
+          std::uint64_t offset = cursors[r];
+          const bool seek = cache && model.frontier() > 0 && pick(0, 3) == 0;
+          if (seek) offset = pick(0, model.frontier() - 1);
+          if (!model.covers(offset)) continue;  // the read would block
+          const std::uint64_t n = check_read(r, offset, false);
+          if (!seek) cursors[r] += n;
+        }
+      }
+
+      EXPECT_EQ(channel.close_writer(),
+                (StreamExtent{model.frontier(), model.stored()}));
+      for (std::size_t r = 0; r < readers.size(); ++r) {
+        std::uint64_t offset = cache ? 0 : cursors[r];
+        while (true) {
+          const std::uint64_t n = check_read(r, offset, true);
+          if (n == 0) break;
+          offset += n;
+        }
+        EXPECT_EQ(offset, std::max(cache ? 0 : cursors[r], model.frontier()));
+      }
+      if (HasFailure()) return;
+    }
+  }
 }
 
 TEST(ChannelStoreTest, OpenIsIdempotentButConfigSticky) {
