@@ -72,7 +72,7 @@ Channel::~Channel() {
     GbMetrics::get().bytes_buffered.sub(
         static_cast<std::int64_t>(table_bytes_));
     GbMetrics::get().blocks_buffered.sub(
-        static_cast<std::int64_t>(blocks_.size()));
+        static_cast<std::int64_t>(buffered_blocks_locked()));
   }
   if (cache_fd_ >= 0) {
     ::close(cache_fd_);
@@ -111,38 +111,120 @@ std::uint64_t Channel::min_consumed_locked() const {
   return lowest;
 }
 
-void Channel::drop_locked(
-    std::unordered_map<std::uint64_t, Buffer>::iterator block) {
-  table_bytes_ -= block->second.size();
-  GbMetrics::get().bytes_buffered.sub(
-      static_cast<std::int64_t>(block->second.size()));
-  GbMetrics::get().blocks_buffered.sub(1);
-  GbMetrics::get().blocks_evicted.add();
-  blocks_.erase(block);
+std::uint64_t Channel::written_in_block_locked(std::uint64_t start) const {
+  auto extent = written_.upper_bound(start);
+  if (extent == written_.begin() || (--extent)->second <= start) return 0;
+  return std::min<std::uint64_t>(config_.block_size, extent->second - start);
+}
+
+bool Channel::unread_stall_locked(std::uint64_t upto) const {
+  if (config_.max_unread_bytes == 0) return false;
+  const std::uint64_t consumed = min_consumed_locked();
+  const std::uint64_t would_be = std::max(frontier_, upto);
+  return would_be > consumed && would_be - consumed > config_.max_unread_bytes;
+}
+
+void Channel::account_locked(std::int64_t bytes, std::int64_t blocks) {
+  table_bytes_ += static_cast<std::uint64_t>(bytes);
+  GbMetrics::get().bytes_buffered.add(bytes);
+  GbMetrics::get().blocks_buffered.add(blocks);
+}
+
+Channel::Resident::iterator Channel::drop_front_locked(
+    Resident::iterator entry, std::uint64_t blocks) {
+  const std::size_t size = entry->second.size();
+  const std::size_t bytes = static_cast<std::size_t>(
+      std::min<std::uint64_t>(size, blocks * config_.block_size));
+  account_locked(-static_cast<std::int64_t>(bytes),
+                 -static_cast<std::int64_t>(blocks));
+  GbMetrics::get().blocks_evicted.add(blocks);
+  if (bytes == size) return resident_.erase(entry);
+  // Re-key the node in place: trimming a run allocates nothing.
+  auto node = resident_.extract(entry);
+  node.key() += bytes;
+  node.mapped() = node.mapped().slice(bytes, size - bytes);
+  return resident_.insert(std::move(node)).position;
 }
 
 void Channel::evict_locked() {
   const std::uint64_t safe = min_consumed_locked();
-  auto it = block_sizes_.lower_bound(resident_from_);
-  while (it != block_sizes_.end() &&
-         it->first + it->second <= safe) {
-    const auto block = blocks_.find(it->first);
-    if (block != blocks_.end()) drop_locked(block);
-    resident_from_ = it->first + it->second;
-    ++it;
+  auto entry = resident_.begin();
+  while (entry != resident_.end() && entry->first < safe) {
+    const std::uint64_t end = entry->first + entry->second.size();
+    if (end > safe) {  // only the blocks that end at or below `safe`
+      const std::uint64_t blocks = (safe - entry->first) / config_.block_size;
+      if (blocks > 0) drop_front_locked(entry, blocks);
+      return;
+    }
+    entry = drop_front_locked(entry, blocks_in(entry->second.size()));
   }
 }
 
-bool Channel::spill_oldest_locked() {
-  for (auto it = block_sizes_.lower_bound(resident_from_);
-       it != block_sizes_.end(); ++it) {
-    const auto block = blocks_.find(it->first);
-    if (block == blocks_.end()) continue;
-    drop_locked(block);
-    resident_from_ = it->first + it->second;
-    return true;
+void Channel::spill_locked(std::uint64_t incoming, std::uint64_t cap) {
+  while (table_bytes_ + incoming > cap && !resident_.empty()) {
+    const auto oldest = resident_.begin();
+    drop_front_locked(
+        oldest, std::min(blocks_in(oldest->second.size()),
+                         blocks_in(table_bytes_ + incoming - cap)));
   }
-  return false;
+}
+
+void Channel::publish_locked(std::uint64_t offset, const Buffer& run,
+                             std::uint64_t from, std::uint64_t to) {
+  const std::uint64_t bs = config_.block_size;
+  // The first written extent that ends past `from`.
+  auto extent = written_.upper_bound(from);
+  if (extent != written_.begin() && std::prev(extent)->second > from) {
+    --extent;
+  }
+  for (std::uint64_t at = from; at < to;) {
+    if (extent != written_.end() && extent->first <= at) {
+      at = (extent++)->second;  // written already: a resent prefix
+      continue;
+    }
+    const std::uint64_t gap_end =
+        extent == written_.end() ? to : std::min(to, extent->first);
+    const std::uint64_t start = at / bs * bs;
+    if (start < at) {
+      // The gap begins inside a partial block: its resident copy, if
+      // any, ends the entry that holds it, and the longer copy replaces
+      // it.
+      auto held = resident_.upper_bound(start);
+      const std::uint64_t held_end =
+          held == resident_.begin()
+              ? 0
+              : std::prev(held)->first + std::prev(held)->second.size();
+      if (held_end > start) {
+        --held;
+        account_locked(-static_cast<std::int64_t>(held_end - start), -1);
+        if (held->first == start) {
+          resident_.erase(held);
+        } else {
+          held->second = held->second.slice(0, start - held->first);
+        }
+      }
+    }
+    resident_.emplace(start, run.slice(start - offset, gap_end - start));
+    account_locked(static_cast<std::int64_t>(gap_end - start),
+                   static_cast<std::int64_t>(blocks_in(gap_end - start)));
+    stored_ += gap_end - at;
+    at = gap_end;
+  }
+  // Coalesce [from, to) into the written extents: a sequential stream
+  // extends its one extent in place.
+  auto merged = written_.upper_bound(from);
+  if (merged != written_.begin() && std::prev(merged)->second >= from) {
+    --merged;
+  } else {
+    merged = written_.emplace_hint(merged, from, to);
+  }
+  merged->second = std::max(merged->second, to);
+  for (auto next = std::next(merged);
+       next != written_.end() && next->first <= merged->second;
+       next = written_.erase(next)) {
+    merged->second = std::max(merged->second, next->second);
+  }
+  frontier_ = std::max(frontier_, to);
 }
 
 Status Channel::cache_write(std::uint64_t offset, ByteSpan data) const {
@@ -167,8 +249,8 @@ Status Channel::write(std::uint64_t offset, const Buffer& data) {
   if (offset % bs != 0) {
     return invalid_argument("grid buffer write not block-aligned");
   }
-  // The pin rule (DESIGN.md §15) applies to the run as a whole; its
-  // blocks are slices of it.
+  // The pin rule (DESIGN.md §15) applies to the run as a whole; the
+  // table keeps slices of it.
   const Buffer run = data.compact();
   const std::uint64_t end = offset + run.size();
   {
@@ -182,19 +264,18 @@ Status Channel::write(std::uint64_t offset, const Buffer& data) {
       return failed_precondition(
           strings::cat("channel ", name_, ": writer already closed"));
     }
-    for (auto it = block_sizes_.lower_bound(offset);
-         it != block_sizes_.end() && it->first < end; ++it) {
-      if (std::min(bs, end - it->first) < it->second) {
-        return invalid_argument(
-            "grid buffer block rewrite must extend the block");
-      }
+    // Every block of the run but the last is whole, so only the last
+    // can shrink a block.
+    const std::uint64_t last = run.empty() ? end : (end - 1) / bs * bs;
+    if (!run.empty() && end - last < written_in_block_locked(last)) {
+      return invalid_argument(
+          "grid buffer block rewrite must extend the block");
     }
   }
+  if (run.empty()) return Status::ok();
   // Into the file before any block is published, so every block a
   // reader or a spill can see is already there.
-  if (config_.cache_enabled && !run.empty()) {
-    GL_RETURN_IF_ERROR(cache_write(offset, run));
-  }
+  if (config_.cache_enabled) GL_RETURN_IF_ERROR(cache_write(offset, run));
   // Any blocked stall below is additionally bounded by the ambient
   // end-to-end budget (src/common/deadline.h): an expired writer gives
   // up with kDeadlineExceeded instead of buffering into a stall.
@@ -207,14 +288,25 @@ Status Channel::write(std::uint64_t offset, const Buffer& data) {
   // Lazily opened on the first backpressure stall (see read()).
   std::optional<obs::Span> wait_span;
   MutexLock lock(mu_);
-  for (std::uint64_t at = offset; at < end; at += bs) {
-    const Buffer block = run.slice(at - offset, bs);
+  // When nothing can stop the run part way, it is published in one step.
+  // Spilling for it first is what block-by-block publishing does when
+  // every resident block lies below the run.
+  const auto top = resident_.rbegin();
+  const bool above_table =
+      top == resident_.rend() || top->first + top->second.size() <= offset;
+  const bool whole =
+      fault::armed() == nullptr && !unread_stall_locked(end) &&
+      (table_bytes_ + run.size() <= table_cap ||
+       (config_.cache_enabled && run.size() <= table_cap && above_table));
+  const std::uint64_t step = whole ? run.size() : bs;
+  for (std::uint64_t at = offset; at < end; at += step) {
+    const std::uint64_t step_end = std::min(end, at + step);
     // Injected peer death: the producer "dies" once the stream frontier
     // would pass the rule's `after=` mark. The block is NOT stored — the
     // reader can drain only what a real dead writer had already flushed.
     if (fault::Plan* plan = fault::armed(); plan != nullptr) {
       const fault::Decision verdict = plan->consult(
-          fault::Site::kPeer, name_, std::max(frontier_, at + block.size()));
+          fault::Site::kPeer, name_, std::max(frontier_, step_end));
       if (verdict.action == fault::Decision::Action::kKill) {
         writer_failed_ = true;
         const std::uint64_t died_at = frontier_;
@@ -237,23 +329,16 @@ Status Channel::write(std::uint64_t offset, const Buffer& data) {
       // Opt-in backpressure on *unread* data: even when the spill cache
       // would absorb table overflow, the frontier may not outrun the
       // slowest reader by more than max_unread_bytes.
-      bool stall = false;
-      if (config_.max_unread_bytes > 0) {
-        const std::uint64_t consumed = min_consumed_locked();
-        const std::uint64_t would_be = std::max(frontier_, at + block.size());
-        stall = would_be > consumed &&
-                would_be - consumed > config_.max_unread_bytes;
-      }
-      // Table at capacity: spill the oldest block to the cache (every
+      bool stall = unread_stall_locked(step_end);
+      // Table at capacity: spill the oldest blocks to the cache (every
       // resident block is already there), or, without a cache, wait for
       // readers to consume.
+      const std::uint64_t size = step_end - at;
       if (!stall && config_.cache_enabled) {
-        while (table_bytes_ + block.size() > table_cap &&
-               spill_oldest_locked()) {
-        }
-      } else if (!stall && table_bytes_ + block.size() > table_cap) {
+        spill_locked(size, table_cap);
+      } else if (!stall && table_bytes_ + size > table_cap) {
         evict_locked();
-        stall = table_bytes_ + block.size() > table_cap && !blocks_.empty();
+        stall = table_bytes_ + size > table_cap && !resident_.empty();
       }
       if (!stall) break;
       if (!wait_span) {
@@ -273,29 +358,7 @@ Status Channel::write(std::uint64_t offset, const Buffer& data) {
         cv_.wait(mu_);
       }
     }
-
-    auto [size_it, added] = block_sizes_.try_emplace(at, 0);
-    // A concurrent run published at least these bytes (an extending
-    // rewrite resends the same prefix): keep the longer block.
-    if (!added && size_it->second >= block.size()) continue;
-    if (!added) {
-      const auto existing = blocks_.find(at);
-      if (existing != blocks_.end()) {
-        table_bytes_ -= existing->second.size();
-        GbMetrics::get().bytes_buffered.sub(
-            static_cast<std::int64_t>(existing->second.size()));
-        GbMetrics::get().blocks_buffered.sub(1);
-      }
-    }
-    stored_ += block.size() - size_it->second;
-    size_it->second = static_cast<std::uint32_t>(block.size());
-    blocks_[at] = block;
-    table_bytes_ += block.size();
-    GbMetrics::get().bytes_buffered.add(
-        static_cast<std::int64_t>(block.size()));
-    GbMetrics::get().blocks_buffered.add(1);
-    frontier_ = std::max(frontier_, at + block.size());
-    resident_from_ = std::min(resident_from_, at);
+    publish_locked(offset, run, at, step_end);
   }
 
   lock.unlock();
@@ -388,19 +451,16 @@ Result<ReadResult> Channel::read(std::uint64_t reader_id,
       return ReadResult{{}, writer_closed_ && offset >= frontier_, frontier_};
     }
 
-    const std::uint64_t bs = config_.block_size;
-    const std::uint64_t start = offset / bs * bs;
-    const auto size_it = block_sizes_.find(start);
-    const bool covered = size_it != block_sizes_.end() &&
-                         offset - start < size_it->second;
-    if (covered) {
+    auto written = written_.upper_bound(offset);
+    if (written != written_.begin() && std::prev(written)->second > offset) {
       // Serve as much contiguous data as is already available, crossing
-      // block boundaries, up to `length` — one RPC can drain a whole
-      // run of blocks instead of one block per round trip. Copied once,
-      // straight into the buffer the reply is framed in: resident blocks
-      // now, spilled extents after mu_ is released, one read each (a
-      // published block is in the file, and an extending rewrite resends
-      // the same bytes, so the read sees no torn data).
+      // block and run boundaries, up to `length` — one RPC can drain a
+      // whole written extent instead of one block per round trip. Copied
+      // once, straight into the buffer the reply is framed in: resident
+      // runs now, the spilled gaps between them after mu_ is released,
+      // one read each (a published block is in the file, and an
+      // extending rewrite resends the same bytes, so the read sees no
+      // torn data).
       struct Extent {
         std::size_t at;  // into out; the stream offset is offset + at
         std::size_t length;
@@ -408,43 +468,42 @@ Result<ReadResult> Channel::read(std::uint64_t reader_id,
       std::vector<Extent> spilled;
       MutableByteSpan out;
       Buffer data = Buffer::uninitialized(
-          static_cast<std::size_t>(
-              std::min<std::uint64_t>(length, frontier_ - offset)),
+          static_cast<std::size_t>(std::min<std::uint64_t>(
+              length, std::prev(written)->second - offset)),
           out);
-      std::size_t filled = 0;
+      const std::uint64_t end = offset + out.size();
+      // The first resident run that ends past `offset`.
+      auto run = resident_.upper_bound(offset);
+      if (run != resident_.begin() &&
+          std::prev(run)->first + std::prev(run)->second.size() > offset) {
+        --run;
+      }
       std::uint64_t position = offset;
-      while (filled < out.size()) {
-        const std::uint64_t block_start = position / bs * bs;
-        const auto run_it = block_sizes_.find(block_start);
-        if (run_it == block_sizes_.end() ||
-            position - block_start >= run_it->second) {
-          break;  // next block not (fully enough) written yet
+      while (position < end) {
+        const std::size_t at = static_cast<std::size_t>(position - offset);
+        if (run != resident_.end() && run->first <= position) {
+          const std::uint64_t take =
+              std::min(end, run->first + run->second.size()) - position;
+          std::memcpy(out.data() + at,
+                      run->second.data() + (position - run->first),
+                      static_cast<std::size_t>(take));
+          position += take;
+          ++run;
+          continue;
         }
-        const std::uint64_t in_block = position - block_start;
-        const std::size_t take = static_cast<std::size_t>(
-            std::min<std::uint64_t>(out.size() - filled,
-                                    run_it->second - in_block));
-        const auto block = blocks_.find(block_start);
-        if (block != blocks_.end()) {
-          std::memcpy(out.data() + filled, block->second.data() + in_block,
-                      take);
-        } else if (config_.cache_enabled) {
-          if (!spilled.empty() &&
-              spilled.back().at + spilled.back().length == filled) {
-            spilled.back().length += take;
-          } else {
-            spilled.push_back({filled, take});
-          }
-        } else {
-          if (filled != 0) break;  // serve what we have
+        const std::uint64_t gap_end =
+            run == resident_.end() ? end : std::min(end, run->first);
+        if (!config_.cache_enabled) {
+          if (position != offset) break;  // serve what we have
           return out_of_range(strings::cat(
               "channel ", name_,
               ": block consumed and re-read needs a cache file (offset ",
               position, ")"));
         }
-        filled += take;
-        position += take;
+        spilled.push_back({at, static_cast<std::size_t>(gap_end - position)});
+        position = gap_end;
       }
+      std::size_t filled = static_cast<std::size_t>(position - offset);
       if (!spilled.empty()) {
         lock.unlock();
         for (const Extent& extent : spilled) {
@@ -495,9 +554,9 @@ Result<ReadResult> Channel::read(std::uint64_t reader_id,
     } else if (writer_closed_) {
       // A hole below the frontier that can never be filled: sparse
       // semantics, serve zeros up to the next written extent.
-      const auto next = block_sizes_.upper_bound(offset);
+      const auto next = written_.upper_bound(offset);
       const std::uint64_t zeros_end =
-          std::min(frontier_, next == block_sizes_.end()
+          std::min(frontier_, next == written_.end()
                                   ? frontier_
                                   : next->first);
       const std::uint32_t take = static_cast<std::uint32_t>(
@@ -583,7 +642,13 @@ std::uint64_t Channel::buffered_bytes() const {
 
 std::size_t Channel::buffered_blocks() const {
   MutexLock lock(mu_);
-  return blocks_.size();
+  return buffered_blocks_locked();
+}
+
+std::size_t Channel::buffered_blocks_locked() const {
+  std::size_t blocks = 0;
+  for (const auto& [start, run] : resident_) blocks += blocks_in(run.size());
+  return blocks;
 }
 
 ChannelStore::ChannelStore(std::string cache_dir)

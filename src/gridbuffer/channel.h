@@ -1,14 +1,19 @@
 // Grid Buffer channel store: the server-side state of the paper's direct
 // writer->reader coupling (§3.1, §4).
 //
-// Data blocks live in a hash table ("data is stored in a hash table
-// rather than a sequential buffer") so writes and reads may be out of
-// order. As every registered reader consumes a block it is deleted from
-// the table; when the channel has a cache file, consumed (or overflowed)
-// blocks survive there, which is what lets a reader seek backwards and
-// re-read an already-streamed region — transparently, as DARLAM does in
-// §5.3. Reads past the written frontier block until the writer produces
-// the data or closes the channel.
+// The paper keeps a buffer's data "in a hash table rather than a
+// sequential buffer" so that writes and reads may be out of order. Here
+// the table is two maps keyed by stream offset: the written extents,
+// coalesced, and the resident runs, one block-aligned slice of each run
+// that arrived. A run may land anywhere, and a read finds its bytes by
+// offset, so out-of-order blocks assemble as in the paper; the ordered
+// maps also make a sequential stream one written extent. As every
+// registered reader consumes a block it is deleted from the table; when
+// the channel has a cache file, consumed (or overflowed) blocks survive
+// there, which is what lets a reader seek backwards and re-read an
+// already-streamed region — transparently, as DARLAM does in §5.3.
+// Reads past the written frontier block until the writer produces the
+// data or closes the channel.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +22,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -32,7 +36,7 @@ struct ChannelConfig {
   std::uint32_t block_size = 4096;   // the paper's typical write size
   bool cache_enabled = true;
   std::uint32_t expected_readers = 1;
-  /// Hash-table occupancy (bytes) above which blocks spill to the cache
+  /// Table occupancy (bytes) above which blocks spill to the cache
   /// file (cache on; at most Channel::kCachedResidentBytes) or the writer
   /// blocks (cache off).
   std::uint64_t max_buffered_bytes = 16u << 20;
@@ -81,13 +85,15 @@ class Channel {
 
   /// Stores a run of blocks: `offset` must be block-aligned; every block
   /// of `data` is whole but the last. Rewriting a block with more data
-  /// extends it. One cache-file write without the lock, then the blocks
-  /// are published under one lock with one wakeup; the table keeps
-  /// per-block slices of data.compact(), so a run received in a request
-  /// message is shared rather than copied. Injected peer death and
-  /// backpressure are checked at every block boundary. When the table is
-  /// full and nothing can spill, the write waits, with the blocks before
-  /// the wait already published.
+  /// extends it. One cache-file write without the lock, then the run is
+  /// published under one lock with one wakeup; the table keeps slices of
+  /// data.compact(), so a run received in a request message is shared
+  /// rather than copied. When nothing can stop the run part way (no
+  /// fault plan armed, no backpressure stall, room in the table) it is
+  /// published whole, as one entry. Otherwise injected peer death and
+  /// backpressure are checked at every block boundary, and when the
+  /// table is full and nothing can spill, the write waits, with the
+  /// blocks before the wait already published.
   Status write(std::uint64_t offset, const Buffer& data);
 
   /// Declares end-of-stream; wakes blocked readers. Returns what the
@@ -120,9 +126,10 @@ class Channel {
   /// Wakes every blocked operation with kAborted (service shutdown).
   void shutdown();
 
-  /// Bytes currently resident in the hash table (tests/metrics).
+  /// Bytes currently resident in the table (tests/metrics).
   std::uint64_t buffered_bytes() const;
-  /// Blocks currently resident in the hash table.
+  /// Blocks currently resident in the table: a resident run counts one
+  /// per block it covers, the partial last block included.
   std::size_t buffered_blocks() const;
 
  private:
@@ -135,14 +142,36 @@ class Channel {
   /// late-joining readers).
   std::uint64_t min_consumed_locked() const REQUIRES(mu_);
 
-  /// Drops fully-consumed blocks from the table; spills to cache first
-  /// when enabled.
-  void evict_locked() REQUIRES(mu_);
-  /// Drops the lowest-offset resident block (it is in the cache file);
-  /// false when no block is resident.
-  bool spill_oldest_locked() REQUIRES(mu_);
-  void drop_locked(std::unordered_map<std::uint64_t, Buffer>::iterator block)
+  using Resident = std::map<std::uint64_t, Buffer>;
+
+  /// Blocks in `bytes` of a block-aligned run.
+  std::uint64_t blocks_in(std::uint64_t bytes) const {
+    return (bytes + config_.block_size - 1) / config_.block_size;
+  }
+  /// Bytes written of the block that starts at `start`.
+  std::uint64_t written_in_block_locked(std::uint64_t start) const
       REQUIRES(mu_);
+  /// Whether the frontier reaching `upto` would put it more than
+  /// max_unread_bytes ahead of the slowest reader.
+  bool unread_stall_locked(std::uint64_t upto) const REQUIRES(mu_);
+  std::size_t buffered_blocks_locked() const REQUIRES(mu_);
+  /// Adds resident bytes and blocks (negative: removes them).
+  void account_locked(std::int64_t bytes, std::int64_t blocks)
+      REQUIRES(mu_);
+  /// Drops the first `blocks` blocks of a resident run (they are in the
+  /// cache file or consumed); returns the entry after what is left.
+  Resident::iterator drop_front_locked(Resident::iterator entry,
+                                       std::uint64_t blocks) REQUIRES(mu_);
+  /// Drops fully-consumed blocks from the table, lowest offset first.
+  void evict_locked() REQUIRES(mu_);
+  /// Spills blocks, lowest offset first, until `incoming` more bytes fit
+  /// under `cap` or the table is empty.
+  void spill_locked(std::uint64_t incoming, std::uint64_t cap) REQUIRES(mu_);
+  /// Publishes the bytes of [from, to) not yet written, where `run` is
+  /// the run that starts at `offset` and `from` is block-aligned. A block
+  /// that an earlier write left partial is republished whole.
+  void publish_locked(std::uint64_t offset, const Buffer& run,
+                      std::uint64_t from, std::uint64_t to) REQUIRES(mu_);
 
   /// Writes `data` at `offset` in the cache file.
   Status cache_write(std::uint64_t offset, ByteSpan data) const
@@ -163,15 +192,14 @@ class Channel {
   mutable Mutex mu_ ACQUIRED_BEFORE("Plan::mu_");
   CondVar cv_;
 
-  // block start -> data
-  std::unordered_map<std::uint64_t, Buffer> blocks_ GUARDED_BY(mu_);
-  // every write, ordered
-  std::map<std::uint64_t, std::uint32_t> block_sizes_ GUARDED_BY(mu_);
+  // Written extents, coalesced: start -> end. Each starts on a block
+  // boundary; a block's written bytes are the prefix an extent covers.
+  std::map<std::uint64_t, std::uint64_t> written_ GUARDED_BY(mu_);
+  // Resident runs, disjoint: start (block-aligned) -> a slice of the run.
+  Resident resident_ GUARDED_BY(mu_);
   std::uint64_t table_bytes_ GUARDED_BY(mu_) = 0;
-  // No block below this offset is resident: where eviction resumes.
-  std::uint64_t resident_from_ GUARDED_BY(mu_) = 0;
   std::uint64_t frontier_ GUARDED_BY(mu_) = 0;
-  // The sum of block_sizes_.
+  // The bytes written_ covers.
   std::uint64_t stored_ GUARDED_BY(mu_) = 0;
   bool writer_closed_ GUARDED_BY(mu_) = false;
   bool writer_failed_ GUARDED_BY(mu_) = false;
