@@ -1,4 +1,4 @@
-// Tests for the Grid Buffer: channel store semantics (hash-table blocks,
+// Tests for the Grid Buffer: channel store semantics (out-of-order blocks,
 // blocking reads, delete-on-consume, cache-file re-reads, broadcast,
 // backpressure), the RPC server, and the writer/reader clients.
 #include <gtest/gtest.h>
